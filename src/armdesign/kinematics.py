@@ -3,9 +3,14 @@
 Conventions: joint j rotates about its local axis (roll = x, pitch = y, yaw = z)
 and is followed by a link of length L_j along the rotated local +z. With all
 angles zero the chain is a vertical line above the base origin.
+
+Everything runs on one pure-Python kernel over floats (`_chain`, one FK pass
+per posture). At 3x3 sizes numpy's per-call overhead would dominate, and
+scalar arithmetic keeps results independent of the host's BLAS.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,98 +53,87 @@ class IKSolution:
     iterations: int
 
 
-@dataclass(frozen=True)
-class ChainState:
-    """One FK pass: world-frame joint positions, rotation axes, link COMs, EE."""
-
-    joint_positions: np.ndarray  # (D, 3)
-    joint_axes: np.ndarray  # (D, 3), world axis of each joint
-    link_coms: np.ndarray  # (D, 3), world COM of each link
-    ee: np.ndarray  # (3,)
-
-
-def _check_q(params: DesignParams, q) -> np.ndarray:
+def _check_q(params: DesignParams, q) -> list[float]:
     q = np.asarray(q, dtype=float).ravel()
     if q.size != params.n_joints:
         raise ValueError(f"joint vector length {q.size} does not match D = {params.n_joints}")
-    return q
+    return q.tolist()
 
 
-def _fill_rotation(out: np.ndarray, code: int, angle: float) -> None:
-    c, s = np.cos(angle), np.sin(angle)
-    if code == 0:  # roll, about x
-        out[0, 0] = 1.0; out[0, 1] = 0.0; out[0, 2] = 0.0
-        out[1, 0] = 0.0; out[1, 1] = c;   out[1, 2] = -s
-        out[2, 0] = 0.0; out[2, 1] = s;   out[2, 2] = c
-    elif code == 1:  # pitch, about y
-        out[0, 0] = c;   out[0, 1] = 0.0; out[0, 2] = s
-        out[1, 0] = 0.0; out[1, 1] = 1.0; out[1, 2] = 0.0
-        out[2, 0] = -s;  out[2, 1] = 0.0; out[2, 2] = c
-    else:  # yaw, about z
-        out[0, 0] = c;   out[0, 1] = -s;  out[0, 2] = 0.0
-        out[1, 0] = s;   out[1, 1] = c;   out[1, 2] = 0.0
-        out[2, 0] = 0.0; out[2, 1] = 0.0; out[2, 2] = 1.0
+def _chain(origin, codes, lengths, q, com_fraction):
+    """One FK pass on floats: ([(p_j, axis_j, com_j) per joint], ee), as (x, y, z) tuples.
+
+    The frame's rotation is carried as its three world-frame columns u, v, w
+    (images of local x, y, z); joint j post-multiplies it by its own rotation.
+    """
+    ux, uy, uz, vx, vy, vz, wx, wy, wz = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    x, y, z = origin
+    joints = []
+    for code, length, angle in zip(codes, lengths, q):
+        c, s = math.cos(angle), math.sin(angle)
+        if code == 0:  # roll, about u: v and w turn
+            axis = (ux, uy, uz)
+            vx, vy, vz, wx, wy, wz = (
+                vx * c + wx * s, vy * c + wy * s, vz * c + wz * s,
+                wx * c - vx * s, wy * c - vy * s, wz * c - vz * s,
+            )
+        elif code == 1:  # pitch, about v: w and u turn
+            axis = (vx, vy, vz)
+            ux, uy, uz, wx, wy, wz = (
+                ux * c - wx * s, uy * c - wy * s, uz * c - wz * s,
+                ux * s + wx * c, uy * s + wy * c, uz * s + wz * c,
+            )
+        else:  # yaw, about w: u and v turn
+            axis = (wx, wy, wz)
+            ux, uy, uz, vx, vy, vz = (
+                ux * c + vx * s, uy * c + vy * s, uz * c + vz * s,
+                vx * c - ux * s, vy * c - uy * s, vz * c - uz * s,
+            )
+        sx, sy, sz = length * wx, length * wy, length * wz  # the link runs along local z
+        com = (x + com_fraction * sx, y + com_fraction * sy, z + com_fraction * sz)
+        joints.append(((x, y, z), axis, com))
+        x, y, z = x + sx, y + sy, z + sz
+    return joints, (x, y, z)
 
 
-def _fk_pass(origin, codes, lengths, q, com_fraction=None):
-    """Frame propagation; returns (joint_positions, joint_axes, ee[, coms])."""
-    d = len(codes)
-    positions = np.empty((d, 3))
-    axes = np.empty((d, 3))
-    coms = np.empty((d, 3)) if com_fraction is not None else None
-    rot = np.eye(3)
-    rj = np.empty((3, 3))
-    pos = origin.copy()
-    for j in range(d):
-        positions[j] = pos
-        axes[j] = rot[:, codes[j]]  # local unit axis e_code in world frame
-        _fill_rotation(rj, codes[j], q[j])
-        rot = rot @ rj
-        step = lengths[j] * rot[:, 2]
-        if coms is not None:
-            coms[j] = pos + com_fraction * step
-        pos = pos + step
-    if coms is not None:
-        return positions, axes, pos, coms
-    return positions, axes, pos
+def _jacobian_columns(joints, ee) -> list[tuple[float, float, float]]:
+    """Column j of the position Jacobian: axis_j x (ee - p_j)."""
+    ex, ey, ez = ee
+    return [
+        (
+            ay * (ez - pz) - az * (ey - py),
+            az * (ex - px) - ax * (ez - pz),
+            ax * (ey - py) - ay * (ex - px),
+        )
+        for (px, py, pz), (ax, ay, az), _ in joints
+    ]
 
 
-def chain_state(params: DesignParams, q, com_fraction: float = 0.5) -> ChainState:
-    """Propagate frames along the chain at joint angles q."""
-    q = _check_q(params, q)
-    codes = tuple(jt.value for jt in params.joints)
-    positions, axes, ee, coms = _fk_pass(
-        params.origin_array(), codes, params.lengths_array(), q, com_fraction
-    )
-    return ChainState(joint_positions=positions, joint_axes=axes, link_coms=coms, ee=ee)
+def _torques(joints, lengths, gravity: GravityModel) -> list[float]:
+    """tau_j = sum over links i >= j of weight_i * (axis_j x (com_i - p_j))_z."""
+    weights = [gravity.linear_density * length * gravity.g for length in lengths]
+    out = []
+    for j, ((px, py, _), (ax, ay, _), _) in enumerate(joints):
+        tau = 0.0
+        for weight, (_, _, (cx, cy, _)) in zip(weights[j:], joints[j:]):
+            tau += weight * (ax * (cy - py) - ay * (cx - px))
+        out.append(tau)
+    return out
+
+
+def _state(params: DesignParams, q, com_fraction: float = 0.5):
+    codes = [jt.value for jt in params.joints]
+    return _chain(params.origin, codes, params.lengths, _check_q(params, q), com_fraction)
 
 
 def forward_kinematics(params: DesignParams, q) -> np.ndarray:
     """End-effector position (m) at joint angles q."""
-    q = _check_q(params, q)
-    codes = tuple(jt.value for jt in params.joints)
-    return _fk_pass(params.origin_array(), codes, params.lengths_array(), q)[2]
-
-
-def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return out
+    return np.array(_state(params, q)[1])
 
 
 def position_jacobian(params: DesignParams, q) -> np.ndarray:
     """3xD position Jacobian; column j = axis_j x (p_ee - p_j)."""
-    state = chain_state(params, q)
-    return _cross_rows(state.joint_axes, state.ee - state.joint_positions).T
-
-
-def potential_energy(params: DesignParams, q, gravity: GravityModel = GravityModel()) -> float:
-    """Gravitational potential energy of the link masses at posture q (J)."""
-    state = chain_state(params, q, com_fraction=gravity.com_fraction)
-    masses = gravity.linear_density * params.lengths_array()
-    return float(np.sum(masses * gravity.g * state.link_coms[:, 2]))
+    return np.array(_jacobian_columns(*_state(params, q))).T
 
 
 def gravity_torque(params: DesignParams, q, gravity: GravityModel = GravityModel()) -> np.ndarray:
@@ -148,41 +142,28 @@ def gravity_torque(params: DesignParams, q, gravity: GravityModel = GravityModel
     Joint j only moves the COMs of links j..D, each contributing its weight
     times the z-component of axis_j x (com_i - p_j).
     """
-    state = chain_state(params, q, com_fraction=gravity.com_fraction)
-    masses = gravity.linear_density * params.lengths_array()
-    d = params.n_joints
-    torque = np.empty(d)
-    for j in range(d):
-        lever = _cross_rows(
-            np.broadcast_to(state.joint_axes[j], (d - j, 3)),
-            state.link_coms[j:] - state.joint_positions[j],
-        )
-        torque[j] = np.sum(masses[j:] * gravity.g * lever[:, 2])
-    return torque
+    joints, _ = _state(params, q, gravity.com_fraction)
+    return np.array(_torques(joints, params.lengths, gravity))
 
 
-def _solve3(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve the 3x3 system a @ x = v by cofactor expansion."""
-    a00, a01, a02 = a[0]
-    a10, a11, a12 = a[1]
-    a20, a21, a22 = a[2]
-    c00 = a11 * a22 - a12 * a21
-    c01 = a12 * a20 - a10 * a22
-    c02 = a10 * a21 - a11 * a20
+def _dls_step(cols, ex: float, ey: float, ez: float, lam_sq: float) -> list[float]:
+    """dq = J^T (J J^T + lam^2 I)^-1 err, J given by its columns; 3x3 solve by cofactors."""
+    a00 = a01 = a02 = a11 = a12 = a22 = 0.0
+    for jx, jy, jz in cols:
+        a00 += jx * jx; a01 += jx * jy; a02 += jx * jz
+        a11 += jy * jy; a12 += jy * jz; a22 += jz * jz
+    a00 += lam_sq; a11 += lam_sq; a22 += lam_sq
+    c00 = a11 * a22 - a12 * a12  # cofactors of the symmetric matrix
+    c01 = a12 * a02 - a01 * a22
+    c02 = a01 * a12 - a11 * a02
+    c11 = a00 * a22 - a02 * a02
+    c12 = a01 * a02 - a00 * a12
+    c22 = a00 * a11 - a01 * a01
     det = a00 * c00 + a01 * c01 + a02 * c02
-    c10 = a02 * a21 - a01 * a22
-    c11 = a00 * a22 - a02 * a20
-    c12 = a01 * a20 - a00 * a21
-    c20 = a01 * a12 - a02 * a11
-    c21 = a02 * a10 - a00 * a12
-    c22 = a00 * a11 - a01 * a10
-    return np.array(
-        [
-            (c00 * v[0] + c10 * v[1] + c20 * v[2]) / det,
-            (c01 * v[0] + c11 * v[1] + c21 * v[2]) / det,
-            (c02 * v[0] + c12 * v[1] + c22 * v[2]) / det,
-        ]
-    )
+    x = (c00 * ex + c01 * ey + c02 * ez) / det
+    y = (c01 * ex + c11 * ey + c12 * ez) / det
+    z = (c02 * ex + c12 * ey + c22 * ez) / det
+    return [jx * x + jy * y + jz * z for jx, jy, jz in cols]
 
 
 def solve_ik(
@@ -201,29 +182,34 @@ def solve_ik(
     bound |target - origin| - sum(L) or nothing meaningful has been gained for
     ik_cfg.give_up steps. Unreachable targets are not an error: the best
     posture found is returned with converged=False so the position-error
-    objective stays defined.
+    objective stays defined. A target that is not finite is an error.
     """
     target = np.asarray(target, dtype=float).ravel()
     if target.size != 3:
         raise ValueError(f"target must be a 3-vector, got length {target.size}")
+    if not np.isfinite(target).all():
+        raise ValueError(f"target must be finite, got {target.tolist()}")
+    tx, ty, tz = target.tolist()
     d = params.n_joints
-    origin = params.origin_array()
-    codes = tuple(jt.value for jt in params.joints)
-    lengths = params.lengths_array()
+    origin = params.origin
+    codes = [jt.value for jt in params.joints]
+    lengths = params.lengths
+    com_fraction = gravity.com_fraction
     lam_sq = ik_cfg.damping**2
     meaningful = 0.1 * ik_cfg.tol
     clamp = ik_cfg.step_clamp
+    limit = JOINT_ANGLE_LIMIT
     # no posture can get closer than this (triangle inequality on link lengths)
-    offset = target - origin
-    residual_floor = max(0.0, float(np.sqrt(offset @ offset)) - float(lengths.sum()))
+    ox, oy, oz = tx - origin[0], ty - origin[1], tz - origin[2]
+    residual_floor = max(0.0, math.sqrt(ox * ox + oy * oy + oz * oz) - math.fsum(lengths))
     stop_at = residual_floor + ik_cfg.tol
     restart_rng = np.random.default_rng(0x5EED)
 
-    q = np.zeros(d)
-    positions, axes, ee = _fk_pass(origin, codes, lengths, q)
-    err = target - ee
+    q = [0.0] * d
+    joints, (x, y, z) = _chain(origin, codes, lengths, q, com_fraction)
+    ex, ey, ez = tx - x, ty - y, tz - z
     best_q = q
-    best_residual = float(np.sqrt(err @ err))
+    best_residual = math.sqrt(ex * ex + ey * ey + ez * ez)
     iterations = 0
     since_improve = 0  # resets on any new best (drives restarts)
     since_progress = 0  # resets only on clear gains (drives give-up)
@@ -233,28 +219,24 @@ def solve_ik(
         and iterations < ik_cfg.max_iters
         and since_progress < ik_cfg.give_up
     ):
-        jac = _cross_rows(axes, ee - positions).T
-        a = jac @ jac.T
-        a[0, 0] += lam_sq; a[1, 1] += lam_sq; a[2, 2] += lam_sq
-        dq = jac.T @ _solve3(a, err)
-        pinned = ((q >= JOINT_ANGLE_LIMIT) & (dq > 0)) | ((q <= -JOINT_ANGLE_LIMIT) & (dq < 0))
-        if pinned.any():
-            jac_free = jac.copy()
-            jac_free[:, pinned] = 0.0
-            a = jac_free @ jac_free.T
-            a[0, 0] += lam_sq; a[1, 1] += lam_sq; a[2, 2] += lam_sq
-            dq = jac_free.T @ _solve3(a, err)
-        np.minimum(dq, clamp, out=dq)
-        np.maximum(dq, -clamp, out=dq)
-        q_next = np.clip(q + dq, -JOINT_ANGLE_LIMIT, JOINT_ANGLE_LIMIT)
-        if since_improve >= ik_cfg.stall_patience or (q_next == q).all():
-            q_next = restart_rng.uniform(-JOINT_ANGLE_LIMIT, JOINT_ANGLE_LIMIT, size=d)
+        cols = _jacobian_columns(joints, (x, y, z))
+        dq = _dls_step(cols, ex, ey, ez, lam_sq)
+        pinned = [(qj >= limit and s > 0.0) or (qj <= -limit and s < 0.0) for qj, s in zip(q, dq)]
+        if any(pinned):
+            cols = [(0.0, 0.0, 0.0) if p else col for p, col in zip(pinned, cols)]
+            dq = _dls_step(cols, ex, ey, ez, lam_sq)
+        q_next = []
+        for qj, s in zip(q, dq):
+            qj += clamp if s > clamp else -clamp if s < -clamp else s
+            q_next.append(limit if qj > limit else -limit if qj < -limit else qj)
+        if since_improve >= ik_cfg.stall_patience or q_next == q:
+            q_next = restart_rng.uniform(-limit, limit, size=d).tolist()
             since_improve = 0
         q = q_next
         iterations += 1
-        positions, axes, ee = _fk_pass(origin, codes, lengths, q)
-        err = target - ee
-        residual = float(np.sqrt(err @ err))
+        joints, (x, y, z) = _chain(origin, codes, lengths, q, com_fraction)
+        ex, ey, ez = tx - x, ty - y, tz - z
+        residual = math.sqrt(ex * ex + ey * ey + ez * ez)
         gain = best_residual - residual
         if gain > 0.0:
             best_residual = residual
@@ -264,14 +246,12 @@ def solve_ik(
             since_improve += 1
         since_progress = 0 if gain > meaningful else since_progress + 1
 
-    converged = best_residual <= ik_cfg.tol
-
-    reached = forward_kinematics(params, best_q)
+    joints, reached = _chain(origin, codes, lengths, best_q, com_fraction)
     return IKSolution(
-        q=best_q,
-        reached=reached,
-        torque=gravity_torque(params, best_q, gravity),
-        residual=float(np.linalg.norm(reached - target)),
-        converged=converged,
+        q=np.array(best_q),
+        reached=np.array(reached),
+        torque=np.array(_torques(joints, lengths, gravity)),
+        residual=best_residual,  # computed from this same FK pass when best_q was found
+        converged=best_residual <= ik_cfg.tol,
         iterations=iterations,
     )

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from armdesign.evaluation import TargetSet, evaluate
+from armdesign.experiment import load_targets
 from armdesign.kinematics import forward_kinematics, solve_ik
 from armdesign.space import SpaceConfig, make_params, random_sample
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_zero_pose_targets_are_a_fixed_point():
@@ -79,3 +84,32 @@ def test_empty_or_bad_inputs_rejected():
     p = make_params((0, 0, 0), "YPRP", [0.1] * 4)
     with pytest.raises(ValueError):
         evaluate(p, TargetSet("t", ((0.1, 0.1, 0.1),)), alpha=0.0)
+
+
+# (E_POS, E_TORQUE) of fixed designs on the bundled targets. Any change that moves
+# IK results moves these and must say so. The designs are ones whose objectives
+# agree to 1e-12 between scalar and BLAS-backed arithmetic, so the pins hold
+# against last-bit noise while still covering solves of up to 300 iterations.
+GOLDEN_DESIGNS = {
+    "mid-range YPRP": make_params((0.0, 0.0, 0.0), "YPRP", [0.165] * 4),
+    "scripted YYYR": make_params(
+        (0.0420, 0.0135, -0.0105), "YYYR", [0.2322, 0.1389, 0.1577, 0.0300]
+    ),
+    "long YPPR": make_params((0.0, 0.0, 0.2), "YPPR", [0.3] * 4),
+}
+GOLDEN_OBJECTIVES = {
+    ("mid-range YPRP", "target1"): (0.0002185588941153248, 161.1997452975481),
+    ("mid-range YPRP", "target3"): (0.4035473150256719, 156.5014234975663),
+    ("scripted YYYR", "target1"): (1.6170207228561324, 0.7553267600271546),
+    ("scripted YYYR", "target3"): (2.0533607076106732, 0.7627612524386043),
+    ("long YPPR", "target1"): (0.2509921966393105, 405.0068897591697),
+    ("long YPPR", "target3"): (0.04055620743840436, 396.10204107686366),
+}
+
+
+@pytest.mark.parametrize("design, target", sorted(GOLDEN_OBJECTIVES))
+def test_golden_objectives(design, target):
+    report = evaluate(GOLDEN_DESIGNS[design], load_targets(REPO / "targets" / f"{target}.json"))
+    e_pos, e_torque = GOLDEN_OBJECTIVES[design, target]
+    assert report.objectives.e_pos == pytest.approx(e_pos, rel=1e-9)
+    assert report.objectives.e_torque == pytest.approx(e_torque, rel=1e-9)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from armdesign.kinematics import (
     GravityModel,
@@ -9,11 +11,11 @@ from armdesign.kinematics import (
     forward_kinematics,
     gravity_torque,
     position_jacobian,
-    potential_energy,
     solve_ik,
 )
-from armdesign.space import JOINT_ANGLE_LIMIT, SpaceConfig, make_params, random_sample
+from armdesign.space import JOINT_ANGLE_LIMIT, JointType, SpaceConfig, make_params, random_sample
 
+import kinematics_oracle as oracle
 from conftest import random_posture
 
 
@@ -36,7 +38,8 @@ def fd_gravity_torque(params, q, gravity, eps=1e-6):
         step = np.zeros_like(q)
         step[j] = eps
         torque[j] = (
-            potential_energy(params, q + step, gravity) - potential_energy(params, q - step, gravity)
+            oracle.potential_energy(params, q + step, gravity)
+            - oracle.potential_energy(params, q - step, gravity)
         ) / (2 * eps)
     return torque
 
@@ -126,6 +129,35 @@ def test_gravity_torque_matches_energy_finite_differences():
         assert np.abs(analytic - numeric).max() / scale < 1e-5
 
 
+@st.composite
+def designs_and_postures(draw):
+    """A design of 1-6 joints within the space bounds and a posture, limits included."""
+    d = draw(st.integers(1, 6))
+    coord = st.floats(-1.0, 1.0)
+    origin = draw(st.tuples(coord, coord, coord))
+    joints = draw(st.lists(st.sampled_from(list(JointType)), min_size=d, max_size=d))
+    lengths = draw(st.lists(st.floats(0.03, 0.3), min_size=d, max_size=d))
+    angle = st.one_of(
+        st.sampled_from([-JOINT_ANGLE_LIMIT, 0.0, JOINT_ANGLE_LIMIT]),
+        st.floats(-JOINT_ANGLE_LIMIT, JOINT_ANGLE_LIMIT),
+    )
+    q = draw(st.lists(angle, min_size=d, max_size=d))
+    gravity = GravityModel(com_fraction=draw(st.floats(0.0, 1.0)))
+    return make_params(origin, joints, lengths), np.array(q), gravity
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(designs_and_postures())
+def test_kernel_matches_numpy_frame_oracle(case):
+    p, q, gravity = case
+    close = dict(atol=1e-12, rtol=0)
+    np.testing.assert_allclose(forward_kinematics(p, q), oracle.forward_kinematics(p, q), **close)
+    np.testing.assert_allclose(position_jacobian(p, q), oracle.position_jacobian(p, q), **close)
+    np.testing.assert_allclose(
+        gravity_torque(p, q, gravity), oracle.gravity_torque(p, q, gravity), **close
+    )
+
+
 def test_ik_already_solved_target():
     p = make_params((0, 0, 0), "YPRP", [0.1, 0.1, 0.1, 0.1])
     sol = solve_ik(p, forward_kinematics(p, np.zeros(4)))
@@ -141,6 +173,13 @@ def test_ik_unreachable_target_reports_best_effort():
     sol = solve_ik(p, target)
     assert not sol.converged
     assert sol.residual >= np.linalg.norm(target) - sum(p.lengths) - 1e-4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ik_rejects_non_finite_target(bad):
+    p = make_params((0, 0, 0), "YPRP", [0.1, 0.1, 0.1, 0.1])
+    with pytest.raises(ValueError, match="finite"):
+        solve_ik(p, [0.1, bad, 0.2])
 
 
 def test_ik_residual_never_worse_than_start():
