@@ -20,7 +20,6 @@ from .kinematics import (
 from .orchestrator import RunConfig, RunMode, RunResult, aggregate_runs, run, source_for_iteration
 from .pareto import (
     DEFAULT_REF_POINT,
-    FrontPoint,
     ObjectiveValues,
     dominates,
     hypervolume_2d,
@@ -43,7 +42,6 @@ __all__ = [
     "DEFAULT_REF_POINT",
     "DesignParams",
     "EvaluationReport",
-    "FrontPoint",
     "GravityModel",
     "IKConfig",
     "IKSolution",

@@ -17,7 +17,6 @@ from .evaluation import evaluate
 from .experiment import ExperimentError, load_experiment, load_targets
 from .ledger import (
     LedgerError,
-    final_front_rows,
     format_hv,
     read_curve_csv,
     read_ledger,
@@ -27,7 +26,7 @@ from .ledger import (
 )
 from .llm import BackendError
 from .orchestrator import RunMode, aggregate_runs, run
-from .pareto import DEFAULT_REF_POINT
+from .pareto import DEFAULT_REF_POINT, pareto_front
 from .space import DesignParams, SpaceConfig, from_vector, make_params, validate
 from .urdf import emit_urdf
 
@@ -186,7 +185,7 @@ def cmd_report(args) -> int:
                 print(f"error: recomputed curve disagrees with {stored}", file=sys.stderr)
                 return EXIT_RUNTIME
         curves.append(curve)
-        fronts.append((path, final_front_rows(rows)))
+        fronts.append((path, pareto_front(rows)))
 
     lengths = {len(c) for c in curves}
     if len(lengths) != 1:

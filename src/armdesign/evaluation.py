@@ -44,7 +44,6 @@ class TargetOutcome:
     torque: tuple[float, ...]
     e_pos: float
     e_torque: float
-    residual: float
     converged: bool
     iterations: int
 
@@ -76,7 +75,6 @@ def evaluate(
                 torque=tuple(float(v) for v in sol.torque),
                 e_pos=sol.residual,
                 e_torque=alpha * float(np.linalg.norm(sol.torque)),
-                residual=sol.residual,
                 converged=sol.converged,
                 iterations=sol.iterations,
             )

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .orchestrator import AggregateResult, RunResult
-from .pareto import ObjectiveValues, hypervolume_2d, nondominated_indices
-from .space import SpaceConfig, from_vector, to_vector
+from .pareto import ObjectiveValues, hypervolume_2d, pareto_front
+from .space import to_vector
 from .tpe import TrialRecord
 
 
@@ -37,7 +37,7 @@ def trial_to_json(trial: TrialRecord) -> str:
                 "e_pos": o.e_pos,
                 "e_torque": o.e_torque,
                 "converged": o.converged,
-                "residual": o.residual,
+                "residual": o.e_pos,
                 "iterations": o.iterations,
             }
             for o in (trial.report.per_target if trial.report else ())
@@ -120,18 +120,12 @@ def recompute_curve(rows: list[LedgerRow], ref_point) -> np.ndarray:
     n_init = 0
     while n_init < len(rows) and rows[n_init].source == "random":
         n_init += 1
-    values: list[ObjectiveValues] = [r.objectives for r in rows[:n_init]]
+    archive = pareto_front(rows[:n_init])
     curve = np.empty(len(rows) - n_init)
     for k, row in enumerate(rows[n_init:]):
-        values.append(row.objectives)
-        front = [values[i] for i in nondominated_indices(values)]
-        curve[k] = hypervolume_2d(front, ref_point)
+        archive = pareto_front([*archive, row])
+        curve[k] = hypervolume_2d([r.objectives for r in archive], ref_point)
     return curve
-
-
-def final_front_rows(rows: list[LedgerRow]) -> list[LedgerRow]:
-    values = [r.objectives for r in rows]
-    return [rows[i] for i in nondominated_indices(values)]
 
 
 def write_run_artifacts(run_dir: Path, result: RunResult) -> None:
@@ -163,7 +157,3 @@ def write_run_artifacts(run_dir: Path, result: RunResult) -> None:
             (tdir / f"iter_{iteration:05d}.json").write_text(
                 json.dumps(payload, indent=2) + "\n", encoding="utf-8"
             )
-
-
-def row_params(row: LedgerRow, space: SpaceConfig):
-    return from_vector(np.array(row.vector), space)

@@ -303,7 +303,8 @@ class ParseError(ValueError):
 def parse_design_response(text: str, space: SpaceConfig) -> DesignParams:
     """Extract the last three bracketed groups as origin / joints / lengths.
 
-    Numeric values outside the bounds are clamped in, not rejected.
+    Numeric values outside the bounds (inf included) are clamped in, not
+    rejected; NaN has no place in the bounds and is rejected.
     """
     import re
 
@@ -320,6 +321,8 @@ def parse_design_response(text: str, space: SpaceConfig) -> DesignParams:
         lengths = [float(tok) for tok in _split(lengths_raw)]
     except ValueError as exc:
         raise ParseError(f"non-numeric value: {exc}") from exc
+    if np.isnan(origin + lengths).any():
+        raise ParseError("NaN value")
     joints = [JointType.from_letter(tok) for tok in _split(joints_raw)]
 
     if len(origin) != 3:

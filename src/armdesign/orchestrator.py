@@ -114,7 +114,7 @@ def run(config: RunConfig) -> RunResult:
             fallback=fallback,
         )
         ledger.append(trial)
-        archive[:] = pareto_front(ledger)
+        archive[:] = pareto_front([*archive, trial])  # same set as the front of the whole ledger
 
     for _ in range(config.n_init):
         _record(random_sample(rng, config.space), SampleSource.RANDOM)

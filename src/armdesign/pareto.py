@@ -6,7 +6,7 @@ clipped, not rejected, so early bad samples keep the curve defined).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from typing import NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -22,12 +22,6 @@ class ObjectiveValues(NamedTuple):
 DEFAULT_REF_POINT = (5.0, 5.0)
 
 
-@dataclass(frozen=True)
-class FrontPoint:
-    objectives: ObjectiveValues
-    trial_id: int
-
-
 def dominates(a, b) -> bool:
     """Weak Pareto dominance: a <= b componentwise with at least one strict <."""
     a0, a1 = a
@@ -35,37 +29,33 @@ def dominates(a, b) -> bool:
     return a0 <= b0 and a1 <= b1 and (a0 < b0 or a1 < b1)
 
 
+def nondomination_ranks(values) -> np.ndarray:
+    """Rank 0 = nondominated; rank k = nondominated after removing ranks < k.
+
+    Rows of an (n, 2) array without NaN; equal pairs share a rank. Sort-and-sweep:
+    in (f1, f2) order every dominator of a point comes before it, and the last
+    member of each rank dominates the point iff that rank does, iff its (f2, f1)
+    sorts strictly below the point's. Those tails stay sorted, so a point's rank
+    is a bisection over them, and the point becomes its rank's new tail.
+    """
+    vals = np.asarray(values, dtype=float).reshape(-1, 2).tolist()
+    ranks = np.zeros(len(vals), dtype=int)
+    tails: list[list[float]] = []  # (f2, f1) of the last member of each rank
+    for i in sorted(range(len(vals)), key=vals.__getitem__):
+        key = vals[i][::-1]
+        rank = bisect_left(tails, key)
+        tails[rank : rank + 1] = [key]
+        ranks[i] = rank
+    return ranks
+
+
 def nondominated_indices(values) -> list[int]:
     """Indices of nondominated rows of an (n, 2) array, in input order.
 
     Duplicates of a nondominated pair are all retained (weak dominance has no
-    strict improvement between equals). Sort-and-sweep; the all-pairs check
-    lives in the tests as the oracle.
+    strict improvement between equals).
     """
-    vals = np.asarray(values, dtype=float)
-    n = len(vals)
-    if n == 0:
-        return []
-    order = np.lexsort((vals[:, 1], vals[:, 0]))  # by f1, then f2
-
-    keep = np.zeros(n, dtype=bool)
-    best_f2_prev = np.inf  # min f2 among strictly smaller f1
-    i = 0
-    while i < n:
-        j = i
-        while j < n and vals[order[j], 0] == vals[order[i], 0]:
-            j += 1
-        group = order[i:j]
-        group_min_f2 = vals[group, 1].min()
-        for idx in group:
-            f2 = vals[idx, 1]
-            # dominated by an earlier-f1 point iff its f2 <= ours; by an
-            # equal-f1 point iff its f2 is strictly smaller
-            if f2 < best_f2_prev and f2 == group_min_f2:
-                keep[idx] = True
-        best_f2_prev = min(best_f2_prev, group_min_f2)
-        i = j
-    return [k for k in range(n) if keep[k]]
+    return np.flatnonzero(nondomination_ranks(values) == 0).tolist()
 
 
 T = TypeVar("T")
@@ -98,12 +88,21 @@ def hypervolume_2d(values, ref=DEFAULT_REF_POINT) -> float:
 
 
 def hypervolume_contributions(values, ref=DEFAULT_REF_POINT) -> np.ndarray:
-    """Per-point drop in hypervolume when that point is removed from the set."""
+    """Exclusive hypervolume of each front point of a set; 0 for the rest.
+
+    Sorted by f1, a front point's exclusive area is the box spanned by its
+    front neighbours (the reference point stands in for a missing one), so
+    dominated points, equal pairs and points at or beyond ``ref`` get 0
+    (Emmerich, Beume & Naujoks, EMO 2005). This equals the leave-one-out drop
+    ``hv(all) - hv(all without i)`` only on a mutually nondominated set, which
+    is how ``tpe.split_observations`` calls it (one rank at a time); with
+    dominated points inside a box, leave-one-out is smaller.
+    """
     vals = np.asarray(values, dtype=float).reshape(-1, 2)
-    total = hypervolume_2d(vals, ref)
-    n = len(vals)
-    contrib = np.empty(n)
-    for i in range(n):
-        rest = np.delete(vals, i, axis=0)
-        contrib[i] = total - hypervolume_2d(rest, ref)
+    rx, ry = float(ref[0]), float(ref[1])
+    front = np.flatnonzero((nondomination_ranks(vals) == 0) & (vals[:, 0] < rx) & (vals[:, 1] < ry))
+    order = front[np.lexsort((vals[front, 1], vals[front, 0]))]
+    f1, f2 = vals[order, 0], vals[order, 1]
+    contrib = np.zeros(len(vals))
+    contrib[order] = (np.append(f1[1:], rx) - f1) * (np.insert(f2[:-1], 0, ry) - f2)
     return contrib

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .evaluation import EvaluationReport
-from .pareto import DEFAULT_REF_POINT, ObjectiveValues, hypervolume_contributions
+from .pareto import DEFAULT_REF_POINT, ObjectiveValues, hypervolume_contributions, nondomination_ranks
 from .space import DesignParams, SpaceConfig, random_sample
 
 
@@ -56,23 +56,6 @@ class TpeConfig:
             raise ValueError("n_candidates must be >= 1")
 
 
-def nondomination_ranks(values: np.ndarray) -> np.ndarray:
-    """Rank 0 = nondominated; rank k = nondominated after removing ranks < k."""
-    n = len(values)
-    dominated_by = np.all(values[:, None, :] <= values[None, :, :], axis=2) & np.any(
-        values[:, None, :] < values[None, :, :], axis=2
-    )  # [i, j] True iff i dominates j
-    ranks = np.full(n, -1)
-    rank = 0
-    while (ranks == -1).any():
-        active = ranks == -1
-        counts = (dominated_by & active[:, None]).sum(axis=0)
-        front = active & (counts == 0)
-        ranks[front] = rank
-        rank += 1
-    return ranks
-
-
 def split_observations(
     trials: list[TrialRecord],
     gamma: float,
@@ -92,10 +75,10 @@ def split_observations(
 
     good_idx: list[int] = []
     for rank in range(ranks.max() + 1):
-        members = [i for i in range(n) if ranks[i] == rank]
         remaining = n_good - len(good_idx)
         if remaining <= 0:
             break
+        members = np.flatnonzero(ranks == rank).tolist()
         if len(members) <= remaining:
             good_idx.extend(members)
             continue

@@ -6,19 +6,17 @@ import pytest
 from armdesign.evaluation import TargetSet
 from armdesign.ledger import (
     LedgerError,
-    final_front_rows,
     read_curve_csv,
     read_ledger,
     recompute_curve,
-    row_params,
     write_curve_csv,
     write_ledger,
     write_run_artifacts,
 )
 from armdesign.llm import BackendConfig
 from armdesign.orchestrator import RunConfig, RunMode, run
-from armdesign.pareto import nondominated_indices
-from armdesign.space import SpaceConfig
+from armdesign.pareto import nondominated_indices, pareto_front
+from armdesign.space import SpaceConfig, from_vector
 
 TARGETS = TargetSet("t", ((0.3, 0.0, 0.5), (0.0, 0.0, 0.7)))
 
@@ -48,7 +46,7 @@ def test_ledger_round_trip(tmp_path, small_result):
         assert row.source == trial.source.value
         assert row.fallback == trial.fallback
         assert row.objectives == trial.objectives
-        assert row_params(row, SpaceConfig(n_joints=4)) == trial.params
+        assert from_vector(np.array(row.vector), SpaceConfig(n_joints=4)) == trial.params
         assert len(row.per_target) == 2
 
 
@@ -86,7 +84,7 @@ def test_final_front_rows_match_archive(tmp_path, small_result):
     path = tmp_path / "ledger.jsonl"
     write_ledger(path, small_result.ledger)
     rows = read_ledger(path)
-    front = final_front_rows(rows)
+    front = pareto_front(rows)
     assert [r.id for r in front] == [t.id for t in small_result.archive]
     assert nondominated_indices([r.objectives for r in front]) == list(range(len(front)))
 

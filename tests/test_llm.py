@@ -13,6 +13,7 @@ from armdesign.llm import (
     BackendError,
     HeuristicBackend,
     HttpChatBackend,
+    ParseError,
     PromptContext,
     PromptVariant,
     ScriptedBackend,
@@ -86,6 +87,30 @@ def test_parse_clamps_out_of_range_values(space):
     assert params.lengths[0] == 0.3
     assert params.lengths[2] == 0.03
     assert validate(params, space) == []
+
+
+def test_parse_rejects_nan(space):
+    # np.clip keeps NaN, so clamping cannot make such a design valid
+    with pytest.raises(ParseError, match="NaN"):
+        parse_design_response("[nan, 0, 0] [P, P, P, P] [0.1, 0.1, 0.1, 0.1]", space)
+    with pytest.raises(ParseError, match="NaN"):
+        parse_design_response("[0, 0, 0] [P, P, P, P] [0.1, NaN, 0.1, 0.1]", space)
+
+
+def test_parse_clamps_infinite_values(space):
+    params = parse_design_response("[inf, -inf, 0] [P, P, P, P] [inf, -inf, 0.1, 0.1]", space)
+    assert params.origin == (1.0, -1.0, 0.0)
+    assert params.lengths[:2] == (0.3, 0.03)
+    assert validate(params, space) == []
+
+
+def test_propose_nan_design_is_parse_failure(space):
+    backend = ScriptedBackend(["prose", "[nan, 0, 0] [P, P, P, P] [0.1, 0.1, 0.1, 0.1]"])
+    outcome = propose(backend, make_context(space))
+    assert not outcome.ok
+    assert outcome.params is None
+    assert outcome.failure_reason.startswith("parse: ")
+    assert len(outcome.transcript) == 2
 
 
 def test_parse_takes_last_three_groups(space):

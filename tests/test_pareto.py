@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from armdesign.pareto import (
-    FrontPoint,
     ObjectiveValues,
     dominates,
     hypervolume_2d,
     hypervolume_contributions,
     nondominated_indices,
+    nondomination_ranks,
     pareto_front,
 )
+from pareto_oracle import layered_ranks, leave_one_out_contributions
 
 
 def brute_force_front(values):
@@ -51,7 +56,7 @@ def test_front_drops_dominated_point():
 
 
 def test_front_singleton():
-    pts = [FrontPoint(ObjectiveValues(1.0, 2.0), trial_id=0)]
+    pts = [SimpleNamespace(objectives=ObjectiveValues(1.0, 2.0))]
     assert pareto_front(pts) == pts
 
 
@@ -133,3 +138,39 @@ def test_hypervolume_contributions_sum_property():
     contrib = hypervolume_contributions(values, (5, 5))
     assert contrib[3] == 0.0
     assert all(c > 0 for c in contrib[:3])
+
+
+REF = (5.0, 4.0)  # unequal axes, so a swapped coordinate shows
+
+# integer-grid sets have ties, equal pairs and points on or beyond REF; their
+# areas are exact in floats, so the two contribution formulas agree bit for bit
+grid_sets = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=40)
+uniform_sets = st.builds(
+    lambda seed, n: np.random.default_rng(seed).uniform(0, 6, size=(n, 2)).tolist(),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 40),
+)
+point_sets = st.one_of(grid_sets, uniform_sets)
+
+
+def tie_broken_order(contrib):
+    """Member order in which tpe.split_observations fills the boundary rank."""
+    return sorted(range(len(contrib)), key=lambda k: (-contrib[k], k))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(point_sets)
+def test_ranks_match_layered_oracle(values):
+    assert nondomination_ranks(values).tolist() == layered_ranks(values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(point_sets)
+def test_contributions_match_leave_one_out_on_each_rank(values):
+    ranks = layered_ranks(values)
+    for rank in set(ranks):
+        members = [v for v, r in zip(values, ranks) if r == rank]
+        contrib = hypervolume_contributions(members, REF)
+        oracle = leave_one_out_contributions(members, REF)
+        np.testing.assert_allclose(contrib, oracle, rtol=0, atol=1e-12)
+        assert tie_broken_order(contrib) == tie_broken_order(oracle)
