@@ -10,7 +10,6 @@ progress; designs export to URDF.
 from .evaluation import EvaluationReport, TargetSet, evaluate
 from .kinematics import (
     GravityModel,
-    IKConfig,
     IKSolution,
     forward_kinematics,
     gravity_torque,
@@ -43,7 +42,6 @@ __all__ = [
     "DesignParams",
     "EvaluationReport",
     "GravityModel",
-    "IKConfig",
     "IKSolution",
     "JointType",
     "ObjectiveValues",

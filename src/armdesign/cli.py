@@ -8,12 +8,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .evaluation import evaluate
+from .evaluation import DEFAULT_ALPHA, evaluate
 from .experiment import ExperimentError, load_experiment, load_targets
 from .ledger import (
     LedgerError,
@@ -77,18 +77,7 @@ def cmd_evaluate(args) -> int:
         "targets": targets.name,
         "e_pos": report.objectives.e_pos,
         "e_torque": report.objectives.e_torque,
-        "per_target": [
-            {
-                "target": list(o.target),
-                "reached": list(o.reached),
-                "torque": list(o.torque),
-                "e_pos": o.e_pos,
-                "e_torque": o.e_torque,
-                "converged": o.converged,
-                "iterations": o.iterations,
-            }
-            for o in report.per_target
-        ],
+        "per_target": [asdict(o) for o in report.per_target],
     }
     print(json.dumps(out, indent=2))
     return EXIT_OK
@@ -226,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score a design against a target set")
     add_params_args(p_eval)
     p_eval.add_argument("--targets", required=True, help="targets JSON file")
-    p_eval.add_argument("--alpha", type=float, default=40.0)
+    p_eval.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_urdf = sub.add_parser("urdf", help="emit the URDF for a design")

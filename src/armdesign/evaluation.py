@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import GravityModel, IKConfig, solve_ik
+from .kinematics import solve_ik
 from .pareto import ObjectiveValues
 from .space import DesignParams
 
@@ -55,19 +55,13 @@ class EvaluationReport:
     per_target: tuple[TargetOutcome, ...]
 
 
-def evaluate(
-    params: DesignParams,
-    targets: TargetSet,
-    gravity: GravityModel = GravityModel(),
-    ik_cfg: IKConfig = IKConfig(),
-    alpha: float = DEFAULT_ALPHA,
-) -> EvaluationReport:
+def evaluate(params: DesignParams, targets: TargetSet, alpha: float = DEFAULT_ALPHA) -> EvaluationReport:
     """Score a design: e_pos = sum of IK residuals, e_torque = alpha * sum of torque norms."""
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     outcomes = []
     for point in targets.arrays():
-        sol = solve_ik(params, point, gravity=gravity, ik_cfg=ik_cfg)
+        sol = solve_ik(params, point)
         outcomes.append(
             TargetOutcome(
                 target=tuple(float(v) for v in point),

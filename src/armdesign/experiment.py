@@ -1,24 +1,31 @@
 """Experiment files: a JSON document defining one replication sweep.
 
-Schema (all optimizer fields optional, defaults in parentheses):
+Schema. Only "targets" is required; every other key may be left out, and then
+takes the default of the dataclass it sets (RunConfig, SpaceConfig,
+BackendConfig), shown in parentheses:
 
     {
-      "name": "target1-bbo",
+      "name": "target1-bbo",                              (file stem)
       "targets": {"name": "...", "points": [[x, y, z], ...]},
-      "mode": "bbo" | "bbo-llm-minus" | "bbo-llm-plus"   (bbo)
+      "mode": "bbo" | "bbo-llm-minus" | "bbo-llm-plus",   (bbo)
       "seeds": [0, 1, 2, 3, 4],                           ([0])
       "n_joints": 4, "n_init": 10, "n_step": 10, "n_total": 200,
       "n_pareto": 5, "n_random": 5, "alpha": 40.0,
-      "ref_point": [5.0, 5.0],
+      "ref_point": [5.0, 5.0],                            (two finite numbers)
       "backend": {"kind": "mock-heuristic" | "mock-script" | "http",
                   "script": "...", "base_url": "...", "model": "...",
-                  "token_env": "...", "timeout": 60.0, "decoding": {...}},
-      "out_dir": "runs/target1-bbo"
+                  "token_env": "ARMDESIGN_API_TOKEN", "timeout": 60.0,
+                  "decoding": {...}},                     (mock-heuristic)
+      "out_dir": "runs/target1-bbo"                       (runs/<name>)
     }
 
+Keys not named above, at the top level or inside "backend", are rejected with
+ExperimentError. The reference point scores both the hypervolume curve and the
+TPE good/bad split.
+
 Targets may also live in their own file ({"name", "points"}) referenced as
-"targets": "path/to/targets.json"; relative paths resolve against the
-experiment file's directory.
+"targets": "path/to/targets.json"; relative paths (targets, backend script,
+out_dir) resolve against the experiment file's directory.
 """
 from __future__ import annotations
 
@@ -66,22 +73,32 @@ def load_targets(source, base_dir: Path | None = None) -> TargetSet:
         raise ExperimentError(f"malformed target set: {exc}") from exc
 
 
-def _load_backend(raw: dict | None) -> BackendConfig:
-    if not raw:
-        return BackendConfig()
-    known = {"kind", "script", "base_url", "model", "token_env", "timeout", "decoding"}
-    unknown = set(raw) - known
+def _load_backend(raw: dict | None, base_dir: Path) -> BackendConfig:
+    raw = dict(raw or {})
+    unknown = set(raw) - {"kind", "script", "base_url", "model", "token_env", "timeout", "decoding"}
     if unknown:
         raise ExperimentError(f"unknown backend keys: {sorted(unknown)}")
-    return BackendConfig(
-        kind=raw.get("kind", "mock-heuristic"),
-        script_path=raw.get("script"),
-        base_url=raw.get("base_url"),
-        model=raw.get("model"),
-        token_env=raw.get("token_env", "ARMDESIGN_API_TOKEN"),
-        timeout=float(raw.get("timeout", 60.0)),
-        decoding=tuple(sorted((raw.get("decoding") or {}).items())),
-    )
+    script = raw.pop("script", None)
+    if script is not None:
+        raw["script_path"] = str(base_dir / script)  # an absolute script path stays as it is
+    if "timeout" in raw:
+        raw["timeout"] = float(raw["timeout"])
+    if "decoding" in raw:
+        raw["decoding"] = tuple(sorted((raw["decoding"] or {}).items()))
+    return BackendConfig(**raw)
+
+
+# optional top-level keys that go straight into RunConfig, with their converters
+_RUN_KEYS = {
+    "n_init": int,
+    "n_step": int,
+    "n_total": int,
+    "n_pareto": int,
+    "n_random": int,
+    "alpha": float,
+    "ref_point": lambda v: tuple(float(x) for x in v),
+}
+_KNOWN_KEYS = {"name", "targets", "mode", "seeds", "n_joints", "backend", "out_dir", *_RUN_KEYS}
 
 
 def load_experiment(path) -> ExperimentSpec:
@@ -91,43 +108,27 @@ def load_experiment(path) -> ExperimentSpec:
     except (OSError, json.JSONDecodeError) as exc:
         raise ExperimentError(f"cannot read experiment file {path}: {exc}") from exc
 
+    unknown = set(raw) - _KNOWN_KEYS
+    if unknown:
+        raise ExperimentError(f"unknown experiment keys: {sorted(unknown)}")
     if "targets" not in raw:
         raise ExperimentError("experiment file is missing 'targets'")
     targets = load_targets(raw["targets"], base_dir=path.parent)
-
+    settings = {}
+    if "mode" in raw:
+        try:
+            settings["mode"] = RunMode(raw["mode"])
+        except ValueError as exc:
+            raise ExperimentError(f"unknown mode {raw['mode']!r}") from exc
     try:
-        mode = RunMode(raw.get("mode", "bbo"))
-    except ValueError as exc:
-        raise ExperimentError(f"unknown mode {raw.get('mode')!r}") from exc
-
-    backend = _load_backend(raw.get("backend"))
-    if backend.script_path is not None:
-        script = Path(backend.script_path)
-        if not script.is_absolute():
-            from dataclasses import replace as _replace
-
-            backend = _replace(backend, script_path=str(path.parent / script))
-
-    space = SpaceConfig(n_joints=int(raw.get("n_joints", 4)))
-    try:
-        base = RunConfig(
-            targets=targets,
-            space=space,
-            mode=mode,
-            n_init=int(raw.get("n_init", 10)),
-            n_step=int(raw.get("n_step", 10)),
-            n_total=int(raw.get("n_total", 200)),
-            n_pareto=int(raw.get("n_pareto", 5)),
-            n_random=int(raw.get("n_random", 5)),
-            alpha=float(raw.get("alpha", 40.0)),
-            ref_point=tuple(float(v) for v in raw.get("ref_point", (5.0, 5.0))),
-            backend=backend,
-            seed=0,
-        )
+        settings.update((k, convert(raw[k])) for k, convert in _RUN_KEYS.items() if k in raw)
+        if "n_joints" in raw:
+            settings["space"] = SpaceConfig(n_joints=int(raw["n_joints"]))
+        backend = _load_backend(raw.get("backend"), path.parent)
+        base = RunConfig(targets=targets, backend=backend, **settings)
+        seeds = tuple(int(s) for s in raw.get("seeds", [0]))
     except (TypeError, ValueError) as exc:
         raise ExperimentError(f"invalid experiment settings: {exc}") from exc
-
-    seeds = tuple(int(s) for s in raw.get("seeds", [0]))
     if not seeds:
         raise ExperimentError("seed list is empty")
     out_dir = Path(raw.get("out_dir", f"runs/{raw.get('name', path.stem)}"))

@@ -33,14 +33,13 @@ class GravityModel:
             raise ValueError("com_fraction must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class IKConfig:
-    damping: float = 0.05  # lambda in the DLS update
-    step_clamp: float = 0.2  # rad, per-iteration |dq| limit
-    max_iters: int = 300
-    tol: float = 1e-4  # m, position tolerance
-    stall_patience: int = 12  # iterations without improvement before a restart
-    give_up: int = 200  # iterations without meaningful progress before stopping
+# IK budget and stopping rules
+IK_DAMPING = 0.05  # lambda in the DLS update
+IK_STEP_CLAMP = 0.2  # rad, per-iteration |dq| limit
+IK_MAX_ITERS = 300
+IK_TOL = 1e-4  # m, position tolerance
+IK_STALL_PATIENCE = 12  # iterations without improvement before a restart
+IK_GIVE_UP = 200  # iterations without meaningful progress before stopping
 
 
 @dataclass(frozen=True)
@@ -166,12 +165,7 @@ def _dls_step(cols, ex: float, ey: float, ez: float, lam_sq: float) -> list[floa
     return [jx * x + jy * y + jz * z for jx, jy, jz in cols]
 
 
-def solve_ik(
-    params: DesignParams,
-    target,
-    gravity: GravityModel = GravityModel(),
-    ik_cfg: IKConfig = IKConfig(),
-) -> IKSolution:
+def solve_ik(params: DesignParams, target) -> IKSolution:
     """Damped-least-squares IK from the zero posture, tracking the best iterate.
 
     Joints pinned against a limit get their Jacobian column masked so the rest
@@ -180,9 +174,10 @@ def solve_ik(
     so the solver stays a pure function of its inputs); and iteration stops
     early once the residual is within tolerance of the reachability lower
     bound |target - origin| - sum(L) or nothing meaningful has been gained for
-    ik_cfg.give_up steps. Unreachable targets are not an error: the best
-    posture found is returned with converged=False so the position-error
-    objective stays defined. A target that is not finite is an error.
+    IK_GIVE_UP steps. Unreachable targets are not an error: the best posture
+    found is returned with converged=False so the position-error objective
+    stays defined. The torque is taken under the default GravityModel. A
+    target that is not finite is an error.
     """
     target = np.asarray(target, dtype=float).ravel()
     if target.size != 3:
@@ -194,15 +189,16 @@ def solve_ik(
     origin = params.origin
     codes = [jt.value for jt in params.joints]
     lengths = params.lengths
+    gravity = GravityModel()
     com_fraction = gravity.com_fraction
-    lam_sq = ik_cfg.damping**2
-    meaningful = 0.1 * ik_cfg.tol
-    clamp = ik_cfg.step_clamp
+    lam_sq = IK_DAMPING**2
+    meaningful = 0.1 * IK_TOL
+    clamp = IK_STEP_CLAMP
     limit = JOINT_ANGLE_LIMIT
     # no posture can get closer than this (triangle inequality on link lengths)
     ox, oy, oz = tx - origin[0], ty - origin[1], tz - origin[2]
     residual_floor = max(0.0, math.sqrt(ox * ox + oy * oy + oz * oz) - math.fsum(lengths))
-    stop_at = residual_floor + ik_cfg.tol
+    stop_at = residual_floor + IK_TOL
     restart_rng = np.random.default_rng(0x5EED)
 
     q = [0.0] * d
@@ -216,8 +212,8 @@ def solve_ik(
 
     while (
         best_residual > stop_at
-        and iterations < ik_cfg.max_iters
-        and since_progress < ik_cfg.give_up
+        and iterations < IK_MAX_ITERS
+        and since_progress < IK_GIVE_UP
     ):
         cols = _jacobian_columns(joints, (x, y, z))
         dq = _dls_step(cols, ex, ey, ez, lam_sq)
@@ -229,7 +225,7 @@ def solve_ik(
         for qj, s in zip(q, dq):
             qj += clamp if s > clamp else -clamp if s < -clamp else s
             q_next.append(limit if qj > limit else -limit if qj < -limit else qj)
-        if since_improve >= ik_cfg.stall_patience or q_next == q:
+        if since_improve >= IK_STALL_PATIENCE or q_next == q:
             q_next = restart_rng.uniform(-limit, limit, size=d).tolist()
             since_improve = 0
         q = q_next
@@ -252,6 +248,6 @@ def solve_ik(
         reached=np.array(reached),
         torque=np.array(_torques(joints, lengths, gravity)),
         residual=best_residual,  # computed from this same FK pass when best_q was found
-        converged=best_residual <= ik_cfg.tol,
+        converged=best_residual <= IK_TOL,
         iterations=iterations,
     )

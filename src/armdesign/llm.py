@@ -16,7 +16,7 @@ from typing import Protocol
 import numpy as np
 import requests
 
-from .evaluation import EvaluationReport, TargetSet
+from .evaluation import DEFAULT_ALPHA, EvaluationReport, TargetSet
 from .space import DesignParams, JointType, SpaceConfig, JOINT_ANGLE_LIMIT
 from .tpe import TrialRecord
 
@@ -33,7 +33,7 @@ class PromptContext:
     pareto_feedback: tuple[EvaluationReport, ...]
     random_feedback: tuple[EvaluationReport, ...]
     variant: PromptVariant
-    alpha: float = 40.0
+    alpha: float = DEFAULT_ALPHA
 
 
 def format_point(point) -> str:
@@ -196,12 +196,14 @@ class HttpChatBackend:
                 timeout=self.timeout,
             )
             resp.raise_for_status()
-            data = resp.json()
-            return data["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
         except requests.RequestException as exc:
             raise BackendError(f"chat request failed: {exc}") from exc
-        except (KeyError, IndexError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed chat response: {exc}") from exc
+        if not isinstance(content, str):
+            raise BackendError(f"malformed chat response: content is {type(content).__name__}")
+        return content
 
 
 class ScriptedBackend:

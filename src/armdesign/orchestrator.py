@@ -8,13 +8,13 @@ accountable. Runs are deterministic given the seed and an offline backend.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .evaluation import TargetSet, evaluate
-from .kinematics import GravityModel, IKConfig
+from .evaluation import DEFAULT_ALPHA, TargetSet, evaluate
 from .llm import (
     BackendConfig,
     LLMBackend,
@@ -55,11 +55,8 @@ class RunConfig:
     n_total: int = 200
     n_pareto: int = 5
     n_random: int = 5
-    alpha: float = 40.0
+    alpha: float = DEFAULT_ALPHA
     ref_point: tuple[float, float] = DEFAULT_REF_POINT
-    ik: IKConfig = IKConfig()
-    gravity: GravityModel = GravityModel()
-    tpe: TpeConfig = TpeConfig()
     backend: BackendConfig = field(default_factory=BackendConfig)
     seed: int = 0
 
@@ -70,6 +67,8 @@ class RunConfig:
             raise ValueError("n_step must be >= 1")
         if self.n_total < 1:
             raise ValueError("n_total must be >= 1")
+        if len(self.ref_point) != 2 or not all(map(math.isfinite, self.ref_point)):
+            raise ValueError(f"ref_point must be two finite numbers, got {self.ref_point!r}")
 
 
 @dataclass
@@ -102,9 +101,7 @@ def run(config: RunConfig) -> RunResult:
     transcripts: dict[int, tuple[TranscriptEntry, ...]] = {}
 
     def _record(params, source: SampleSource, fallback: bool = False) -> None:
-        report = evaluate(
-            params, config.targets, gravity=config.gravity, ik_cfg=config.ik, alpha=config.alpha
-        )
+        report = evaluate(params, config.targets, alpha=config.alpha)
         trial = TrialRecord(
             id=len(ledger),
             source=source,
@@ -115,6 +112,9 @@ def run(config: RunConfig) -> RunResult:
         )
         ledger.append(trial)
         archive[:] = pareto_front([*archive, trial])  # same set as the front of the whole ledger
+
+    def _suggest():
+        return suggest(rng, ledger, TpeConfig(), config.space, config.ref_point)
 
     for _ in range(config.n_init):
         _record(random_sample(rng, config.space), SampleSource.RANDOM)
@@ -139,9 +139,9 @@ def run(config: RunConfig) -> RunResult:
             if outcome.ok:
                 _record(outcome.params, SampleSource.LLM)
             else:
-                _record(suggest(rng, ledger, config.tpe, config.space), SampleSource.BBO, fallback=True)
+                _record(_suggest(), SampleSource.BBO, fallback=True)
         else:
-            _record(suggest(rng, ledger, config.tpe, config.space), SampleSource.BBO)
+            _record(_suggest(), SampleSource.BBO)
         hv_curve[t - 1] = hypervolume_2d([tr.objectives for tr in archive], config.ref_point)
 
     return RunResult(

@@ -47,7 +47,6 @@ class TpeConfig:
     n_startup: int = 10  # below this, fall back to random sampling
     bandwidth_scale: float = 1.06  # kernel width = range * max(scale * n^-1/5, floor)
     bandwidth_floor: float = 1e-3
-    ref_point: tuple[float, float] = DEFAULT_REF_POINT
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
@@ -142,12 +141,16 @@ def suggest(
     trials: list[TrialRecord],
     cfg: TpeConfig,
     space: SpaceConfig,
+    ref_point: tuple[float, float] = DEFAULT_REF_POINT,
 ) -> DesignParams:
-    """Propose the next design; uniform random until the startup threshold."""
+    """Propose the next design; uniform random until the startup threshold.
+
+    ref_point is the hypervolume reference that breaks ties in the good/bad split.
+    """
     if len(trials) < cfg.n_startup:
         return random_sample(rng, space)
 
-    good, bad = split_observations(trials, cfg.gamma, cfg.ref_point)
+    good, bad = split_observations(trials, cfg.gamma, ref_point)
     bounds = _continuous_bounds(space)
     good_vecs = _slot_matrix(good, len(bounds))
     bad_vecs = _slot_matrix(bad, len(bounds))

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from armdesign.experiment import ExperimentError, load_experiment, load_targets
-from armdesign.orchestrator import RunMode
+from armdesign.orchestrator import RunConfig, RunMode
 
 
 def write(tmp_path, payload, name="exp.experiment"):
@@ -52,6 +52,12 @@ def test_script_path_resolves_relative(tmp_path):
     assert spec.base.backend.script_path == str(script)
 
 
+def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
+    spec = load_experiment(write(tmp_path, {"targets": BASE["targets"]}))
+    assert spec.base == RunConfig(targets=spec.base.targets)
+    assert spec.seeds == (0,)
+
+
 def test_load_targets_rejects_garbage(tmp_path):
     with pytest.raises(ExperimentError):
         load_targets(tmp_path / "missing.json")
@@ -70,5 +76,15 @@ def test_experiment_error_cases(tmp_path):
         load_experiment(write(tmp_path, dict(BASE, seeds=[]), "c.experiment"))
     with pytest.raises(ExperimentError, match="backend"):
         load_experiment(write(tmp_path, dict(BASE, backend={"flavor": "x"}), "d.experiment"))
+    for i, bad in enumerate(([5.0], [5.0, 5.0, 5.0], [5.0, float("inf")], [float("nan"), 5.0])):
+        with pytest.raises(ExperimentError, match="ref_point must be two finite numbers"):
+            load_experiment(write(tmp_path, dict(BASE, ref_point=bad), f"e{i}.experiment"))
+    for i, bad in enumerate(([5.0, None], 5.0)):
+        with pytest.raises(ExperimentError, match="invalid experiment settings"):
+            load_experiment(write(tmp_path, dict(BASE, ref_point=bad), f"g{i}.experiment"))
+    with pytest.raises(ExperimentError, match="invalid experiment settings"):
+        load_experiment(write(tmp_path, dict(BASE, seeds=["x"]), "h.experiment"))
+    with pytest.raises(ExperimentError, match="n_totl"):
+        load_experiment(write(tmp_path, dict(BASE, n_totl=3), "f.experiment"))
     with pytest.raises(ExperimentError):
         load_experiment(tmp_path / "missing.experiment")

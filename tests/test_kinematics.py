@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from armdesign.kinematics import (
+    IK_MAX_ITERS,
     GravityModel,
-    IKConfig,
     forward_kinematics,
     gravity_torque,
     position_jacobian,
@@ -238,4 +238,4 @@ def test_gravity_model_validation():
         GravityModel(linear_density=0.0)
     with pytest.raises(ValueError):
         GravityModel(com_fraction=1.5)
-    assert IKConfig().max_iters == 300
+    assert IK_MAX_ITERS == 300

@@ -208,20 +208,21 @@ def test_select_feedback_without_replacement_and_deterministic(space):
     assert [id(r) for r in again[1]] == ids
 
 
+_GOOD_REPLY = {
+    "choices": [{"message": {"content": "[0.0, 0.1, 0.2] [Y, P, R, P] [0.1, 0.1, 0.1, 0.1]"}}]
+}
+
+
 class _StubChatHandler(BaseHTTPRequestHandler):
     requests_seen: list = []
+    reply: object = _GOOD_REPLY
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).requests_seen.append(
             {"path": self.path, "auth": self.headers.get("Authorization"), "body": body}
         )
-        reply = {
-            "choices": [
-                {"message": {"content": "[0.0, 0.1, 0.2] [Y, P, R, P] [0.1, 0.1, 0.1, 0.1]"}}
-            ]
-        }
-        data = json.dumps(reply).encode()
+        data = json.dumps(type(self).reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -235,6 +236,7 @@ class _StubChatHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     _StubChatHandler.requests_seen = []
+    _StubChatHandler.reply = _GOOD_REPLY
     server = HTTPServer(("127.0.0.1", 0), _StubChatHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -255,6 +257,27 @@ def test_http_backend_wire_format(stub_server, monkeypatch, space):
     roles = [m["role"] for m in seen["body"]["messages"]]
     assert roles == ["system", "user"]
     assert seen["body"]["messages"][1]["content"] == "hello"
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        {"choices": [{"message": {"content": None}}]},
+        [{"message": {"content": "[0, 0, 0] [P, P, P, P] [0.1, 0.1, 0.1, 0.1]"}}],
+        {"choices": []},
+    ],
+    ids=["null-content", "array-body", "no-choices"],
+)
+def test_http_backend_malformed_reply_falls_back(stub_server, monkeypatch, space, reply):
+    monkeypatch.setenv("ARMDESIGN_API_TOKEN", "sekret")
+    _StubChatHandler.reply = reply
+    backend = HttpChatBackend(base_url=stub_server, model="test-model")
+    with pytest.raises(BackendError, match="malformed chat response"):
+        backend.send("hello")
+    outcome = propose(backend, make_context(space))
+    assert not outcome.ok
+    assert outcome.failure_reason.startswith("transport: malformed chat response")
+    assert len(outcome.transcript) == 1
 
 
 def test_http_backend_requires_token(monkeypatch):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from armdesign import tpe
 from armdesign.evaluation import TargetSet
 from armdesign.llm import BackendConfig
 from armdesign.orchestrator import (
@@ -168,3 +169,16 @@ def test_config_validation():
         RunConfig(targets=TARGETS, n_total=0)
     with pytest.raises(ValueError):
         source_for_iteration(0, RunMode.BBO, 5)
+
+
+def test_tpe_ranks_against_the_run_reference_point(monkeypatch):
+    seen = []
+    split = tpe.split_observations
+
+    def spy(trials, gamma, ref_point):
+        seen.append(ref_point)
+        return split(trials, gamma, ref_point)
+
+    monkeypatch.setattr(tpe, "split_observations", spy)
+    run(small_config(ref_point=(50.0, 50.0)))
+    assert seen and set(seen) == {(50.0, 50.0)}
