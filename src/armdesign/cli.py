@@ -17,16 +17,16 @@ from .evaluation import DEFAULT_ALPHA, evaluate
 from .experiment import ExperimentError, load_experiment, load_targets
 from .ledger import (
     LedgerError,
+    aggregate_csv,
     format_hv,
     read_curve_csv,
     read_ledger,
-    recompute_curve,
-    write_aggregate_csv,
+    read_ref_point,
     write_run_artifacts,
 )
 from .llm import BackendError
-from .orchestrator import RunMode, aggregate_runs, run
-from .pareto import DEFAULT_REF_POINT, pareto_front
+from .orchestrator import AggregateResult, RunMode, aggregate_runs, hypervolume_curve, run
+from .pareto import pareto_front
 from .space import DesignParams, SpaceConfig, from_vector, make_params, validate
 from .urdf import emit_urdf
 
@@ -72,7 +72,10 @@ def cmd_evaluate(args) -> int:
     params = _load_params(args)
     _require_valid(params)
     targets = load_targets(args.targets)
-    report = evaluate(params, targets, alpha=args.alpha)
+    try:
+        report = evaluate(params, targets, alpha=args.alpha)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     out = {
         "targets": targets.name,
         "e_pos": report.objectives.e_pos,
@@ -136,12 +139,12 @@ def cmd_run(args) -> int:
         results.append(result)
 
     agg = aggregate_runs(results)
-    write_aggregate_csv(spec.out_dir / "hv_aggregate.csv", agg)
+    (spec.out_dir / "hv_aggregate.csv").write_text(aggregate_csv(agg), encoding="utf-8")
     summary = {
         "experiment": spec.name,
         "mode": spec.base.mode.value,
-        "seeds": list(agg.seeds),
-        "final_hv_per_seed": {str(s): v for s, v in zip(agg.seeds, agg.final_per_seed)},
+        "seeds": list(spec.seeds),
+        "final_hv_per_seed": {str(s): v for s, v in zip(spec.seeds, agg.final_per_seed)},
         "final_hv_mean": float(np.mean(agg.final_per_seed)),
         "final_hv_std": float(np.std(agg.final_per_seed)),
         "mean_hv_over_iterations": agg.mean_hv,
@@ -155,42 +158,35 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    ref = tuple(args.ref) if args.ref else DEFAULT_REF_POINT
-    if len(ref) != 2:
-        raise InputError("--ref needs exactly two values")
-
     curves = []
     fronts = []
+    refs = []
     for path in map(Path, args.ledgers):
         try:
-            rows = read_ledger(path)
+            trials = read_ledger(path)
         except OSError as exc:
             raise InputError(f"{path}: {exc}") from exc
-        curve = recompute_curve(rows, ref)
+        ref = read_ref_point(path.parent)
+        curve = hypervolume_curve(trials, ref)
         stored = path.parent / "hv_curve.csv"
         if stored.exists():
             stored_curve = read_curve_csv(stored)
             if len(stored_curve) != len(curve) or not (stored_curve == curve).all():
                 print(f"error: recomputed curve disagrees with {stored}", file=sys.stderr)
                 return EXIT_RUNTIME
+        refs.append(ref)
         curves.append(curve)
-        fronts.append((path, pareto_front(rows)))
+        fronts.append((path, pareto_front(trials)))
 
-    lengths = {len(c) for c in curves}
-    if len(lengths) != 1:
-        raise InputError(f"ledgers have mismatched iteration counts: {sorted(lengths)}")
-    stacked = np.stack(curves)
-    mean = stacked.mean(axis=0)
-    std = stacked.std(axis=0)
-
-    print("iteration,mean,std")
-    for t, (m, s) in enumerate(zip(mean, std)):
-        print(f"{t + 1},{format_hv(m)},{format_hv(s)}")
+    scales = {(len(c), ref) for c, ref in zip(curves, refs)}
+    if len(scales) != 1:
+        raise InputError(f"ledgers have mismatched (iterations, reference point): {sorted(scales)}")
+    sys.stdout.write(aggregate_csv(AggregateResult(np.stack(curves))))
     for path, front in fronts:
         print(f"# final front: {path}")
         print("id,source,e_pos,e_torque")
-        for row in front:
-            print(f"{row.id},{row.source},{format_hv(row.objectives.e_pos)},{format_hv(row.objectives.e_torque)}")
+        for t in front:
+            print(f"{t.id},{t.source.value},{format_hv(t.objectives.e_pos)},{format_hv(t.objectives.e_torque)}")
     return EXIT_OK
 
 
@@ -234,7 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="recompute hv curves and fronts from ledgers")
     p_rep.add_argument("ledgers", nargs="+")
-    p_rep.add_argument("--ref", type=float, nargs=2, metavar=("E_POS", "E_TORQUE"))
     p_rep.set_defaults(func=cmd_report)
     return parser
 

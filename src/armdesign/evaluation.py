@@ -7,6 +7,7 @@ posture, so the score is order-independent and deterministic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,8 @@ class EvaluationReport:
 
 def evaluate(params: DesignParams, targets: TargetSet, alpha: float = DEFAULT_ALPHA) -> EvaluationReport:
     """Score a design: e_pos = sum of IK residuals, e_torque = alpha * sum of torque norms."""
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
     outcomes = []
     for point in targets.arrays():
         sol = solve_ik(params, point)

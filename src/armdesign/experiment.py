@@ -10,7 +10,7 @@ BackendConfig), shown in parentheses:
       "mode": "bbo" | "bbo-llm-minus" | "bbo-llm-plus",   (bbo)
       "seeds": [0, 1, 2, 3, 4],                           ([0])
       "n_joints": 4, "n_init": 10, "n_step": 10, "n_total": 200,
-      "n_pareto": 5, "n_random": 5, "alpha": 40.0,
+      "n_pareto": 5, "n_random": 5, "alpha": 40.0,        (alpha finite, > 0)
       "ref_point": [5.0, 5.0],                            (two finite numbers)
       "backend": {"kind": "mock-heuristic" | "mock-script" | "http",
                   "script": "...", "base_url": "...", "model": "...",
@@ -30,7 +30,7 @@ out_dir) resolve against the experiment file's directory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .evaluation import TargetSet
@@ -51,8 +51,6 @@ class ExperimentSpec:
     out_dir: Path
 
     def configs(self) -> list[RunConfig]:
-        from dataclasses import replace
-
         return [replace(self.base, seed=s) for s in self.seeds]
 
 

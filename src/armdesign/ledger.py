@@ -2,20 +2,21 @@
 
 Every writer is deterministic (fixed key order, repr float formatting, no
 timestamps) so repeated runs with the same inputs produce byte-identical
-files. Readers are strict: a corrupt ledger line is reported with its number.
+files. Readers are strict: a corrupt ledger or curve line is reported with its
+number.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .orchestrator import AggregateResult, RunResult
-from .pareto import ObjectiveValues, hypervolume_2d, pareto_front
-from .space import to_vector
-from .tpe import TrialRecord
+from .pareto import DEFAULT_REF_POINT, ObjectiveValues
+from .space import SpaceConfig, from_vector, to_vector
+from .tpe import SampleSource, TrialRecord
 
 
 class LedgerError(ValueError):
@@ -46,28 +47,17 @@ def trial_to_json(trial: TrialRecord) -> str:
     return json.dumps(row, separators=(", ", ": "))
 
 
-@dataclass(frozen=True)
-class LedgerRow:
-    """One parsed ledger line; enough to recompute curves and fronts."""
-
-    id: int
-    source: str
-    fallback: bool
-    vector: tuple[float, ...]
-    objectives: ObjectiveValues
-    per_target: tuple[dict, ...]
-
-
-def parse_ledger_line(line: str, lineno: int) -> LedgerRow:
+def parse_ledger_line(line: str, lineno: int) -> TrialRecord:
+    """One ledger line as a trial; the per-target diagnostics are not read back."""
     try:
         row = json.loads(line)
-        return LedgerRow(
+        vector = [float(v) for v in row["vector"]]
+        return TrialRecord(
             id=int(row["id"]),
-            source=str(row["source"]),
-            fallback=bool(row["fallback"]),
-            vector=tuple(float(v) for v in row["vector"]),
+            source=SampleSource(row["source"]),
+            params=from_vector(vector, SpaceConfig(n_joints=(len(vector) - 3) // 2)),
             objectives=ObjectiveValues(*(float(v) for v in row["objectives"])),
-            per_target=tuple(row.get("per_target", ())),
+            fallback=bool(row["fallback"]),
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise LedgerError(f"line {lineno}: corrupt ledger record ({exc})") from exc
@@ -78,61 +68,64 @@ def write_ledger(path: Path, trials: list[TrialRecord]) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def read_ledger(path: Path) -> list[LedgerRow]:
-    rows = []
+def read_ledger(path: Path) -> list[TrialRecord]:
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                rows.append(parse_ledger_line(line, lineno))
-    return rows
+        return [parse_ledger_line(line, n) for n, line in enumerate(fh, start=1) if line.strip()]
 
 
 def format_hv(value: float) -> str:
     return repr(float(value))
 
 
+def _iteration_csv(header: str, *columns) -> str:
+    """One row per iteration: its 1-based number, then each column's value."""
+    rows = [",".join([str(t + 1), *map(format_hv, row)]) for t, row in enumerate(zip(*columns))]
+    return "\n".join([header, *rows]) + "\n"
+
+
 def write_curve_csv(path: Path, hv_curve) -> None:
-    lines = ["iteration,hv"]
-    lines += [f"{t + 1},{format_hv(v)}" for t, v in enumerate(hv_curve)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(_iteration_csv("iteration,hv", hv_curve), encoding="utf-8")
 
 
 def read_curve_csv(path: Path) -> np.ndarray:
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    return np.array([float(line.split(",")[1]) for line in lines[1:]])
+    lines = path.read_text(encoding="utf-8").rstrip().splitlines()
+    curve = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            curve.append(float(line.split(",")[1]))
+        except (IndexError, ValueError) as exc:
+            raise LedgerError(f"{path}: line {lineno}: corrupt curve row ({exc})") from exc
+    return np.array(curve)
 
 
-def write_aggregate_csv(path: Path, agg: AggregateResult) -> None:
-    lines = ["iteration,mean,std"]
-    lines += [
-        f"{t + 1},{format_hv(m)},{format_hv(s)}"
-        for t, (m, s) in enumerate(zip(agg.mean, agg.std))
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def aggregate_csv(agg: AggregateResult) -> str:
+    """The table of hv_aggregate.csv, which `report` prints too."""
+    return _iteration_csv("iteration,mean,std", agg.mean, agg.std)
 
 
-def recompute_curve(rows: list[LedgerRow], ref_point) -> np.ndarray:
-    """Rebuild the hypervolume curve from ledger rows alone.
-
-    Warmup is the leading run of random-source rows; the curve covers the
-    iterations after it, over the cumulative archive including warmup.
-    """
-    n_init = 0
-    while n_init < len(rows) and rows[n_init].source == "random":
-        n_init += 1
-    archive = pareto_front(rows[:n_init])
-    curve = np.empty(len(rows) - n_init)
-    for k, row in enumerate(rows[n_init:]):
-        archive = pareto_front([*archive, row])
-        curve[k] = hypervolume_2d([r.objectives for r in archive], ref_point)
-    return curve
+def read_ref_point(run_dir: Path) -> tuple[float, float]:
+    """The reference point a run stored in run.json; DEFAULT_REF_POINT without one."""
+    path = run_dir / "run.json"
+    if not path.exists():
+        return DEFAULT_REF_POINT
+    try:
+        ref = tuple(float(v) for v in json.loads(path.read_text(encoding="utf-8"))["ref_point"])
+        if len(ref) != 2 or not all(map(math.isfinite, ref)):
+            raise ValueError(f"need two finite numbers, got {ref!r}")
+        return ref
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise LedgerError(f"{path}: malformed ref_point ({exc})") from exc
 
 
 def write_run_artifacts(run_dir: Path, result: RunResult) -> None:
-    """Persist one seeded run: ledger, curve, final front, LLM transcripts."""
+    """Persist one seeded run: ledger, curve, reference point, final front, LLM transcripts."""
     run_dir.mkdir(parents=True, exist_ok=True)
     write_ledger(run_dir / "ledger.jsonl", result.ledger)
     write_curve_csv(run_dir / "hv_curve.csv", result.hv_curve)
+    (run_dir / "run.json").write_text(
+        json.dumps({"ref_point": [float(v) for v in result.config.ref_point]}) + "\n",
+        encoding="utf-8",
+    )
 
     front = [
         {

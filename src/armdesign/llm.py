@@ -160,8 +160,6 @@ class BackendError(Exception):
 
 
 class LLMBackend(Protocol):
-    label: str
-
     def send(self, prompt: str) -> str: ...
 
 
@@ -174,7 +172,6 @@ class HttpChatBackend:
     token_env: str = "ARMDESIGN_API_TOKEN"
     timeout: float = 60.0
     decoding: dict = field(default_factory=dict)
-    label: str = "http"
 
     def send(self, prompt: str) -> str:
         token = os.environ.get(self.token_env, "")
@@ -209,8 +206,6 @@ class HttpChatBackend:
 class ScriptedBackend:
     """Offline responder replaying an ordered list of responses."""
 
-    label = "mock-script"
-
     def __init__(self, responses: list[str]):
         self._responses = list(responses)
         self._cursor = 0
@@ -233,8 +228,6 @@ class ScriptedBackend:
 
 class HeuristicBackend:
     """Offline responder that always proposes the mid-range design."""
-
-    label = "mock-heuristic"
 
     def __init__(self, space: SpaceConfig):
         self._space = space

@@ -69,6 +69,8 @@ class RunConfig:
             raise ValueError("n_total must be >= 1")
         if len(self.ref_point) != 2 or not all(map(math.isfinite, self.ref_point)):
             raise ValueError(f"ref_point must be two finite numbers, got {self.ref_point!r}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be a finite number > 0, got {self.alpha!r}")
 
 
 @dataclass
@@ -97,7 +99,6 @@ def run(config: RunConfig) -> RunResult:
     )
 
     ledger: list[TrialRecord] = []
-    archive: list[TrialRecord] = []
     transcripts: dict[int, tuple[TranscriptEntry, ...]] = {}
 
     def _record(params, source: SampleSource, fallback: bool = False) -> None:
@@ -111,7 +112,6 @@ def run(config: RunConfig) -> RunResult:
             fallback=fallback,
         )
         ledger.append(trial)
-        archive[:] = pareto_front([*archive, trial])  # same set as the front of the whole ledger
 
     def _suggest():
         return suggest(rng, ledger, TpeConfig(), config.space, config.ref_point)
@@ -119,12 +119,11 @@ def run(config: RunConfig) -> RunResult:
     for _ in range(config.n_init):
         _record(random_sample(rng, config.space), SampleSource.RANDOM)
 
-    hv_curve = np.empty(config.n_total)
     for t in range(1, config.n_total + 1):
         source = source_for_iteration(t, config.mode, config.n_step)
         if source is SampleSource.LLM:
             pareto_fb, random_fb = select_feedback(
-                ledger, archive, rng, config.n_pareto, config.n_random
+                ledger, pareto_front(ledger), rng, config.n_pareto, config.n_random
             )
             ctx = PromptContext(
                 targets=config.targets,
@@ -142,27 +141,57 @@ def run(config: RunConfig) -> RunResult:
                 _record(_suggest(), SampleSource.BBO, fallback=True)
         else:
             _record(_suggest(), SampleSource.BBO)
-        hv_curve[t - 1] = hypervolume_2d([tr.objectives for tr in archive], config.ref_point)
 
     return RunResult(
         config=config,
         ledger=ledger,
-        hv_curve=hv_curve,
-        archive=list(archive),
+        hv_curve=hypervolume_curve(ledger, config.ref_point),
+        archive=pareto_front(ledger),
         transcripts=transcripts,
     )
 
 
+def hypervolume_curve(trials: list[TrialRecord], ref_point) -> np.ndarray:
+    """Hypervolume of the front after each post-warmup trial of a history.
+
+    The one curve routine for a finished run and for a ledger read back. Warmup
+    is the leading run of random-source trials. Each later trial is folded into
+    the front of everything before it, warmup included.
+    """
+    n_init = next((i for i, t in enumerate(trials) if t.source is not SampleSource.RANDOM), len(trials))
+    front = pareto_front(trials[:n_init])
+    curve = np.empty(len(trials) - n_init)
+    for k, trial in enumerate(trials[n_init:]):
+        front = pareto_front([*front, trial])  # same set as the front of trials[: n_init + k + 1]
+        curve[k] = hypervolume_2d([t.objectives for t in front], ref_point)
+    return curve
+
+
 @dataclass(frozen=True)
 class AggregateResult:
-    """Pointwise statistics of hypervolume curves across seeds."""
+    """Pointwise statistics of equal-length hypervolume curves, one per seed."""
 
-    seeds: tuple[int, ...]
-    mean: np.ndarray  # per-iteration mean
-    std: np.ndarray  # per-iteration population standard deviation
-    final_per_seed: tuple[float, ...]
-    mean_hv: float  # run-and-iteration-averaged hypervolume
-    mean_std: float  # iteration-averaged standard deviation
+    curves: np.ndarray  # (seeds, iterations)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.curves.mean(axis=0)
+
+    @property
+    def std(self) -> np.ndarray:
+        return self.curves.std(axis=0)  # population sigma
+
+    @property
+    def final_per_seed(self) -> tuple[float, ...]:
+        return tuple(float(c[-1]) for c in self.curves)
+
+    @property
+    def mean_hv(self) -> float:  # run-and-iteration-averaged hypervolume
+        return float(self.mean.mean())
+
+    @property
+    def mean_std(self) -> float:  # iteration-averaged standard deviation
+        return float(self.std.mean())
 
 
 def aggregate_runs(results: list[RunResult]) -> AggregateResult:
@@ -173,14 +202,4 @@ def aggregate_runs(results: list[RunResult]) -> AggregateResult:
     for r in results[1:]:
         if replace(r.config, seed=0) != base:
             raise ValueError("runs differ in more than the seed")
-    curves = np.stack([r.hv_curve for r in results])
-    mean = curves.mean(axis=0)
-    std = curves.std(axis=0)  # population sigma
-    return AggregateResult(
-        seeds=tuple(r.config.seed for r in results),
-        mean=mean,
-        std=std,
-        final_per_seed=tuple(float(c[-1]) for c in curves),
-        mean_hv=float(mean.mean()),
-        mean_std=float(std.mean()),
-    )
+    return AggregateResult(np.stack([r.hv_curve for r in results]))

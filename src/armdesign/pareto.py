@@ -68,23 +68,22 @@ def pareto_front(points: Sequence[T]) -> list[T]:
 
 
 def hypervolume_2d(values, ref=DEFAULT_REF_POINT) -> float:
-    """Area of the union of rectangles [p, ref] over points strictly inside ref."""
-    vals = np.asarray(values, dtype=float).reshape(-1, 2)
+    """Area of the union of rectangles [p, ref] over points strictly inside ref.
+
+    In (f1, f2) order a point adds area iff its f2 drops below every f2 before
+    it; the rest are dominated, equal or at or beyond ref in f2. The sweep
+    stops at the first f1 at or beyond ref.
+    """
     rx, ry = float(ref[0]), float(ref[1])
-    inside = vals[(vals[:, 0] < rx) & (vals[:, 1] < ry)]
-    if len(inside) == 0:
-        return 0.0
-    front = inside[nondominated_indices(inside)]
-    order = np.argsort(front[:, 0], kind="stable")
-    front = front[order]
     area = 0.0
     prev_f2 = ry
-    for f1, f2 in front:
-        if f2 >= prev_f2:
-            continue  # duplicate objective pair on the front
-        area += (rx - f1) * (prev_f2 - f2)
-        prev_f2 = f2
-    return float(area)
+    for f1, f2 in sorted(np.asarray(values, dtype=float).reshape(-1, 2).tolist()):
+        if f1 >= rx:
+            break
+        if f2 < prev_f2:
+            area += (rx - f1) * (prev_f2 - f2)
+            prev_f2 = f2
+    return area
 
 
 def hypervolume_contributions(values, ref=DEFAULT_REF_POINT) -> np.ndarray:

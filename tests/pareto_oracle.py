@@ -1,8 +1,9 @@
 """Reference dominance ranking and hypervolume contributions for the tests.
 
 Straight from the definitions, with no sorting tricks: layers are peeled off by
-an all-pairs dominance check, and a point's contribution is the hypervolume
-lost when it alone is removed. `armdesign.pareto` computes both by 2-D sweeps,
+an all-pairs dominance check, a point's contribution is the hypervolume lost
+when it alone is removed, and an integer-grid set's hypervolume is a count of
+unit cells. `armdesign.pareto` computes both by 2-D sweeps,
 so the property tests compare two independent implementations.
 """
 from __future__ import annotations
@@ -31,3 +32,12 @@ def leave_one_out_contributions(values, ref) -> np.ndarray:
     vals = np.asarray(values, dtype=float).reshape(-1, 2)
     total = hypervolume_2d(vals, ref)
     return np.array([total - hypervolume_2d(np.delete(vals, i, axis=0), ref) for i in range(len(vals))])
+
+
+def grid_cell_hypervolume(values, ref) -> float:
+    """Hypervolume of integer points against an integer ref: the unit cells
+    [i, i + 1] x [j, j + 1] inside ref whose lower corner some point weakly dominates."""
+    rx, ry = (int(r) for r in ref)
+    return float(
+        sum(any(x <= i and y <= j for x, y in values) for i in range(rx) for j in range(ry))
+    )

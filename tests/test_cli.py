@@ -66,6 +66,16 @@ def test_evaluate_zero_pose_target(capsys, tmp_path):
     assert report["e_torque"] == 0.0
 
 
+def test_evaluate_rejects_bad_alpha(capsys, params_file):
+    for alpha in ("-1", "0", "nan", "inf"):
+        code, out, err = run_cli(
+            capsys, "evaluate", "--params", params_file, "--targets", TARGET1, f"--alpha={alpha}"
+        )
+        assert code == 1, alpha
+        assert out == ""
+        assert "alpha must be a finite number > 0" in err
+
+
 def test_evaluate_deterministic_stdout(capsys, params_file):
     code1, out1, _ = run_cli(capsys, "evaluate", "--params", params_file, "--targets", TARGET1)
     code2, out2, _ = run_cli(capsys, "evaluate", "--params", params_file, "--targets", TARGET1)
@@ -139,6 +149,16 @@ def test_run_rerun_byte_identical(capsys, tmp_path):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
 
+def test_run_rejects_bad_alpha(capsys, tmp_path):
+    for alpha in (float("nan"), float("inf"), -1.0, 0.0):
+        exp = quick_experiment(tmp_path, alpha=alpha)
+        code, out, err = run_cli(capsys, "run", "--experiment", exp)
+        assert code == 1, alpha
+        assert out == ""
+        assert "alpha must be a finite number > 0" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_missing_experiment_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--experiment", str(tmp_path / "nope.experiment"))
     assert code == 1
@@ -174,11 +194,56 @@ def test_report_flags_corrupt_ledger_line(capsys, tmp_path):
     assert run_cli(capsys, "run", "--experiment", exp)[0] == 0
     ledger = tmp_path / "out" / "seed_0" / "ledger.jsonl"
     lines = ledger.read_text().splitlines()
-    lines[4] = lines[4][:20]
+    good = lines[4]
+    assert '"source": "llm"' in good
+    for bad in (good[:20], good.replace('"source": "llm"', '"source": "bogus"')):
+        lines[4] = bad
+        ledger.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "report", str(ledger))
+        assert code == 1
+        assert "line 5" in err
+    lines[4] = good
     ledger.write_text("\n".join(lines) + "\n")
-    code, _, err = run_cli(capsys, "report", str(ledger))
+    curve = ledger.parent / "hv_curve.csv"
+    rows = curve.read_text().splitlines()
+    for bad in ("2", "2,", "2,not-a-number", "2;0.5"):
+        rows[2] = bad
+        curve.write_text("\n".join(rows) + "\n")
+        code, _, err = run_cli(capsys, "report", str(ledger))
+        assert code == 1
+        assert "hv_curve.csv: line 3" in err
+
+
+def test_report_uses_the_runs_ref_point(capsys, tmp_path):
+    exp = quick_experiment(tmp_path, seeds=[0], ref_point=[50, 50])
+    assert run_cli(capsys, "run", "--experiment", exp)[0] == 0
+    run_dir = tmp_path / "out" / "seed_0"
+    ledger = str(run_dir / "ledger.jsonl")
+    code, out, _ = run_cli(capsys, "report", ledger)
+    assert code == 0
+    assert out.startswith((tmp_path / "out" / "hv_aggregate.csv").read_text())
+    # no flag can pick another point
+    assert run_cli(capsys, "report", ledger, "--ref", "50", "50")[0] == 1
+    stored = (run_dir / "run.json").read_text()
+    assert json.loads(stored) == {"ref_point": [50.0, 50.0]}
+    for bad in ('{"ref_point": [50.0, Infinity]}', '{"ref_point": [50.0, NaN]}', '{"ref_point": [50.0]}',
+                '{"ref_point": [50.0, "x"]}', '{"ref": [50.0, 50.0]}', "[50.0, 50.0]", "not json"):
+        (run_dir / "run.json").write_text(bad)
+        code, _, err = run_cli(capsys, "report", ledger)
+        assert code == 1
+        assert "run.json" in err
+    (run_dir / "run.json").write_text(stored)
+    # a sweep at another point is not averaged in
+    other = quick_experiment(tmp_path, seeds=[0], out_dir=str(tmp_path / "other"))
+    assert run_cli(capsys, "run", "--experiment", other)[0] == 0
+    code, _, err = run_cli(capsys, "report", ledger, str(tmp_path / "other" / "seed_0" / "ledger.jsonl"))
     assert code == 1
-    assert "line 5" in err
+    assert "mismatched (iterations, reference point): [(12, (5.0, 5.0)), (12, (50.0, 50.0))]" in err
+    # without run.json the default (5, 5) applies, and the stored curve disagrees
+    (run_dir / "run.json").unlink()
+    code, _, err = run_cli(capsys, "report", ledger)
+    assert code == 2
+    assert "disagrees" in err
 
 
 def test_run_mode_and_nstep_overrides(capsys, tmp_path):

@@ -82,8 +82,9 @@ def test_empty_or_bad_inputs_rejected():
     with pytest.raises(ValueError):
         TargetSet("bad", ((0.0, float("nan"), 0.0),))
     p = make_params((0, 0, 0), "YPRP", [0.1] * 4)
-    with pytest.raises(ValueError):
-        evaluate(p, TargetSet("t", ((0.1, 0.1, 0.1),)), alpha=0.0)
+    for alpha in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha"):
+            evaluate(p, TargetSet("t", ((0.1, 0.1, 0.1),)), alpha=alpha)
 
 
 # (E_POS, E_TORQUE) of fixed designs on the bundled targets. Any change that moves

@@ -84,6 +84,9 @@ def test_experiment_error_cases(tmp_path):
             load_experiment(write(tmp_path, dict(BASE, ref_point=bad), f"g{i}.experiment"))
     with pytest.raises(ExperimentError, match="invalid experiment settings"):
         load_experiment(write(tmp_path, dict(BASE, seeds=["x"]), "h.experiment"))
+    for i, bad in enumerate((float("nan"), float("inf"), -1.0, 0.0)):
+        with pytest.raises(ExperimentError, match="alpha must be a finite number > 0"):
+            load_experiment(write(tmp_path, dict(BASE, alpha=bad), f"k{i}.experiment"))
     with pytest.raises(ExperimentError, match="n_totl"):
         load_experiment(write(tmp_path, dict(BASE, n_totl=3), "f.experiment"))
     with pytest.raises(ExperimentError):

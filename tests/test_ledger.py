@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,14 @@ from armdesign.ledger import (
     LedgerError,
     read_curve_csv,
     read_ledger,
-    recompute_curve,
+    read_ref_point,
     write_curve_csv,
     write_ledger,
     write_run_artifacts,
 )
 from armdesign.llm import BackendConfig
-from armdesign.orchestrator import RunConfig, RunMode, run
+from armdesign.orchestrator import RunConfig, RunMode, hypervolume_curve, run
 from armdesign.pareto import nondominated_indices, pareto_front
-from armdesign.space import SpaceConfig, from_vector
 
 TARGETS = TargetSet("t", ((0.3, 0.0, 0.5), (0.0, 0.0, 0.7)))
 
@@ -43,11 +44,13 @@ def test_ledger_round_trip(tmp_path, small_result):
     assert len(rows) == 20
     for row, trial in zip(rows, small_result.ledger):
         assert row.id == trial.id
-        assert row.source == trial.source.value
+        assert row.source == trial.source
         assert row.fallback == trial.fallback
         assert row.objectives == trial.objectives
-        assert from_vector(np.array(row.vector), SpaceConfig(n_joints=4)) == trial.params
-        assert len(row.per_target) == 2
+        assert row.params == trial.params
+        assert row.report is None
+    raw = [json.loads(line) for line in path.read_text().splitlines()]
+    assert all(len(r["per_target"]) == 2 for r in raw)
 
 
 def test_ledger_write_is_deterministic(tmp_path, small_result):
@@ -61,16 +64,26 @@ def test_corrupt_line_reported_with_number(tmp_path, small_result):
     path = tmp_path / "ledger.jsonl"
     write_ledger(path, small_result.ledger)
     lines = path.read_text().splitlines()
-    lines[6] = lines[6][: len(lines[6]) // 2]  # truncate one record
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(LedgerError, match="line 7"):
-        read_ledger(path)
+    line = lines[6]
+    assert json.loads(line)["source"] == "bbo"
+    corrupt = [
+        line[: len(line) // 2],  # truncated record
+        line.replace('"source": "bbo"', '"source": "bogus"'),
+        line.replace('"vector": [', '"vector": [0.5, '),  # 12 values: not 2D+3
+        json.dumps(dict(json.loads(line), vector=[0, 0, 0, 1.5, 1, 1, 1, 0.1, 0.1, 0.1, 0.1])),
+        json.dumps(dict(json.loads(line), objectives=[1.0])),
+    ]
+    for bad in corrupt:
+        lines[6] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LedgerError, match="line 7"):
+            read_ledger(path)
 
 
 def test_recomputed_curve_matches_run(tmp_path, small_result):
     path = tmp_path / "ledger.jsonl"
     write_ledger(path, small_result.ledger)
-    curve = recompute_curve(read_ledger(path), small_result.config.ref_point)
+    curve = hypervolume_curve(read_ledger(path), small_result.config.ref_point)
     np.testing.assert_array_equal(curve, small_result.hv_curve)
 
 
@@ -95,5 +108,8 @@ def test_run_artifacts_layout(tmp_path, small_result):
     assert (run_dir / "ledger.jsonl").exists()
     assert (run_dir / "hv_curve.csv").exists()
     assert (run_dir / "pareto.json").exists()
+    assert json.loads((run_dir / "run.json").read_text()) == {"ref_point": [5.0, 5.0]}
+    assert read_ref_point(run_dir) == small_result.config.ref_point
     transcripts = sorted(p.name for p in (run_dir / "transcripts").iterdir())
     assert transcripts == [f"iter_{t:05d}.json" for t in sorted(small_result.transcripts)]
+
