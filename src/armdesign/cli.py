@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -46,13 +47,8 @@ def _load_params(args) -> DesignParams:
             values = [float(t) for t in tokens]
         except ValueError as exc:
             raise InputError(f"vector: {exc}") from exc
-        if len(values) < 5 or (len(values) - 3) % 2 != 0:
-            raise InputError(
-                f"vector length {len(values)} is not 2D+3 for any joint count D >= 1"
-            )
-        d = (len(values) - 3) // 2
         try:
-            return from_vector(np.array(values), SpaceConfig(n_joints=d))
+            return from_vector(values)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     try:
@@ -122,8 +118,6 @@ def cmd_run(args) -> int:
     spec = _apply_overrides(spec, args)
 
     if spec.base.mode.uses_llm and spec.base.backend.kind == "http":
-        import os
-
         if not os.environ.get(spec.base.backend.token_env, ""):
             print(
                 f"error: live backend requires a token in ${spec.base.backend.token_env}",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .orchestrator import AggregateResult, RunResult
 from .pareto import DEFAULT_REF_POINT, ObjectiveValues
-from .space import SpaceConfig, from_vector, to_vector
+from .space import from_vector, to_vector
 from .tpe import SampleSource, TrialRecord
 
 
@@ -51,11 +51,10 @@ def parse_ledger_line(line: str, lineno: int) -> TrialRecord:
     """One ledger line as a trial; the per-target diagnostics are not read back."""
     try:
         row = json.loads(line)
-        vector = [float(v) for v in row["vector"]]
         return TrialRecord(
             id=int(row["id"]),
             source=SampleSource(row["source"]),
-            params=from_vector(vector, SpaceConfig(n_joints=(len(vector) - 3) // 2)),
+            params=from_vector(row["vector"]),
             objectives=ObjectiveValues(*(float(v) for v in row["objectives"])),
             fallback=bool(row["fallback"]),
         )
@@ -88,12 +87,18 @@ def write_curve_csv(path: Path, hv_curve) -> None:
 
 
 def read_curve_csv(path: Path) -> np.ndarray:
+    """The hv column of a curve written by write_curve_csv; any other shape is a LedgerError."""
     lines = path.read_text(encoding="utf-8").rstrip().splitlines()
+    if not lines or lines[0] != "iteration,hv":
+        raise LedgerError(f"{path}: line 1: expected the header 'iteration,hv'")
     curve = []
     for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
         try:
-            curve.append(float(line.split(",")[1]))
-        except (IndexError, ValueError) as exc:
+            if len(fields) != 2 or fields[0] != str(lineno - 1):
+                raise ValueError(f"expected '{lineno - 1},<hv>', got {line!r}")
+            curve.append(float(fields[1]))
+        except ValueError as exc:
             raise LedgerError(f"{path}: line {lineno}: corrupt curve row ({exc})") from exc
     return np.array(curve)
 

@@ -8,7 +8,9 @@ outcome transcript whether or not it succeeds.
 """
 from __future__ import annotations
 
+import json
 import os
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Protocol
@@ -151,10 +153,6 @@ def _feedback_block(index: int, pool: str, report: EvaluationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_reformat_prompt(answer: str, space: SpaceConfig) -> str:
-    return REFORMAT_TEMPLATE.format(d=space.n_joints, answer=answer)
-
-
 class BackendError(Exception):
     """Transport-level failure: timeout, HTTP error, exhausted script."""
 
@@ -212,8 +210,6 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
-        import json
-
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         return cls(data["responses"])
@@ -301,8 +297,6 @@ def parse_design_response(text: str, space: SpaceConfig) -> DesignParams:
     Numeric values outside the bounds (inf included) are clamped in, not
     rejected; NaN has no place in the bounds and is rejected.
     """
-    import re
-
     groups = re.findall(r"\[([^\[\]]*)\]", text)
     if len(groups) < 3:
         raise ParseError(f"expected 3 bracketed groups, found {len(groups)}")
@@ -340,25 +334,23 @@ def propose(backend: LLMBackend, ctx: PromptContext) -> SamplerOutcome:
     """Run the two-call design/reformat protocol against a backend."""
     transcript: list[TranscriptEntry] = []
 
-    design_prompt = build_prompt(ctx)
-    try:
-        answer = backend.send(design_prompt)
-    except BackendError as exc:
-        transcript.append(TranscriptEntry(design_prompt, None, str(exc)))
-        return SamplerOutcome(None, f"transport: {exc}", tuple(transcript))
-    transcript.append(TranscriptEntry(design_prompt, answer))
+    def send(prompt: str) -> str:
+        try:
+            response = backend.send(prompt)
+        except BackendError as exc:
+            transcript.append(TranscriptEntry(prompt, None, str(exc)))
+            raise
+        transcript.append(TranscriptEntry(prompt, response))
+        return response
 
-    reformat_prompt = build_reformat_prompt(answer, ctx.space)
     try:
-        formatted = backend.send(reformat_prompt)
+        answer = send(build_prompt(ctx))
+        formatted = send(REFORMAT_TEMPLATE.format(d=ctx.space.n_joints, answer=answer))
     except BackendError as exc:
-        transcript.append(TranscriptEntry(reformat_prompt, None, str(exc)))
         return SamplerOutcome(None, f"transport: {exc}", tuple(transcript))
-    transcript.append(TranscriptEntry(reformat_prompt, formatted))
-
     try:
         params = parse_design_response(formatted, ctx.space)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         return SamplerOutcome(None, f"parse: {exc}", tuple(transcript))
     return SamplerOutcome(params, None, tuple(transcript))
 

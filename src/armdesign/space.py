@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,26 +44,19 @@ class JointType(Enum):
 
 @dataclass(frozen=True)
 class SpaceConfig:
-    """Bounds and dimensionality of the design space."""
+    """Dimensionality of the design space; its bounds are fixed class constants."""
 
     n_joints: int = 4
-    origin_low: float = -1.0
-    origin_high: float = 1.0
-    length_low: float = 0.03
-    length_high: float = 0.3
-    joint_alphabet: tuple[JointType, ...] = (JointType.ROLL, JointType.PITCH, JointType.YAW)
+
+    origin_low: ClassVar[float] = -1.0
+    origin_high: ClassVar[float] = 1.0
+    length_low: ClassVar[float] = 0.03
+    length_high: ClassVar[float] = 0.3
+    joint_alphabet: ClassVar[tuple[JointType, ...]] = (JointType.ROLL, JointType.PITCH, JointType.YAW)
 
     def __post_init__(self) -> None:
         if self.n_joints < 1:
             raise ValueError(f"n_joints must be >= 1, got {self.n_joints}")
-        if not self.origin_low < self.origin_high:
-            raise ValueError("origin bounds must be a nonempty interval")
-        if not self.length_low < self.length_high:
-            raise ValueError("length bounds must be a nonempty interval")
-
-    @property
-    def vector_length(self) -> int:
-        return 2 * self.n_joints + 3
 
 
 @dataclass(frozen=True)
@@ -82,9 +76,6 @@ class DesignParams:
 
     def lengths_array(self) -> np.ndarray:
         return np.asarray(self.lengths, dtype=float)
-
-    def joint_letters(self) -> str:
-        return "".join(jt.letter for jt in self.joints)
 
 
 def make_params(origin, joints, lengths) -> DesignParams:
@@ -138,20 +129,20 @@ def to_vector(params: DesignParams) -> np.ndarray:
     )
 
 
-def from_vector(vec, cfg: SpaceConfig) -> DesignParams:
-    """Inverse of to_vector. Raises ValueError on wrong length or invalid type code."""
-    arr = np.asarray(vec, dtype=float).ravel()
-    if arr.size != cfg.vector_length:
-        raise ValueError(
-            f"vector length {arr.size} does not match 2D+3 = {cfg.vector_length} "
-            f"for D = {cfg.n_joints}"
-        )
-    d = cfg.n_joints
-    joints = tuple(JointType.from_code(c) for c in arr[3 : 3 + d])
+def from_vector(vec) -> DesignParams:
+    """Inverse of to_vector, with D read from the length.
+
+    Raises ValueError on a length that is not 2D+3 for some D >= 1, or on an
+    invalid type code.
+    """
+    values = [float(v) for v in vec]
+    d, odd = divmod(len(values) - 3, 2)
+    if d < 1 or odd:
+        raise ValueError(f"vector length {len(values)} is not 2D+3 for any joint count D >= 1")
     return DesignParams(
-        origin=tuple(float(v) for v in arr[:3]),
-        joints=joints,
-        lengths=tuple(float(v) for v in arr[3 + d :]),
+        origin=tuple(values[:3]),
+        joints=tuple(JointType.from_code(c) for c in values[3 : 3 + d]),
+        lengths=tuple(values[3 + d :]),
     )
 
 

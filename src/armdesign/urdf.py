@@ -25,18 +25,14 @@ def _vec(*values: float) -> str:
     return " ".join(repr(float(v)) for v in values)
 
 
-def emit_urdf(
-    params: DesignParams,
-    cfg: SpaceConfig | None = None,
-    gravity: GravityModel = GravityModel(),
-    name: str = "arm",
-) -> str:
+def emit_urdf(params: DesignParams) -> str:
     """Render the design as URDF XML text. Raises ValueError on invalid params."""
-    violations = validate(params, cfg if cfg is not None else SpaceConfig(n_joints=params.n_joints))
+    violations = validate(params, SpaceConfig(n_joints=params.n_joints))
     if violations:
         raise ValueError("invalid design: " + "; ".join(violations))
 
-    robot = ET.Element("robot", name=name)
+    gravity = GravityModel()
+    robot = ET.Element("robot", name="arm")
     ET.SubElement(robot, "link", name="world")
 
     base = ET.SubElement(robot, "joint", name="base_mount", type="fixed")

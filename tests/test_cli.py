@@ -206,7 +206,7 @@ def test_report_flags_corrupt_ledger_line(capsys, tmp_path):
     ledger.write_text("\n".join(lines) + "\n")
     curve = ledger.parent / "hv_curve.csv"
     rows = curve.read_text().splitlines()
-    for bad in ("2", "2,", "2,not-a-number", "2;0.5"):
+    for bad in ("2", "2,", "2,not-a-number", "2;0.5", "x,0.5", "3,0.5", "2,0.5,junk"):
         rows[2] = bad
         curve.write_text("\n".join(rows) + "\n")
         code, _, err = run_cli(capsys, "report", str(ledger))

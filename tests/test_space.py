@@ -43,29 +43,39 @@ def test_shape_violations_reported(space):
 def test_vector_length_is_2d_plus_3(space):
     p = make_params((0, 0, 0), "YPRP", [0.1, 0.1, 0.1, 0.1])
     assert to_vector(p).shape == (11,)
-    assert space.vector_length == 11
 
 
 def test_vector_round_trip_identity(space):
     rng = np.random.default_rng(0)
     for _ in range(1000):
         p = random_sample(rng, space)
-        assert from_vector(to_vector(p), space) == p
+        assert from_vector(to_vector(p)) == p
 
 
-def test_from_vector_rejects_wrong_length(space):
+def test_from_vector_rejects_wrong_length():
     with pytest.raises(ValueError, match="2D\\+3"):
-        from_vector(np.zeros(10), space)
+        from_vector(np.zeros(10))
 
 
-def test_from_vector_rejects_bad_type_code(space):
+@pytest.mark.parametrize("length", range(21))
+def test_from_vector_accepts_exactly_2d_plus_3(length):
+    if length in (5, 7, 9, 11, 13, 15, 17, 19):
+        d = (length - 3) // 2
+        vec = [0.1, -0.2, 0.3] + [2.0] * d + [0.2] * d
+        assert from_vector(vec) == make_params((0.1, -0.2, 0.3), "Y" * d, [0.2] * d)
+    else:
+        with pytest.raises(ValueError, match="2D\\+3"):
+            from_vector([0.0] * length)
+
+
+def test_from_vector_rejects_bad_type_code():
     vec = to_vector(make_params((0, 0, 0), "YPRP", [0.1] * 4))
     vec[4] = 3.0
     with pytest.raises(ValueError, match="code"):
-        from_vector(vec, space)
+        from_vector(vec)
     vec[4] = 1.5
     with pytest.raises(ValueError, match="code"):
-        from_vector(vec, space)
+        from_vector(vec)
 
 
 def test_random_sample_always_valid(space):

@@ -1,0 +1,93 @@
+"""Check that a revision and the working tree write byte-identical artifacts.
+
+Usage: python3 tools/compare_artifacts.py [REV]   (REV defaults to HEAD)
+
+REV is extracted with `git archive` into a temporary directory. In that tree
+and in the working tree, every `experiments/*.experiment` is run with
+`armdesign run --out <tmp>`, then `armdesign report` is run over each sweep's
+ledgers. Every artifact and every stdout are compared byte for byte. The
+differing paths are printed with the count of identical files. Exit 0 only if
+everything matches, 1 if anything differs, 2 if a command fails. Nothing is
+written inside the repository.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def armdesign(tree: Path, *argv: str, cwd: Path | None = None) -> bytes:
+    """Run the CLI from `tree`'s sources and return its stdout; exit 2 on failure."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "armdesign.cli", *argv], env=env, cwd=cwd, capture_output=True
+    )
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+        print(f"error: armdesign {' '.join(argv)} exited {proc.returncode} in {tree}", file=sys.stderr)
+        raise SystemExit(2)
+    return proc.stdout
+
+
+def write_artifacts(tree: Path, out: Path) -> None:
+    """Each experiment's sweep under out/<stem>, and both stdouts under out/stdout."""
+    (out / "stdout").mkdir(parents=True)
+    for exp in sorted((tree / "experiments").glob("*.experiment")):
+        sweep = out / exp.stem
+        stdout = armdesign(tree, "run", "--experiment", str(exp), "--out", str(sweep))
+        (out / "stdout" / f"{exp.stem}.run.txt").write_bytes(stdout)
+        # relative paths, since report prints each ledger's path
+        ledgers = sorted(sweep.glob("seed_*/ledger.jsonl"), key=lambda p: int(p.parent.name[5:]))
+        stdout = armdesign(tree, "report", *(str(p.relative_to(sweep)) for p in ledgers), cwd=sweep)
+        (out / "stdout" / f"{exp.stem}.report.txt").write_bytes(stdout)
+
+
+def files(root: Path) -> set[Path]:
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", nargs="?", default="HEAD", help="git revision to compare against")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="compare_artifacts_") as tmp:
+        tmp = Path(tmp)
+        base = tmp / "rev"
+        base.mkdir()
+        archive = tmp / "rev.tar"
+        git = ["git", "-C", str(REPO), "archive", "--format=tar", "-o", str(archive), args.rev]
+        if subprocess.run(git).returncode != 0:
+            raise SystemExit(2)
+        with tarfile.open(archive) as tar:
+            tar.extractall(base, filter="data")
+
+        out_rev, out_work = tmp / "out_rev", tmp / "out_work"
+        with ThreadPoolExecutor(max_workers=2) as pool:  # one CLI process per tree
+            jobs = [pool.submit(write_artifacts, base, out_rev), pool.submit(write_artifacts, REPO, out_work)]
+            for job in jobs:
+                job.result()
+
+        paths = files(out_rev) | files(out_work)
+        differing = sorted(
+            p
+            for p in paths
+            if not ((out_rev / p).is_file() and (out_work / p).is_file())
+            or (out_rev / p).read_bytes() != (out_work / p).read_bytes()
+        )
+    for p in differing:
+        print(f"differs: {p}")
+    print(f"{len(paths) - len(differing)} identical, {len(differing)} differing ({args.rev} vs working tree)")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
