@@ -95,27 +95,24 @@ def cmd_urdf(args) -> int:
 
 def _apply_overrides(spec, args):
     base = spec.base
-    if args.mode:
+    if args.mode is not None:
         base = replace(base, mode=RunMode(args.mode))
-    if args.n_step:
+    if args.n_step is not None:
         base = replace(base, n_step=args.n_step)
     if args.backend == "mock" and base.backend.kind == "http":
         base = replace(base, backend=replace(base.backend, kind="mock-heuristic"))
     if args.backend == "http":
-        if not (base.backend.base_url and base.backend.model):
-            raise InputError("--backend http needs base_url and model in the experiment file")
         base = replace(base, backend=replace(base.backend, kind="http"))
-    seeds = tuple(args.seed) if args.seed else spec.seeds
+    seeds = tuple(args.seed) if args.seed is not None else spec.seeds
     out_dir = Path(args.out) if args.out else spec.out_dir
     return replace(spec, base=base, seeds=seeds, out_dir=out_dir)
 
 
 def cmd_run(args) -> int:
-    try:
-        spec = load_experiment(args.experiment)
-    except ExperimentError as exc:
+    try:  # a bad override fails the config's own checks, like a bad file
+        spec = _apply_overrides(load_experiment(args.experiment), args)
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
-    spec = _apply_overrides(spec, args)
 
     if spec.base.mode.uses_llm and spec.base.backend.kind == "http":
         if not os.environ.get(spec.base.backend.token_env, ""):

@@ -29,8 +29,9 @@ class TargetSet:
     def __post_init__(self) -> None:
         if len(self.points) < 1:
             raise ValueError("a target set needs at least one point")
-        if not all(np.isfinite(p).all() for p in map(np.asarray, self.points)):
-            raise ValueError("target points must be finite")
+        for p in self.points:
+            if len(p) != 3 or not all(map(math.isfinite, p)):
+                raise ValueError(f"a target point must be 3 finite numbers, got {list(p)}")
 
     def arrays(self) -> list[np.ndarray]:
         return [np.asarray(p, dtype=float) for p in self.points]
@@ -51,7 +52,6 @@ class TargetOutcome:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    params: DesignParams
     objectives: ObjectiveValues
     per_target: tuple[TargetOutcome, ...]
 
@@ -78,4 +78,4 @@ def evaluate(params: DesignParams, targets: TargetSet, alpha: float = DEFAULT_AL
         e_pos=float(sum(o.e_pos for o in outcomes)),
         e_torque=float(sum(o.e_torque for o in outcomes)),
     )
-    return EvaluationReport(params=params, objectives=objectives, per_target=tuple(outcomes))
+    return EvaluationReport(objectives=objectives, per_target=tuple(outcomes))

@@ -8,7 +8,7 @@ BackendConfig), shown in parentheses:
       "name": "target1-bbo",                              (file stem)
       "targets": {"name": "...", "points": [[x, y, z], ...]},
       "mode": "bbo" | "bbo-llm-minus" | "bbo-llm-plus",   (bbo)
-      "seeds": [0, 1, 2, 3, 4],                           ([0])
+      "seeds": [0, 1, 2, 3, 4],                           ([0]; distinct, >= 0)
       "n_joints": 4, "n_init": 10, "n_step": 10, "n_total": 200,
       "n_pareto": 5, "n_random": 5, "alpha": 40.0,        (alpha finite, > 0)
       "ref_point": [5.0, 5.0],                            (two finite numbers)
@@ -18,6 +18,10 @@ BackendConfig), shown in parentheses:
                   "decoding": {...}},                     (mock-heuristic)
       "out_dir": "runs/target1-bbo"                       (runs/<name>)
     }
+
+The backend block is checked at load, in every mode: a known kind, "script"
+for mock-script, "base_url" and "model" for http, a finite timeout > 0 (s) and
+an object for "decoding".
 
 Keys not named above, at the top level or inside "backend", are rejected with
 ExperimentError. The reference point scores both the hypervolume curve and the
@@ -49,6 +53,14 @@ class ExperimentSpec:
     base: RunConfig  # seed field is a placeholder; per-seed configs come from configs()
     seeds: tuple[int, ...]
     out_dir: Path
+
+    def __post_init__(self) -> None:
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ExperimentError(f"the seed list must be non-empty and distinct, got {list(self.seeds)}")
+        try:
+            self.configs()  # RunConfig rejects a negative seed
+        except ValueError as exc:
+            raise ExperimentError(str(exc)) from exc
 
     def configs(self) -> list[RunConfig]:
         return [replace(self.base, seed=s) for s in self.seeds]
@@ -82,7 +94,9 @@ def _load_backend(raw: dict | None, base_dir: Path) -> BackendConfig:
     if "timeout" in raw:
         raw["timeout"] = float(raw["timeout"])
     if "decoding" in raw:
-        raw["decoding"] = tuple(sorted((raw["decoding"] or {}).items()))
+        if not isinstance(raw["decoding"], dict):
+            raise ExperimentError(f"backend decoding must be an object, got {raw['decoding']!r}")
+        raw["decoding"] = tuple(sorted(raw["decoding"].items()))
     return BackendConfig(**raw)
 
 
@@ -127,8 +141,6 @@ def load_experiment(path) -> ExperimentSpec:
         seeds = tuple(int(s) for s in raw.get("seeds", [0]))
     except (TypeError, ValueError) as exc:
         raise ExperimentError(f"invalid experiment settings: {exc}") from exc
-    if not seeds:
-        raise ExperimentError("seed list is empty")
     out_dir = Path(raw.get("out_dir", f"runs/{raw.get('name', path.stem)}"))
     if not out_dir.is_absolute():
         out_dir = path.parent / out_dir

@@ -41,7 +41,7 @@ def trial_to_json(trial: TrialRecord) -> str:
                 "residual": o.e_pos,
                 "iterations": o.iterations,
             }
-            for o in (trial.report.per_target if trial.report else ())
+            for o in trial.per_target
         ],
     }
     return json.dumps(row, separators=(", ", ": "))

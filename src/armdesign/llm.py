@@ -9,32 +9,27 @@ outcome transcript whether or not it succeeds.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 import requests
 
-from .evaluation import DEFAULT_ALPHA, EvaluationReport, TargetSet
+from .evaluation import DEFAULT_ALPHA, TargetSet
 from .space import DesignParams, JointType, SpaceConfig, JOINT_ANGLE_LIMIT
 from .tpe import TrialRecord
-
-
-class PromptVariant(Enum):
-    LLM_MINUS = "llm-minus"  # general step-by-step instruction only
-    LLM_PLUS = "llm-plus"  # adds the per-parameter analysis block
 
 
 @dataclass(frozen=True)
 class PromptContext:
     targets: TargetSet
     space: SpaceConfig
-    pareto_feedback: tuple[EvaluationReport, ...]
-    random_feedback: tuple[EvaluationReport, ...]
-    variant: PromptVariant
+    pareto_feedback: tuple[TrialRecord, ...]
+    random_feedback: tuple[TrialRecord, ...]
+    analysis: bool  # add the per-parameter analysis block (bbo-llm-plus)
     alpha: float = DEFAULT_ALPHA
 
 
@@ -129,66 +124,63 @@ def build_prompt(ctx: PromptContext) -> str:
         parts.append(_FEEDBACK_HEADER)
         blocks = [(r, "pareto") for r in ctx.pareto_feedback]
         blocks += [(r, "random") for r in ctx.random_feedback]
-        for k, (report, pool) in enumerate(blocks, start=1):
-            parts.append(_feedback_block(k, pool, report))
+        for k, (trial, pool) in enumerate(blocks, start=1):
+            parts.append(_feedback_block(k, pool, trial))
     parts.append(_TASK_LINES)
-    if ctx.variant is PromptVariant.LLM_PLUS:
+    if ctx.analysis:
         parts.append(_ANALYSIS_BLOCK)
     return "\n".join(parts)
 
 
-def _feedback_block(index: int, pool: str, report: EvaluationReport) -> str:
-    p = report.params
+def _feedback_block(index: int, pool: str, trial: TrialRecord) -> str:
+    p = trial.params
     lines = [
         f"Design {index} ({pool}):",
         f"  ORIGIN: {_format_seq(p.origin)}",
         f"  JOINTS: {_format_joints(p.joints)}",
         f"  LINKS: {_format_seq(p.lengths)}",
         "  E_EACH: "
-        + "; ".join(f"({o.e_pos:.4f}, {o.e_torque:.4f})" for o in report.per_target),
-        "  REACHED: " + "; ".join(_format_seq(o.reached) for o in report.per_target),
-        "  TORQUES: " + "; ".join(_format_seq(o.torque) for o in report.per_target),
-        f"  E_ALL: ({report.objectives.e_pos:.4f}, {report.objectives.e_torque:.4f})",
+        + "; ".join(f"({o.e_pos:.4f}, {o.e_torque:.4f})" for o in trial.per_target),
+        "  REACHED: " + "; ".join(_format_seq(o.reached) for o in trial.per_target),
+        "  TORQUES: " + "; ".join(_format_seq(o.torque) for o in trial.per_target),
+        f"  E_ALL: ({trial.objectives.e_pos:.4f}, {trial.objectives.e_torque:.4f})",
     ]
     return "\n".join(lines) + "\n"
 
 
 class BackendError(Exception):
-    """Transport-level failure: timeout, HTTP error, exhausted script."""
+    """Transport-level failure: timeout, HTTP error, exhausted or malformed script."""
 
 
 class LLMBackend(Protocol):
     def send(self, prompt: str) -> str: ...
 
 
-@dataclass
+@dataclass(frozen=True)
 class HttpChatBackend:
     """Chat-completion client over HTTP; auth token read from the environment."""
 
-    base_url: str
-    model: str
-    token_env: str = "ARMDESIGN_API_TOKEN"
-    timeout: float = 60.0
-    decoding: dict = field(default_factory=dict)
+    cfg: BackendConfig  # kind "http"
 
     def send(self, prompt: str) -> str:
-        token = os.environ.get(self.token_env, "")
+        cfg = self.cfg
+        token = os.environ.get(cfg.token_env, "")
         if not token:
-            raise BackendError(f"no API token in ${self.token_env}")
+            raise BackendError(f"no API token in ${cfg.token_env}")
         body = {
-            "model": self.model,
+            "model": cfg.model,
             "messages": [
                 {"role": "system", "content": SYSTEM_MESSAGE},
                 {"role": "user", "content": prompt},
             ],
-            **self.decoding,
+            **dict(cfg.decoding),
         }
         try:
             resp = requests.post(
-                self.base_url.rstrip("/") + "/chat/completions",
+                cfg.base_url.rstrip("/") + "/chat/completions",
                 json=body,
                 headers={"Authorization": f"Bearer {token}"},
-                timeout=self.timeout,
+                timeout=cfg.timeout,
             )
             resp.raise_for_status()
             content = resp.json()["choices"][0]["message"]["content"]
@@ -210,9 +202,15 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
+        """Read {"responses": [str, ...]}; a malformed file is a BackendError naming it."""
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls(data["responses"])
+            try:
+                responses = json.load(fh)["responses"]
+            except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+                raise BackendError(f"malformed script file {path}: {exc!r}") from exc
+        if not (isinstance(responses, list) and all(isinstance(r, str) for r in responses)):
+            raise BackendError(f"malformed script file {path}: responses must be a list of strings")
+        return cls(responses)
 
     def send(self, prompt: str) -> str:
         if self._cursor >= len(self._responses):
@@ -239,7 +237,7 @@ class HeuristicBackend:
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """Declarative backend choice, resolvable to a fresh instance per run."""
+    """A backend's settings, checked once here; make() builds a fresh instance per run."""
 
     kind: str = "mock-heuristic"  # mock-heuristic | mock-script | http
     script_path: str | None = None
@@ -249,24 +247,22 @@ class BackendConfig:
     timeout: float = 60.0
     decoding: tuple[tuple[str, object], ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("mock-heuristic", "mock-script", "http"):
+            raise ValueError(f"unknown backend kind {self.kind!r}")
+        if self.kind == "mock-script" and not self.script_path:
+            raise ValueError("mock-script backend needs script_path")
+        if self.kind == "http" and not (self.base_url and self.model):
+            raise ValueError("http backend needs base_url and model")
+        if not 0.0 < self.timeout < math.inf:
+            raise ValueError(f"backend timeout must be a finite number > 0, got {self.timeout!r}")
+
     def make(self, space: SpaceConfig) -> LLMBackend:
         if self.kind == "mock-heuristic":
             return HeuristicBackend(space)
         if self.kind == "mock-script":
-            if not self.script_path:
-                raise ValueError("mock-script backend needs script_path")
             return ScriptedBackend.from_file(self.script_path)
-        if self.kind == "http":
-            if not (self.base_url and self.model):
-                raise ValueError("http backend needs base_url and model")
-            return HttpChatBackend(
-                base_url=self.base_url,
-                model=self.model,
-                token_env=self.token_env,
-                timeout=self.timeout,
-                decoding=dict(self.decoding),
-            )
-        raise ValueError(f"unknown backend kind {self.kind!r}")
+        return HttpChatBackend(self)
 
 
 @dataclass(frozen=True)
@@ -361,14 +357,14 @@ def select_feedback(
     rng: np.random.Generator,
     n_pareto: int,
     n_random: int,
-) -> tuple[tuple[EvaluationReport, ...], tuple[EvaluationReport, ...]]:
+) -> tuple[tuple[TrialRecord, ...], tuple[TrialRecord, ...]]:
     """Uniform without-replacement picks: n_pareto from the archive, n_random overall."""
 
-    def _draw(pool: list[TrialRecord], k: int) -> tuple[EvaluationReport, ...]:
+    def _draw(pool: list[TrialRecord], k: int) -> tuple[TrialRecord, ...]:
         if not pool or k <= 0:
             return ()
         k = min(k, len(pool))
         idx = rng.choice(len(pool), size=k, replace=False)
-        return tuple(pool[i].report for i in sorted(idx))
+        return tuple(pool[i] for i in sorted(idx))
 
     return _draw(archive, n_pareto), _draw(trials, n_random)

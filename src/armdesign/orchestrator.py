@@ -19,7 +19,6 @@ from .llm import (
     BackendConfig,
     LLMBackend,
     PromptContext,
-    PromptVariant,
     TranscriptEntry,
     propose,
     select_feedback,
@@ -37,12 +36,6 @@ class RunMode(Enum):
     @property
     def uses_llm(self) -> bool:
         return self is not RunMode.BBO
-
-    @property
-    def variant(self) -> PromptVariant:
-        if self is RunMode.BBO_LLM_PLUS:
-            return PromptVariant.LLM_PLUS
-        return PromptVariant.LLM_MINUS
 
 
 @dataclass(frozen=True)
@@ -71,6 +64,8 @@ class RunConfig:
             raise ValueError(f"ref_point must be two finite numbers, got {self.ref_point!r}")
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be a finite number > 0, got {self.alpha!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -103,15 +98,9 @@ def run(config: RunConfig) -> RunResult:
 
     def _record(params, source: SampleSource, fallback: bool = False) -> None:
         report = evaluate(params, config.targets, alpha=config.alpha)
-        trial = TrialRecord(
-            id=len(ledger),
-            source=source,
-            params=params,
-            objectives=report.objectives,
-            report=report,
-            fallback=fallback,
+        ledger.append(
+            TrialRecord(len(ledger), source, params, report.objectives, report.per_target, fallback)
         )
-        ledger.append(trial)
 
     def _suggest():
         return suggest(rng, ledger, TpeConfig(), config.space, config.ref_point)
@@ -130,7 +119,7 @@ def run(config: RunConfig) -> RunResult:
                 space=config.space,
                 pareto_feedback=pareto_fb,
                 random_feedback=random_fb,
-                variant=config.mode.variant,
+                analysis=config.mode is RunMode.BBO_LLM_PLUS,
                 alpha=config.alpha,
             )
             outcome = propose(backend, ctx)

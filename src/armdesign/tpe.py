@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .evaluation import EvaluationReport
+from .evaluation import TargetOutcome
 from .pareto import DEFAULT_REF_POINT, ObjectiveValues, hypervolume_contributions, nondomination_ranks
 from .space import DesignParams, SpaceConfig, random_sample
 
@@ -35,7 +35,7 @@ class TrialRecord:
     source: SampleSource
     params: DesignParams
     objectives: ObjectiveValues
-    report: EvaluationReport | None = None
+    per_target: tuple[TargetOutcome, ...] = ()
     fallback: bool = False  # LLM slot that fell back to a BBO suggestion
 
 

@@ -175,6 +175,61 @@ def test_run_http_backend_without_token(capsys, tmp_path, monkeypatch):
     assert "token" in err
 
 
+def error_line(err: str) -> str:
+    """The one line a rejected command prints to stderr (no traceback)."""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "backend, code, message",
+    [
+        ({"kind": "nope"}, 1, "unknown backend kind"),
+        ({"kind": "mock-script"}, 1, "needs script_path"),
+        ({"kind": "http"}, 1, "needs base_url and model"),
+        ({"kind": "mock-heuristic", "decoding": [1, 2]}, 1, "decoding must be an object"),
+        ({"kind": "mock-heuristic", "timeout": -1}, 1, "timeout must be a finite number > 0"),
+        ({"kind": "mock-script", "script": "not-json.json"}, 2, "malformed script file"),
+        ({"kind": "mock-script", "script": "no-responses.json"}, 2, "malformed script file"),
+    ],
+    ids=["kind", "no-script", "no-url", "decoding", "timeout", "script-not-json", "script-no-responses"],
+)
+def test_run_rejects_bad_backend(capsys, tmp_path, backend, code, message):
+    (tmp_path / "not-json.json").write_text("responses: none")
+    (tmp_path / "no-responses.json").write_text('{"replies": []}')
+    exp = quick_experiment(tmp_path, backend=backend)
+    got, out, err = run_cli(capsys, "run", "--experiment", exp)
+    assert got == code
+    assert out == ""
+    assert message in error_line(err)
+    if "script" in backend:
+        assert backend["script"] in err
+
+
+@pytest.mark.parametrize(
+    "overrides, argv, message",
+    [
+        ({}, ["--n-step", "0"], "n_step must be >= 1"),
+        ({}, ["--n-step", "-1"], "n_step must be >= 1"),
+        ({}, ["--seed", "-1"], "seed must be >= 0"),
+        ({"seeds": [-1]}, [], "seed must be >= 0"),
+        ({}, ["--seed", "0", "0"], "seed list must be non-empty and distinct"),
+        ({"seeds": [1, 1]}, [], "seed list must be non-empty and distinct"),
+        ({"targets": {"points": [[0.1, 0.2]]}}, [], "target point must be 3 finite numbers"),
+    ],
+    ids=["n-step-0", "n-step-negative", "seed-negative", "file-seed-negative",
+         "seed-repeated", "file-seed-repeated", "target-2-vector"],
+)
+def test_run_rejects_bad_settings(capsys, tmp_path, overrides, argv, message):
+    exp = quick_experiment(tmp_path, **overrides)
+    code, out, err = run_cli(capsys, "run", "--experiment", exp, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in error_line(err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_reproduces_stored_curve(capsys, tmp_path):
     exp = quick_experiment(tmp_path)
     assert run_cli(capsys, "run", "--experiment", exp)[0] == 0

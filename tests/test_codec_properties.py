@@ -43,7 +43,7 @@ def test_ledger_line_round_trip(trial_id, source, params, objectives, fallback):
     assert back.params == params
     assert back.objectives == objectives
     assert back.fallback is fallback
-    assert back.report is None
+    assert back.per_target == ()
 
 
 def clamp(v: float, lo: float, hi: float) -> float:

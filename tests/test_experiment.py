@@ -65,6 +65,9 @@ def test_load_targets_rejects_garbage(tmp_path):
     bad.write_text(json.dumps({"points": "nope"}))
     with pytest.raises(ExperimentError):
         load_targets(bad)
+    for points in ([[0.1, 0.2]], [[0.1, 0.2, 0.3, 0.4]], [[0.1, 0.2, 0.3], []]):
+        with pytest.raises(ExperimentError, match="target point must be 3 finite numbers"):
+            load_targets({"points": points})
 
 
 def test_experiment_error_cases(tmp_path):
@@ -87,6 +90,29 @@ def test_experiment_error_cases(tmp_path):
     for i, bad in enumerate((float("nan"), float("inf"), -1.0, 0.0)):
         with pytest.raises(ExperimentError, match="alpha must be a finite number > 0"):
             load_experiment(write(tmp_path, dict(BASE, alpha=bad), f"k{i}.experiment"))
+    for i, (backend, message) in enumerate(
+        (
+            ({"kind": "nope"}, "unknown backend kind 'nope'"),
+            ({"kind": "mock-script"}, "mock-script backend needs script_path"),
+            ({"kind": "http"}, "http backend needs base_url and model"),
+            ({"kind": "http", "base_url": "http://h"}, "http backend needs base_url and model"),
+            ({"decoding": [1, 2]}, "backend decoding must be an object"),
+            ({"decoding": None}, "backend decoding must be an object"),
+            *(
+                ({"timeout": t}, "timeout must be a finite number > 0")
+                for t in (-1, 0, float("inf"), float("nan"))
+            ),
+        )
+    ):
+        with pytest.raises(ExperimentError, match=message):
+            load_experiment(write(tmp_path, dict(BASE, backend=backend), f"b{i}.experiment"))
+    # checked at load even where the run never builds the backend
+    with pytest.raises(ExperimentError, match="http backend needs base_url and model"):
+        load_experiment(write(tmp_path, dict(BASE, mode="bbo", backend={"kind": "http"}), "m.experiment"))
+    with pytest.raises(ExperimentError, match="seed must be >= 0, got -1"):
+        load_experiment(write(tmp_path, dict(BASE, seeds=[0, -1]), "s1.experiment"))
+    with pytest.raises(ExperimentError, match="seed list must be non-empty and distinct"):
+        load_experiment(write(tmp_path, dict(BASE, seeds=[3, 1, 3]), "s2.experiment"))
     with pytest.raises(ExperimentError, match="n_totl"):
         load_experiment(write(tmp_path, dict(BASE, n_totl=3), "f.experiment"))
     with pytest.raises(ExperimentError):

@@ -48,7 +48,7 @@ def test_ledger_round_trip(tmp_path, small_result):
         assert row.fallback == trial.fallback
         assert row.objectives == trial.objectives
         assert row.params == trial.params
-        assert row.report is None
+        assert row.per_target == ()
     raw = [json.loads(line) for line in path.read_text().splitlines()]
     assert all(len(r["per_target"]) == 2 for r in raw)
 

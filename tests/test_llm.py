@@ -15,7 +15,6 @@ from armdesign.llm import (
     HttpChatBackend,
     ParseError,
     PromptContext,
-    PromptVariant,
     ScriptedBackend,
     build_prompt,
     format_point,
@@ -23,28 +22,37 @@ from armdesign.llm import (
     propose,
     select_feedback,
 )
-from armdesign.pareto import ObjectiveValues
 from armdesign.space import JointType, random_sample, validate
 from armdesign.tpe import SampleSource, TrialRecord
 
 TARGETS = TargetSet("probe", ((0.3, 0.0, 0.5), (-0.3, 0.0, 0.5), (0.0, 0.3, 0.5)))
 
 
-def make_context(space, n_pareto=0, n_random=0, variant=PromptVariant.LLM_PLUS):
+def make_trial(i, params, targets=TARGETS):
+    """A trial as a run records it: objectives and per-target outcomes from one evaluation."""
+    report = evaluate(params, targets)
+    return TrialRecord(i, SampleSource.RANDOM, params, report.objectives, report.per_target)
+
+
+def make_context(space, n_pareto=0, n_random=0, analysis=True):
     rng = np.random.default_rng(0)
-    reports = [evaluate(random_sample(rng, space), TARGETS) for _ in range(n_pareto + n_random)]
+    trials = [make_trial(i, random_sample(rng, space)) for i in range(n_pareto + n_random)]
     return PromptContext(
         targets=TARGETS,
         space=space,
-        pareto_feedback=tuple(reports[:n_pareto]),
-        random_feedback=tuple(reports[n_pareto:]),
-        variant=variant,
+        pareto_feedback=tuple(trials[:n_pareto]),
+        random_feedback=tuple(trials[n_pareto:]),
+        analysis=analysis,
     )
 
 
+def http_backend(space, base_url, **settings):
+    return BackendConfig(kind="http", base_url=base_url, model="test-model", **settings).make(space)
+
+
 def test_variants_differ_exactly_by_analysis_block(space):
-    ctx_minus = make_context(space, 2, 2, PromptVariant.LLM_MINUS)
-    ctx_plus = make_context(space, 2, 2, PromptVariant.LLM_PLUS)
+    ctx_minus = make_context(space, 2, 2, analysis=False)
+    ctx_plus = make_context(space, 2, 2, analysis=True)
     minus, plus = build_prompt(ctx_minus), build_prompt(ctx_plus)
     assert plus.startswith(minus)
     extra = plus[len(minus) :]
@@ -170,18 +178,7 @@ def test_heuristic_backend_round_trip(space):
 
 def test_select_feedback_truncates_small_archive(space):
     rng = np.random.default_rng(0)
-    trials = []
-    for i in range(3):
-        p = random_sample(rng, space)
-        trials.append(
-            TrialRecord(
-                id=i,
-                source=SampleSource.RANDOM,
-                params=p,
-                objectives=ObjectiveValues(1.0, 1.0),
-                report=evaluate(p, TARGETS),
-            )
-        )
+    trials = [make_trial(i, random_sample(rng, space)) for i in range(3)]
     pareto_fb, random_fb = select_feedback(trials, trials, rng, n_pareto=5, n_random=5)
     assert len(pareto_fb) == 3
     assert len(random_fb) == 3
@@ -189,18 +186,8 @@ def test_select_feedback_truncates_small_archive(space):
 
 def test_select_feedback_without_replacement_and_deterministic(space):
     rng = np.random.default_rng(1)
-    trials = []
-    for i in range(200):
-        p = random_sample(rng, space)
-        trials.append(
-            TrialRecord(
-                id=i,
-                source=SampleSource.RANDOM,
-                params=p,
-                objectives=ObjectiveValues(1.0, 1.0),
-                report=evaluate(p, TargetSet("one", ((0.1, 0.1, 0.3),))),
-            )
-        )
+    one = TargetSet("one", ((0.1, 0.1, 0.3),))
+    trials = [make_trial(i, random_sample(rng, space), one) for i in range(200)]
     _, picks = select_feedback(trials, trials[:5], np.random.default_rng(9), 5, 5)
     ids = [id(r) for r in picks]
     assert len(set(ids)) == 5
@@ -246,7 +233,7 @@ def stub_server():
 
 def test_http_backend_wire_format(stub_server, monkeypatch, space):
     monkeypatch.setenv("ARMDESIGN_API_TOKEN", "sekret")
-    backend = HttpChatBackend(base_url=stub_server, model="test-model", decoding={"temperature": 0.7})
+    backend = http_backend(space, stub_server, decoding=(("temperature", 0.7),))
     text = backend.send("hello")
     assert "[Y, P, R, P]" in text
     seen = _StubChatHandler.requests_seen[0]
@@ -271,7 +258,7 @@ def test_http_backend_wire_format(stub_server, monkeypatch, space):
 def test_http_backend_malformed_reply_falls_back(stub_server, monkeypatch, space, reply):
     monkeypatch.setenv("ARMDESIGN_API_TOKEN", "sekret")
     _StubChatHandler.reply = reply
-    backend = HttpChatBackend(base_url=stub_server, model="test-model")
+    backend = http_backend(space, stub_server)
     with pytest.raises(BackendError, match="malformed chat response"):
         backend.send("hello")
     outcome = propose(backend, make_context(space))
@@ -280,16 +267,16 @@ def test_http_backend_malformed_reply_falls_back(stub_server, monkeypatch, space
     assert len(outcome.transcript) == 1
 
 
-def test_http_backend_requires_token(monkeypatch):
+def test_http_backend_requires_token(monkeypatch, space):
     monkeypatch.delenv("ARMDESIGN_API_TOKEN", raising=False)
-    backend = HttpChatBackend(base_url="http://127.0.0.1:1", model="m")
+    backend = http_backend(space, "http://127.0.0.1:1")
     with pytest.raises(BackendError, match="token"):
         backend.send("hello")
 
 
-def test_http_backend_connection_failure_is_backend_error(monkeypatch):
+def test_http_backend_connection_failure_is_backend_error(monkeypatch, space):
     monkeypatch.setenv("ARMDESIGN_API_TOKEN", "x")
-    backend = HttpChatBackend(base_url="http://127.0.0.1:9", model="m", timeout=0.2)
+    backend = http_backend(space, "http://127.0.0.1:9", timeout=0.2)
     with pytest.raises(BackendError):
         backend.send("hello")
 
@@ -303,7 +290,24 @@ def test_backend_config_factory(space, tmp_path):
     assert isinstance(
         BackendConfig(kind="http", base_url="http://h", model="m").make(space), HttpChatBackend
     )
-    with pytest.raises(ValueError):
-        BackendConfig(kind="mock-script").make(space)
-    with pytest.raises(ValueError):
-        BackendConfig(kind="nope").make(space)
+    for bad in (
+        dict(kind="mock-script"),
+        dict(kind="nope"),
+        dict(kind="http", model="m"),
+        dict(kind="http", base_url="http://h"),
+        *(dict(timeout=t) for t in (-1.0, 0.0, float("inf"), float("nan"))),
+    ):
+        with pytest.raises(ValueError):  # the settings are checked when the config is built
+            BackendConfig(**bad)
+    # the script is opened by make(), not by the config
+    BackendConfig(kind="mock-script", script_path=str(tmp_path / "absent.json"))
+
+
+@pytest.mark.parametrize(
+    "text", ["not json", "{}", "[]", '{"responses": 5}', '{"responses": ["a", 1]}']
+)
+def test_malformed_script_file_is_backend_error(space, tmp_path, text):
+    script = tmp_path / "script.json"
+    script.write_text(text)
+    with pytest.raises(BackendError, match=r"malformed script file .*script\.json"):
+        BackendConfig(kind="mock-script", script_path=str(script)).make(space)

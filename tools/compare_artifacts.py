@@ -5,10 +5,11 @@ Usage: python3 tools/compare_artifacts.py [REV]   (REV defaults to HEAD)
 REV is extracted with `git archive` into a temporary directory. In that tree
 and in the working tree, every `experiments/*.experiment` is run with
 `armdesign run --out <tmp>`, then `armdesign report` is run over each sweep's
-ledgers. Every artifact and every stdout are compared byte for byte. The
-differing paths are printed with the count of identical files. Exit 0 only if
-everything matches, 1 if anything differs, 2 if a command fails. Nothing is
-written inside the repository.
+ledgers; one fixed design is scored with `armdesign evaluate` on each
+`targets/*.json` and emitted with `armdesign urdf`. Every artifact and every
+stdout are compared byte for byte. The differing paths are printed with the
+count of identical files. Exit 0 only if everything matches, 1 if anything
+differs, 2 if a command fails. Nothing is written inside the repository.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+DESIGN = "0,0,0,2,1,0,1,0.25,0.2,0.2,0.15"  # origin 0, joints Y P R P, lengths
 
 
 def armdesign(tree: Path, *argv: str, cwd: Path | None = None) -> bytes:
@@ -38,8 +40,12 @@ def armdesign(tree: Path, *argv: str, cwd: Path | None = None) -> bytes:
 
 
 def write_artifacts(tree: Path, out: Path) -> None:
-    """Each experiment's sweep under out/<stem>, and both stdouts under out/stdout."""
+    """Each experiment's sweep under out/<stem>; every stdout under out/stdout."""
     (out / "stdout").mkdir(parents=True)
+    for targets in sorted((tree / "targets").glob("*.json")):
+        stdout = armdesign(tree, "evaluate", "--vector", DESIGN, "--targets", str(targets))
+        (out / "stdout" / f"{targets.stem}.evaluate.txt").write_bytes(stdout)
+    (out / "stdout" / "design.urdf").write_bytes(armdesign(tree, "urdf", "--vector", DESIGN))
     for exp in sorted((tree / "experiments").glob("*.experiment")):
         sweep = out / exp.stem
         stdout = armdesign(tree, "run", "--experiment", str(exp), "--out", str(sweep))
