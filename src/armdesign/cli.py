@@ -122,7 +122,6 @@ def cmd_run(args) -> int:
             )
             return EXIT_RUNTIME
 
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     results = []
     for config in spec.configs():
         result = run(config)

@@ -27,14 +27,13 @@ class TargetSet:
     points: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
+        # held as float tuples whatever the caller passed, so outcomes and ledgers carry floats
+        object.__setattr__(self, "points", tuple(tuple(float(v) for v in p) for p in self.points))
         if len(self.points) < 1:
             raise ValueError("a target set needs at least one point")
         for p in self.points:
             if len(p) != 3 or not all(map(math.isfinite, p)):
                 raise ValueError(f"a target point must be 3 finite numbers, got {list(p)}")
-
-    def arrays(self) -> list[np.ndarray]:
-        return [np.asarray(p, dtype=float) for p in self.points]
 
 
 @dataclass(frozen=True)
@@ -61,13 +60,13 @@ def evaluate(params: DesignParams, targets: TargetSet, alpha: float = DEFAULT_AL
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
     outcomes = []
-    for point in targets.arrays():
+    for point in targets.points:
         sol = solve_ik(params, point)
         outcomes.append(
             TargetOutcome(
-                target=tuple(float(v) for v in point),
-                reached=tuple(float(v) for v in sol.reached),
-                torque=tuple(float(v) for v in sol.torque),
+                target=point,
+                reached=sol.reached,
+                torque=sol.torque,
                 e_pos=sol.residual,
                 e_torque=alpha * float(np.linalg.norm(sol.torque)),
                 converged=sol.converged,

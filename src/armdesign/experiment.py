@@ -23,9 +23,10 @@ The backend block is checked at load, in every mode: a known kind, "script"
 for mock-script, "base_url" and "model" for http, a finite timeout > 0 (s) and
 an object for "decoding".
 
-Keys not named above, at the top level or inside "backend", are rejected with
-ExperimentError. The reference point scores both the hypervolume curve and the
-TPE good/bad split.
+Seeds and n_* keys must be integers (5.0 loads as 5; 2.5 or true is rejected,
+never truncated). Keys not named above, at the top level or inside "backend",
+are rejected with ExperimentError. The reference point scores both the
+hypervolume curve and the TPE good/bad split.
 
 Targets may also live in their own file ({"name", "points"}) referenced as
 "targets": "path/to/targets.json"; relative paths (targets, backend script,
@@ -77,8 +78,7 @@ def load_targets(source, base_dir: Path | None = None) -> TargetSet:
         except (OSError, json.JSONDecodeError) as exc:
             raise ExperimentError(f"cannot read targets file {path}: {exc}") from exc
     try:
-        points = tuple(tuple(float(v) for v in p) for p in source["points"])
-        return TargetSet(name=str(source.get("name", "targets")), points=points)
+        return TargetSet(name=str(source.get("name", "targets")), points=source["points"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ExperimentError(f"malformed target set: {exc}") from exc
 
@@ -100,13 +100,20 @@ def _load_backend(raw: dict | None, base_dir: Path) -> BackendConfig:
     return BackendConfig(**raw)
 
 
+def _integer(value) -> int:
+    """A JSON integer, or a float with no fractional part; a boolean is not one."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 # optional top-level keys that go straight into RunConfig, with their converters
 _RUN_KEYS = {
-    "n_init": int,
-    "n_step": int,
-    "n_total": int,
-    "n_pareto": int,
-    "n_random": int,
+    "n_init": _integer,
+    "n_step": _integer,
+    "n_total": _integer,
+    "n_pareto": _integer,
+    "n_random": _integer,
     "alpha": float,
     "ref_point": lambda v: tuple(float(x) for x in v),
 }
@@ -135,10 +142,10 @@ def load_experiment(path) -> ExperimentSpec:
     try:
         settings.update((k, convert(raw[k])) for k, convert in _RUN_KEYS.items() if k in raw)
         if "n_joints" in raw:
-            settings["space"] = SpaceConfig(n_joints=int(raw["n_joints"]))
+            settings["space"] = SpaceConfig(n_joints=_integer(raw["n_joints"]))
         backend = _load_backend(raw.get("backend"), path.parent)
         base = RunConfig(targets=targets, backend=backend, **settings)
-        seeds = tuple(int(s) for s in raw.get("seeds", [0]))
+        seeds = tuple(map(_integer, raw.get("seeds", [0])))
     except (TypeError, ValueError) as exc:
         raise ExperimentError(f"invalid experiment settings: {exc}") from exc
     out_dir = Path(raw.get("out_dir", f"runs/{raw.get('name', path.stem)}"))

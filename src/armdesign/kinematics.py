@@ -44,9 +44,9 @@ IK_GIVE_UP = 200  # iterations without meaningful progress before stopping
 
 @dataclass(frozen=True)
 class IKSolution:
-    q: np.ndarray  # joint angles, rad
-    reached: np.ndarray  # end-effector position at q, m
-    torque: np.ndarray  # gravity-compensation torque at q, N*m
+    q: tuple[float, ...]  # joint angles, rad
+    reached: tuple[float, float, float]  # end-effector position at q, m
+    torque: tuple[float, ...]  # gravity-compensation torque at q, N*m
     residual: float  # |reached - target|, m
     converged: bool
     iterations: int
@@ -244,9 +244,9 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
 
     joints, reached = _chain(origin, codes, lengths, best_q, com_fraction)
     return IKSolution(
-        q=np.array(best_q),
-        reached=np.array(reached),
-        torque=np.array(_torques(joints, lengths, gravity)),
+        q=tuple(best_q),
+        reached=reached,
+        torque=tuple(_torques(joints, lengths, gravity)),
         residual=best_residual,  # computed from this same FK pass when best_q was found
         converged=best_residual <= IK_TOL,
         iterations=iterations,

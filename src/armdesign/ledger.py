@@ -28,7 +28,7 @@ def trial_to_json(trial: TrialRecord) -> str:
         "id": trial.id,
         "source": trial.source.value,
         "fallback": trial.fallback,
-        "vector": [float(v) for v in to_vector(trial.params)],
+        "vector": to_vector(trial.params),
         "objectives": [trial.objectives.e_pos, trial.objectives.e_torque],
         "per_target": [
             {
@@ -136,7 +136,7 @@ def write_run_artifacts(run_dir: Path, result: RunResult) -> None:
         {
             "id": t.id,
             "source": t.source.value,
-            "vector": [float(v) for v in to_vector(t.params)],
+            "vector": to_vector(t.params),
             "objectives": [t.objectives.e_pos, t.objectives.e_torque],
         }
         for t in result.archive

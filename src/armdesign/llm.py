@@ -19,7 +19,7 @@ import numpy as np
 import requests
 
 from .evaluation import DEFAULT_ALPHA, TargetSet
-from .space import DesignParams, JointType, SpaceConfig, JOINT_ANGLE_LIMIT
+from .space import DesignParams, JointType, SpaceConfig, JOINT_ANGLE_LIMIT, make_params
 from .tpe import TrialRecord
 
 
@@ -317,12 +317,10 @@ def parse_design_response(text: str, space: SpaceConfig) -> DesignParams:
     if len(lengths) != space.n_joints:
         raise ParseError(f"lengths needs {space.n_joints} entries, got {len(lengths)}")
 
-    origin = np.clip(origin, space.origin_low, space.origin_high)
-    lengths = np.clip(lengths, space.length_low, space.length_high)
-    return DesignParams(
-        origin=tuple(float(v) for v in origin),
-        joints=tuple(joints),
-        lengths=tuple(float(v) for v in lengths),
+    return make_params(
+        np.clip(origin, space.origin_low, space.origin_high),
+        joints,
+        np.clip(lengths, space.length_low, space.length_high),
     )
 
 

@@ -71,15 +71,9 @@ class DesignParams:
     def n_joints(self) -> int:
         return len(self.joints)
 
-    def origin_array(self) -> np.ndarray:
-        return np.asarray(self.origin, dtype=float)
-
-    def lengths_array(self) -> np.ndarray:
-        return np.asarray(self.lengths, dtype=float)
-
 
 def make_params(origin, joints, lengths) -> DesignParams:
-    """Build DesignParams from loose inputs (arrays, letters or JointTypes)."""
+    """The one constructor of designs: origin and lengths from any sequence, joints as JointTypes or letters."""
     joint_seq = tuple(
         jt if isinstance(jt, JointType) else JointType.from_letter(str(jt)) for jt in joints
     )
@@ -118,15 +112,9 @@ def validate(params: DesignParams, cfg: SpaceConfig) -> list[str]:
     return violations
 
 
-def to_vector(params: DesignParams) -> np.ndarray:
+def to_vector(params: DesignParams) -> list[float]:
     """Flatten to [origin(3), joint codes(D), lengths(D)]."""
-    return np.concatenate(
-        [
-            params.origin_array(),
-            np.array([jt.value for jt in params.joints], dtype=float),
-            params.lengths_array(),
-        ]
-    )
+    return [*params.origin, *(float(jt.value) for jt in params.joints), *params.lengths]
 
 
 def from_vector(vec) -> DesignParams:
@@ -139,11 +127,7 @@ def from_vector(vec) -> DesignParams:
     d, odd = divmod(len(values) - 3, 2)
     if d < 1 or odd:
         raise ValueError(f"vector length {len(values)} is not 2D+3 for any joint count D >= 1")
-    return DesignParams(
-        origin=tuple(values[:3]),
-        joints=tuple(JointType.from_code(c) for c in values[3 : 3 + d]),
-        lengths=tuple(values[3 + d :]),
-    )
+    return make_params(values[:3], [JointType.from_code(c) for c in values[3 : 3 + d]], values[3 + d :])
 
 
 def random_sample(rng: np.random.Generator, cfg: SpaceConfig) -> DesignParams:
@@ -151,8 +135,4 @@ def random_sample(rng: np.random.Generator, cfg: SpaceConfig) -> DesignParams:
     origin = rng.uniform(cfg.origin_low, cfg.origin_high, size=3)
     joints = tuple(cfg.joint_alphabet[i] for i in rng.integers(len(cfg.joint_alphabet), size=cfg.n_joints))
     lengths = rng.uniform(cfg.length_low, cfg.length_high, size=cfg.n_joints)
-    return DesignParams(
-        origin=tuple(float(v) for v in origin),
-        joints=joints,
-        lengths=tuple(float(v) for v in lengths),
-    )
+    return make_params(origin, joints, lengths)

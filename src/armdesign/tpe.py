@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .evaluation import TargetOutcome
 from .pareto import DEFAULT_REF_POINT, ObjectiveValues, hypervolume_contributions, nondomination_ranks
-from .space import DesignParams, SpaceConfig, random_sample
+from .space import DesignParams, SpaceConfig, make_params, random_sample
 
 
 class SampleSource(Enum):
@@ -41,18 +42,14 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class TpeConfig:
-    gamma: float = 0.25  # fraction of trials in the good set
-    n_candidates: int = 24
-    prior_weight: float = 1.0
-    n_startup: int = 10  # below this, fall back to random sampling
-    bandwidth_scale: float = 1.06  # kernel width = range * max(scale * n^-1/5, floor)
-    bandwidth_floor: float = 1e-3
+    """The sampler's fixed settings, as class constants."""
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
-        if self.n_candidates < 1:
-            raise ValueError("n_candidates must be >= 1")
+    gamma: ClassVar[float] = 0.25  # fraction of trials in the good set
+    n_candidates: ClassVar[int] = 24
+    prior_weight: ClassVar[float] = 1.0
+    n_startup: ClassVar[int] = 10  # below this, fall back to random sampling
+    bandwidth_scale: ClassVar[float] = 1.06  # kernel width = range * max(scale * n^-1/5, floor)
+    bandwidth_floor: ClassVar[float] = 1e-3
 
 
 def split_observations(
@@ -178,21 +175,12 @@ def suggest(
 
     best = int(np.argmax(score))
     vec = cont_samples[best]
-    return DesignParams(
-        origin=tuple(float(v) for v in vec[:3]),
-        joints=tuple(alphabet[c] for c in cat_samples[best]),
-        lengths=tuple(float(v) for v in vec[3:]),
-    )
-
-
-def _continuous_slots(params: DesignParams) -> np.ndarray:
-    return np.concatenate([params.origin_array(), params.lengths_array()])
+    return make_params(vec[:3], [alphabet[c] for c in cat_samples[best]], vec[3:])
 
 
 def _slot_matrix(trials: list[TrialRecord], n_dims: int) -> np.ndarray:
-    if not trials:
-        return np.zeros((0, n_dims))
-    return np.array([_continuous_slots(t.params) for t in trials])
+    """One row per trial: its continuous slots, origin then lengths."""
+    return np.array([[*t.params.origin, *t.params.lengths] for t in trials]).reshape(-1, n_dims)
 
 
 def _continuous_bounds(space: SpaceConfig) -> list[tuple[float, float]]:

@@ -28,7 +28,7 @@ def frames(params, q, com_fraction: float = 0.5):
     d = params.n_joints
     positions, axes, coms = np.empty((d, 3)), np.empty((d, 3)), np.empty((d, 3))
     rot = np.eye(3)
-    pos = params.origin_array()
+    pos = np.asarray(params.origin)
     for j, (jt, length) in enumerate(zip(params.joints, params.lengths)):
         positions[j] = pos
         axes[j] = rot[:, jt.value]  # local unit axis in the world frame
@@ -52,7 +52,7 @@ def position_jacobian(params, q) -> np.ndarray:
 def gravity_torque(params, q, gravity: GravityModel = GravityModel()) -> np.ndarray:
     """tau_j = sum over links i >= j of m_i g (axis_j x (com_i - p_j))_z."""
     positions, axes, coms, _ = frames(params, q, gravity.com_fraction)
-    weights = gravity.linear_density * params.lengths_array() * gravity.g
+    weights = gravity.linear_density * np.asarray(params.lengths) * gravity.g
     return np.array(
         [
             np.sum(weights[j:] * np.cross(axes[j], coms[j:] - positions[j])[:, 2])
@@ -64,5 +64,5 @@ def gravity_torque(params, q, gravity: GravityModel = GravityModel()) -> np.ndar
 def potential_energy(params, q, gravity: GravityModel = GravityModel()) -> float:
     """Gravitational potential energy of the link masses at posture q (J)."""
     _, _, coms, _ = frames(params, q, gravity.com_fraction)
-    masses = gravity.linear_density * params.lengths_array()
+    masses = gravity.linear_density * np.asarray(params.lengths)
     return float(np.sum(masses * gravity.g * coms[:, 2]))

@@ -205,6 +205,7 @@ def test_run_rejects_bad_backend(capsys, tmp_path, backend, code, message):
     assert message in error_line(err)
     if "script" in backend:
         assert backend["script"] in err
+    assert not (tmp_path / "out").exists()  # a failed run leaves no empty output directory
 
 
 @pytest.mark.parametrize(
@@ -217,9 +218,10 @@ def test_run_rejects_bad_backend(capsys, tmp_path, backend, code, message):
         ({}, ["--seed", "0", "0"], "seed list must be non-empty and distinct"),
         ({"seeds": [1, 1]}, [], "seed list must be non-empty and distinct"),
         ({"targets": {"points": [[0.1, 0.2]]}}, [], "target point must be 3 finite numbers"),
+        ({"n_total": 3.7}, [], "expected an integer, got 3.7"),
     ],
     ids=["n-step-0", "n-step-negative", "seed-negative", "file-seed-negative",
-         "seed-repeated", "file-seed-repeated", "target-2-vector"],
+         "seed-repeated", "file-seed-repeated", "target-2-vector", "n-total-fractional"],
 )
 def test_run_rejects_bad_settings(capsys, tmp_path, overrides, argv, message):
     exp = quick_experiment(tmp_path, **overrides)

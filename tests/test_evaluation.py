@@ -22,6 +22,12 @@ def test_zero_pose_targets_are_a_fixed_point():
     assert all(o.iterations == 0 for o in report.per_target)
 
 
+def test_target_points_are_held_as_float_tuples():
+    targets = TargetSet("t", [np.array([0.3, 0.0, 0.5]), [0, 0, 1]])
+    assert targets.points == ((0.3, 0.0, 0.5), (0.0, 0.0, 1.0))
+    assert all(type(v) is float for p in targets.points for v in p)
+
+
 def test_alpha_scales_torque_only():
     rng = np.random.default_rng(0)
     p = random_sample(rng, SpaceConfig(n_joints=4))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -33,6 +34,13 @@ def test_load_inline_targets_and_seeds(tmp_path):
     configs = spec.configs()
     assert [c.seed for c in configs] == [4, 5]
     assert all(c.targets.points == ((0.1, 0.2, 0.3), (0.0, 0.0, 0.5)) for c in configs)
+
+
+def test_integral_floats_load_as_integers(tmp_path):
+    spec = load_experiment(write(tmp_path, dict(BASE, seeds=[4.0, 5], n_total=50.0, n_joints=3.0)))
+    assert spec.seeds == (4, 5) and all(type(s) is int for s in spec.seeds)
+    assert spec.base.n_total == 50 and type(spec.base.n_total) is int
+    assert spec.base.space.n_joints == 3
 
 
 def test_targets_file_reference_resolves_relative(tmp_path):
@@ -87,6 +95,14 @@ def test_experiment_error_cases(tmp_path):
             load_experiment(write(tmp_path, dict(BASE, ref_point=bad), f"g{i}.experiment"))
     with pytest.raises(ExperimentError, match="invalid experiment settings"):
         load_experiment(write(tmp_path, dict(BASE, seeds=["x"]), "h.experiment"))
+    # integer settings are never truncated, and a boolean is not an integer
+    not_integers = [("seeds", [1.9]), ("seeds", [0, True]), ("n_joints", 4.5), ("n_joints", True)]
+    not_integers += [(key, 2.5) for key in ("n_init", "n_step", "n_total", "n_pareto", "n_random")]
+    not_integers += [("n_total", 3.7), ("n_step", False)]
+    for i, (key, bad) in enumerate(not_integers):
+        shown = bad[-1] if isinstance(bad, list) else bad  # the seed the loader rejects
+        with pytest.raises(ExperimentError, match=re.escape(f"expected an integer, got {shown!r}")):
+            load_experiment(write(tmp_path, dict(BASE, **{key: bad}), f"i{i}.experiment"))
     for i, bad in enumerate((float("nan"), float("inf"), -1.0, 0.0)):
         with pytest.raises(ExperimentError, match="alpha must be a finite number > 0"):
             load_experiment(write(tmp_path, dict(BASE, alpha=bad), f"k{i}.experiment"))

@@ -1,0 +1,47 @@
+"""solve_ik against the IK oracle panel written by tests/make_ik_panel.py.
+
+No posture gets closer to a point than the panel's oracle residual (up to the
+oracle's own search) or than the triangle floor |target - origin| - sum(L). A
+`solve_ik` residual below either is a residual the solver did not achieve; one
+below the oracle alone means the oracle search is too weak and the panel must
+be regenerated with more refinement starts. The gap between `solve_ik` and the
+oracle is what a change to the solver is judged on; it is printed, not bounded.
+"""
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from armdesign.kinematics import forward_kinematics, solve_ik
+from armdesign.space import JOINT_ANGLE_LIMIT, from_vector
+
+PANEL = json.loads((Path(__file__).resolve().parent / "ik_panel.json").read_text(encoding="utf-8"))
+MARGIN = 1e-9  # m, rounding allowance below the oracle and the floor
+
+
+def test_panel_postures_reach_their_oracle_residuals():
+    assert len(PANEL["designs"]) == 25 and len(PANEL["targets"]) == 15
+    for design in PANEL["designs"]:
+        p = from_vector(design["vector"])
+        for target, residual, q in zip(PANEL["targets"], design["oracle"], design["oracle_q"]):
+            assert max(map(abs, q)) <= JOINT_ANGLE_LIMIT
+            assert math.dist(forward_kinematics(p, q), target) == pytest.approx(residual, abs=1e-12)
+
+
+def test_solve_ik_never_beats_the_oracle_or_the_floor():
+    gaps, below = [], []
+    for k, design in enumerate(PANEL["designs"]):
+        p = from_vector(design["vector"])
+        for i, (target, residual) in enumerate(zip(PANEL["targets"], design["oracle"])):
+            floor = max(0.0, math.dist(target, p.origin) - math.fsum(p.lengths))
+            got = solve_ik(p, target).residual
+            if got < residual - MARGIN or got < floor - MARGIN:
+                below.append(f"design {k} target {i}: {got!r} (oracle {residual!r}, floor {floor!r})")
+            gaps.append(got - residual)
+    median, p90 = np.percentile(gaps, [50, 90])
+    print(f"solve_ik - oracle over {len(gaps)} solves: median {median:.3e} m, p90 {p90:.3e} m, max {max(gaps):.3e} m")
+    assert not below, "residuals below the oracle or the floor:\n" + "\n".join(below)

@@ -77,7 +77,7 @@ def test_fk_reach_never_exceeds_total_length():
     for _ in range(200):
         p = random_sample(rng, cfg)
         q = random_posture(rng, 4)
-        reach = np.linalg.norm(forward_kinematics(p, q) - p.origin_array())
+        reach = np.linalg.norm(forward_kinematics(p, q) - np.asarray(p.origin))
         assert reach <= sum(p.lengths) + 1e-12
 
 

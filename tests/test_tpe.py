@@ -130,7 +130,7 @@ TOY_CENTER = np.array([0.5, 0.5, 0.5, 0.2, 0.2, 0.2, 0.2])
 
 
 def toy_objectives(params) -> ObjectiveValues:
-    v = np.concatenate([params.origin_array(), params.lengths_array()])
+    v = np.array([*params.origin, *params.lengths])
     return ObjectiveValues(float(v @ v), float((v - TOY_CENTER) @ (v - TOY_CENTER)))
 
 

@@ -8,8 +8,10 @@ and in the working tree, every `experiments/*.experiment` is run with
 ledgers; one fixed design is scored with `armdesign evaluate` on each
 `targets/*.json` and emitted with `armdesign urdf`. Every artifact and every
 stdout are compared byte for byte. The differing paths are printed with the
-count of identical files. Exit 0 only if everything matches, 1 if anything
-differs, 2 if a command fails. Nothing is written inside the repository.
+count of identical files, then the line count of the Python sources under
+`src/` in REV and in the working tree. Exit 0 only if everything matches, 1 if
+anything differs, 2 if a command fails. Nothing is written inside the
+repository.
 """
 from __future__ import annotations
 
@@ -60,6 +62,11 @@ def files(root: Path) -> set[Path]:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
 
+def src_lines(tree: Path) -> int:
+    """Lines in the tree's src/**/*.py, as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src").rglob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?", default="HEAD", help="git revision to compare against")
@@ -89,9 +96,11 @@ def main(argv=None) -> int:
             if not ((out_rev / p).is_file() and (out_work / p).is_file())
             or (out_rev / p).read_bytes() != (out_work / p).read_bytes()
         )
+        lines_rev, lines_work = src_lines(base), src_lines(REPO)
     for p in differing:
         print(f"differs: {p}")
     print(f"{len(paths) - len(differing)} identical, {len(differing)} differing ({args.rev} vs working tree)")
+    print(f"src/ lines: {lines_rev} in {args.rev}, {lines_work} in the working tree")
     return 1 if differing else 0
 
 
