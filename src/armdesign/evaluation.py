@@ -2,8 +2,8 @@
 
 The position objective sums end-effector errors over targets; the torque
 objective sums gravity-compensation torque norms, scaled by alpha to a
-comparable magnitude. Every target is solved independently from the zero
-posture, so the score is order-independent and deterministic.
+comparable magnitude. Every target is solved independently from the same fixed
+start postures, so the score is order-independent and deterministic.
 """
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Serial-chain kinematics: FK, position Jacobian, gravity torque, damped-least-squares IK.
+"""Serial-chain kinematics: FK, position Jacobian, gravity torque, Levenberg-Marquardt IK.
 
 Conventions: joint j rotates about its local axis (roll = x, pitch = y, yaw = z)
 and is followed by a link of length L_j along the rotated local +z. With all
@@ -6,10 +6,13 @@ angles zero the chain is a vertical line above the base origin.
 
 Everything runs on one pure-Python kernel over floats (`_chain`, one FK pass
 per posture). At 3x3 sizes numpy's per-call overhead would dominate, and
-scalar arithmetic keeps results independent of the host's BLAS.
+scalar arithmetic keeps results independent of the host's BLAS. numpy only
+draws the fixed IK start postures, once per D, and wraps the public functions'
+inputs and outputs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,12 +37,15 @@ class GravityModel:
 
 
 # IK budget and stopping rules
-IK_DAMPING = 0.05  # lambda in the DLS update
-IK_STEP_CLAMP = 0.2  # rad, per-iteration |dq| limit
-IK_MAX_ITERS = 300
+IK_MAX_ITERS = 300  # hard cap on LM iterations over all starts
 IK_TOL = 1e-4  # m, position tolerance
-IK_STALL_PATIENCE = 12  # iterations without improvement before a restart
-IK_GIVE_UP = 200  # iterations without meaningful progress before stopping
+IK_START_POOL = 64  # fixed start postures per D, drawn once from default_rng(0x5EED)
+IK_POOL_STARTS = 2  # pool postures, closest to the target first, tried after the zero posture
+IK_START_ITERS = 20  # LM iterations per start
+IK_MIN_GAIN = 1e-8  # a start ends on an accepted gain below this share of |e|^2 ...
+IK_MIN_STEP = 1e-10  # rad, ... or on a step shorter than this
+IK_MU_INIT = 1e-3  # initial damping, as a share of max diag(J J^T)
+IK_MU_FLOOR = 1e-9  # keeps J J^T + mu I invertible when columns are masked or D < 3
 
 
 @dataclass(frozen=True)
@@ -165,19 +171,40 @@ def _dls_step(cols, ex: float, ey: float, ez: float, lam_sq: float) -> list[floa
     return [jx * x + jy * y + jz * z for jx, jy, jz in cols]
 
 
-def solve_ik(params: DesignParams, target) -> IKSolution:
-    """Damped-least-squares IK from the zero posture, tracking the best iterate.
+@functools.lru_cache(maxsize=None)
+def _start_pool(d: int) -> tuple[tuple[float, ...], ...]:
+    """The IK_START_POOL start postures for D joints, the same on every call."""
+    rng = np.random.default_rng(0x5EED)
+    postures = rng.uniform(-JOINT_ANGLE_LIMIT, JOINT_ANGLE_LIMIT, size=(IK_START_POOL, d))
+    return tuple(map(tuple, postures.tolist()))
 
+
+@functools.lru_cache(maxsize=16)
+def _pool_reach(origin, codes, lengths) -> tuple[tuple[float, float, float], ...]:
+    """End-effector positions of a design's start pool, kept while its targets are solved."""
+    return tuple(_chain(origin, codes, lengths, q, 0.0)[1] for q in _start_pool(len(codes)))
+
+
+def solve_ik(params: DesignParams, target) -> IKSolution:
+    """Levenberg-Marquardt IK from a fixed set of start postures, tracking the best iterate.
+
+    Each start minimises |target - FK(q)|^2 with damped Gauss-Newton steps
+    dq = J^T (J J^T + mu I)^-1 err, projected into the joint limits. The
+    damping follows the gain ratio rho (actual over predicted gain; Nielsen
+    1999): an accepted step scales mu by max(1/3, 1 - (2 rho - 1)^3), a
+    rejected one by a doubling factor, so steps near a solution are Gauss-Newton
+    and steps toward an unreachable target stay bounded (Sugihara 2011).
     Joints pinned against a limit get their Jacobian column masked so the rest
-    of the chain keeps moving; a stretch of iterations without improvement
-    triggers a restart from a fresh posture (drawn from a fixed-seed generator,
-    so the solver stays a pure function of its inputs); and iteration stops
-    early once the residual is within tolerance of the reachability lower
-    bound |target - origin| - sum(L) or nothing meaningful has been gained for
-    IK_GIVE_UP steps. Unreachable targets are not an error: the best posture
-    found is returned with converged=False so the position-error objective
-    stays defined. The torque is taken under the default GravityModel. A
-    target that is not finite is an error.
+    of the chain keeps moving. The zero posture starts first, then the
+    IK_POOL_STARTS postures of a fixed pool (the same for every call with this
+    D, so the solver stays a pure function of its inputs) that land closest
+    to the target. A start ends after IK_START_ITERS iterations or at a local
+    minimum (gain or step below IK_MIN_GAIN, IK_MIN_STEP); the solve ends once
+    the residual is within IK_TOL of the reachability lower bound
+    |target - origin| - sum(L). Unreachable targets are not an error: the best
+    posture found is returned with converged=False so the position-error
+    objective stays defined. The torque is taken under the default
+    GravityModel. A target that is not finite is an error.
     """
     target = np.asarray(target, dtype=float).ravel()
     if target.size != 3:
@@ -187,60 +214,75 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
     tx, ty, tz = target.tolist()
     d = params.n_joints
     origin = params.origin
-    codes = [jt.value for jt in params.joints]
+    codes = tuple(jt.value for jt in params.joints)
     lengths = params.lengths
     gravity = GravityModel()
     com_fraction = gravity.com_fraction
-    lam_sq = IK_DAMPING**2
-    meaningful = 0.1 * IK_TOL
-    clamp = IK_STEP_CLAMP
     limit = JOINT_ANGLE_LIMIT
     # no posture can get closer than this (triangle inequality on link lengths)
     ox, oy, oz = tx - origin[0], ty - origin[1], tz - origin[2]
     residual_floor = max(0.0, math.sqrt(ox * ox + oy * oy + oz * oz) - math.fsum(lengths))
     stop_at = residual_floor + IK_TOL
-    restart_rng = np.random.default_rng(0x5EED)
 
-    q = [0.0] * d
-    joints, (x, y, z) = _chain(origin, codes, lengths, q, com_fraction)
-    ex, ey, ez = tx - x, ty - y, tz - z
-    best_q = q
-    best_residual = math.sqrt(ex * ex + ey * ey + ez * ez)
+    def starts():
+        yield [0.0] * d
+        reach = _pool_reach(origin, codes, lengths)
+        closest = sorted(range(IK_START_POOL), key=lambda k: math.dist(reach[k], (tx, ty, tz)))
+        for k in closest[:IK_POOL_STARTS]:
+            yield list(_start_pool(d)[k])
+
+    best_q, best_residual = None, math.inf
     iterations = 0
-    since_improve = 0  # resets on any new best (drives restarts)
-    since_progress = 0  # resets only on clear gains (drives give-up)
-
-    while (
-        best_residual > stop_at
-        and iterations < IK_MAX_ITERS
-        and since_progress < IK_GIVE_UP
-    ):
-        cols = _jacobian_columns(joints, (x, y, z))
-        dq = _dls_step(cols, ex, ey, ez, lam_sq)
-        pinned = [(qj >= limit and s > 0.0) or (qj <= -limit and s < 0.0) for qj, s in zip(q, dq)]
-        if any(pinned):
-            cols = [(0.0, 0.0, 0.0) if p else col for p, col in zip(pinned, cols)]
-            dq = _dls_step(cols, ex, ey, ez, lam_sq)
-        q_next = []
-        for qj, s in zip(q, dq):
-            qj += clamp if s > clamp else -clamp if s < -clamp else s
-            q_next.append(limit if qj > limit else -limit if qj < -limit else qj)
-        if since_improve >= IK_STALL_PATIENCE or q_next == q:
-            q_next = restart_rng.uniform(-limit, limit, size=d).tolist()
-            since_improve = 0
-        q = q_next
-        iterations += 1
+    for q in starts():
         joints, (x, y, z) = _chain(origin, codes, lengths, q, com_fraction)
         ex, ey, ez = tx - x, ty - y, tz - z
-        residual = math.sqrt(ex * ex + ey * ey + ez * ez)
-        gain = best_residual - residual
-        if gain > 0.0:
-            best_residual = residual
-            best_q = q
-            since_improve = 0
-        else:
-            since_improve += 1
-        since_progress = 0 if gain > meaningful else since_progress + 1
+        err_sq = ex * ex + ey * ey + ez * ez
+        residual = math.sqrt(err_sq)
+        if residual < best_residual:
+            best_q, best_residual = q, residual
+        cols = _jacobian_columns(joints, (x, y, z))
+        mu = max(IK_MU_FLOOR, IK_MU_INIT * max(sum(col[i] * col[i] for col in cols) for i in range(3)))
+        nu = 2.0
+        for _ in range(IK_START_ITERS):
+            if best_residual <= stop_at or iterations >= IK_MAX_ITERS:
+                break
+            iterations += 1
+            dq = _dls_step(cols, ex, ey, ez, mu)
+            pinned = [(qj >= limit and s > 0.0) or (qj <= -limit and s < 0.0) for qj, s in zip(q, dq)]
+            if any(pinned):
+                masked = [(0.0, 0.0, 0.0) if p else col for p, col in zip(pinned, cols)]
+                dq = _dls_step(masked, ex, ey, ez, mu)
+            q_next = []
+            for qj, s in zip(q, dq):
+                qj += s
+                q_next.append(limit if qj > limit else -limit if qj < -limit else qj)
+            if sum((a - b) * (a - b) for a, b in zip(q_next, q)) < IK_MIN_STEP**2:
+                break
+            joints, (x, y, z) = _chain(origin, codes, lengths, q_next, com_fraction)
+            ex_next, ey_next, ez_next = tx - x, ty - y, tz - z
+            err_sq_next = ex_next * ex_next + ey_next * ey_next + ez_next * ez_next
+            gain = err_sq - err_sq_next
+            if gain <= 0.0:  # rejected: damp harder
+                mu *= nu
+                nu *= 2.0
+                continue
+            # the linear model's gain, dq . (mu dq + J^T err); a masked joint has dq = 0
+            predicted = sum(
+                s * (mu * s + jx * ex + jy * ey + jz * ez) for s, (jx, jy, jz) in zip(dq, cols)
+            )
+            rho = gain / predicted
+            mu = max(IK_MU_FLOOR, mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3))
+            nu = 2.0
+            local_minimum = gain < IK_MIN_GAIN * err_sq
+            q, ex, ey, ez, err_sq = q_next, ex_next, ey_next, ez_next, err_sq_next
+            residual = math.sqrt(err_sq)
+            if residual < best_residual:
+                best_q, best_residual = q, residual
+            if local_minimum:
+                break
+            cols = _jacobian_columns(joints, (x, y, z))
+        if best_residual <= stop_at or iterations >= IK_MAX_ITERS:
+            break
 
     joints, reached = _chain(origin, codes, lengths, best_q, com_fraction)
     return IKSolution(

@@ -34,7 +34,7 @@ N_DESIGNS = 25
 TARGET_FILES = ("target1", "target2", "target3")
 GRID_PER_JOINT = 24
 REFINE_STARTS = 20
-REFINE_MAX_NFEV = 200
+REFINE_MAX_NFEV = 2000
 
 
 def _rotations(code: int, angles: np.ndarray) -> np.ndarray:

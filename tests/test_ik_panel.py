@@ -4,8 +4,10 @@ No posture gets closer to a point than the panel's oracle residual (up to the
 oracle's own search) or than the triangle floor |target - origin| - sum(L). A
 `solve_ik` residual below either is a residual the solver did not achieve; one
 below the oracle alone means the oracle search is too weak and the panel must
-be regenerated with more refinement starts. The gap between `solve_ik` and the
-oracle is what a change to the solver is judged on; it is printed, not bounded.
+be regenerated with more refinement starts or evaluations. The gap between
+`solve_ik` and the oracle is what a change to the solver is judged on; it is
+printed, not bounded, except on two solves that once ended at the wrong joint
+limit.
 """
 from __future__ import annotations
 
@@ -45,3 +47,12 @@ def test_solve_ik_never_beats_the_oracle_or_the_floor():
     median, p90 = np.percentile(gaps, [50, 90])
     print(f"solve_ik - oracle over {len(gaps)} solves: median {median:.3e} m, p90 {p90:.3e} m, max {max(gaps):.3e} m")
     assert not below, "residuals below the oracle or the floor:\n" + "\n".join(below)
+
+
+@pytest.mark.parametrize("target_index", [0, 8])
+def test_solve_ik_leaves_the_wrong_joint_limit(target_index):
+    # design 15 (P-R-R-P): a descent from the zero posture alone ends with q0 pinned
+    # at -limit, 0.19-0.23 m above the oracle, which reaches these points at +limit
+    design = PANEL["designs"][15]
+    got = solve_ik(from_vector(design["vector"]), PANEL["targets"][target_index]).residual
+    assert got - design["oracle"][target_index] <= 1e-6

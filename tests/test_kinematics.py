@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import armdesign
 from armdesign.kinematics import (
     IK_MAX_ITERS,
+    IK_START_ITERS,
     GravityModel,
     forward_kinematics,
     gravity_torque,
@@ -222,6 +230,50 @@ def test_ik_torque_field_matches_returned_posture():
     sol = solve_ik(p, np.array([0.2, 0.1, 0.3]))
     np.testing.assert_allclose(sol.torque, gravity_torque(p, sol.q), atol=1e-12)
     np.testing.assert_allclose(sol.reached, forward_kinematics(p, sol.q), atol=1e-12)
+
+
+def test_ik_does_not_depend_on_call_history():
+    # start postures and their reach are cached, so a solve must not depend on earlier solves
+    design, target = ((0.1, -0.2, 0.05), "PYRP", (0.2, 0.15, 0.1, 0.12)), (0.9, 0.3, 0.4)
+    history = [
+        ((0, 0, 0), "PPY", (0.1, 0.2, 0.1)),
+        ((0, 0, 0), "PYPRP", (0.1,) * 5),
+        ((0, 0, 0), "YPPR", (0.1,) * 4),
+    ]
+    src = str(Path(armdesign.__file__).resolve().parent.parent)
+
+    def solve_in_fresh_process(earlier) -> str:
+        code = (
+            "from armdesign.kinematics import solve_ik\n"
+            "from armdesign.space import make_params\n"
+            f"for other in {earlier!r}:\n"
+            f"    solve_ik(make_params(*other), {target!r})\n"
+            f"print(repr(solve_ik(make_params(*{design!r}), {target!r})))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    fresh = solve_in_fresh_process([])
+    assert solve_in_fresh_process(history) == fresh
+    for other in history:
+        solve_ik(make_params(*other), target)
+    sol = solve_ik(make_params(*design), target)
+    assert sol.iterations > IK_START_ITERS  # the pool starts ran
+    assert repr(sol) == fresh
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(designs_and_postures(), st.tuples(*[st.floats(-1.5, 1.5)] * 3))
+def test_ik_solution_properties(case, target):
+    p, _, _ = case
+    sol = solve_ik(p, target)
+    floor = max(0.0, math.dist(target, p.origin) - math.fsum(p.lengths))
+    assert sol.residual >= floor - 1e-12
+    assert max(map(abs, sol.q)) <= JOINT_ANGLE_LIMIT
+    assert sol.reached == tuple(forward_kinematics(p, sol.q))
+    assert sol.iterations <= IK_MAX_ITERS
 
 
 def test_base_yaw_invariance():

@@ -8,14 +8,18 @@ and in the working tree, every `experiments/*.experiment` is run with
 ledgers; one fixed design is scored with `armdesign evaluate` on each
 `targets/*.json` and emitted with `armdesign urdf`. Every artifact and every
 stdout are compared byte for byte. The differing paths are printed with the
-count of identical files, then the line count of the Python sources under
-`src/` in REV and in the working tree. Exit 0 only if everything matches, 1 if
-anything differs, 2 if a command fails. Nothing is written inside the
-repository.
+count of identical files; when anything differs, each sweep's per-seed and
+mean final hypervolume (from its `summary.json`) follows for REV and for the
+working tree, since a change that moves results is judged on those. Last comes
+the line count of the Python sources under `src/` in REV and in the working
+tree. Exit 0 only if everything matches, 1 if anything differs, 2 if a command
+fails. Nothing is written inside the repository.
 """
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import subprocess
 import sys
@@ -62,6 +66,21 @@ def files(root: Path) -> set[Path]:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
 
+def hypervolume_table(out_rev: Path, out_work: Path, rev: str) -> list[str]:
+    """Per sweep in both trees: final hypervolume per seed and the mean, REV then working tree."""
+    lines = []
+    for summary in sorted(out_rev.glob("*/summary.json")):
+        work = out_work / summary.parent.name / "summary.json"
+        if not work.is_file():
+            continue
+        before, after = (json.loads(p.read_text(encoding="utf-8")) for p in (summary, work))
+        lines.append(f"final hypervolume of {summary.parent.name}: seed, {rev}, working tree")
+        for seed, value in before["final_hv_per_seed"].items():
+            lines.append(f"  {seed:>4}  {value:10.4f}  {after['final_hv_per_seed'].get(seed, math.nan):10.4f}")
+        lines.append(f"  mean  {before['final_hv_mean']:10.4f}  {after['final_hv_mean']:10.4f}")
+    return lines
+
+
 def src_lines(tree: Path) -> int:
     """Lines in the tree's src/**/*.py, as `wc -l` counts them."""
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src").rglob("*.py"))
@@ -96,10 +115,13 @@ def main(argv=None) -> int:
             if not ((out_rev / p).is_file() and (out_work / p).is_file())
             or (out_rev / p).read_bytes() != (out_work / p).read_bytes()
         )
+        hv_lines = hypervolume_table(out_rev, out_work, args.rev) if differing else []
         lines_rev, lines_work = src_lines(base), src_lines(REPO)
     for p in differing:
         print(f"differs: {p}")
     print(f"{len(paths) - len(differing)} identical, {len(differing)} differing ({args.rev} vs working tree)")
+    for line in hv_lines:
+        print(line)
     print(f"src/ lines: {lines_rev} in {args.rev}, {lines_work} in the working tree")
     return 1 if differing else 0
 
