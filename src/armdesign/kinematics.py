@@ -37,7 +37,8 @@ class GravityModel:
 
 
 # IK budget and stopping rules
-IK_MAX_ITERS = 300  # hard cap on LM iterations over all starts
+# cap on LM iterations per solve; the starts stay within (1 + IK_POOL_STARTS) * IK_START_ITERS = 60
+IK_MAX_ITERS = 300
 IK_TOL = 1e-4  # m, position tolerance
 IK_START_POOL = 64  # fixed start postures per D, drawn once from default_rng(0x5EED)
 IK_POOL_STARTS = 2  # pool postures, closest to the target first, tried after the zero posture
@@ -179,7 +180,8 @@ def _start_pool(d: int) -> tuple[tuple[float, ...], ...]:
     return tuple(map(tuple, postures.tolist()))
 
 
-@functools.lru_cache(maxsize=16)
+# one entry: `evaluate` solves all targets of a design before the next design comes
+@functools.lru_cache(maxsize=1)
 def _pool_reach(origin, codes, lengths) -> tuple[tuple[float, float, float], ...]:
     """End-effector positions of a design's start pool, kept while its targets are solved."""
     return tuple(_chain(origin, codes, lengths, q, 0.0)[1] for q in _start_pool(len(codes)))
@@ -190,10 +192,11 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
 
     Each start minimises |target - FK(q)|^2 with damped Gauss-Newton steps
     dq = J^T (J J^T + mu I)^-1 err, projected into the joint limits. The
-    damping follows the gain ratio rho (actual over predicted gain; Nielsen
-    1999): an accepted step scales mu by max(1/3, 1 - (2 rho - 1)^3), a
-    rejected one by a doubling factor, so steps near a solution are Gauss-Newton
-    and steps toward an unreachable target stay bounded (Sugihara 2011).
+    damping follows the gain ratio rho (actual over predicted gain of the
+    projected step; Nielsen 1999): an accepted step scales mu by
+    max(1/3, 1 - (2 rho - 1)^3), a rejected one by a doubling factor, so steps
+    near a solution are Gauss-Newton and steps toward an unreachable target
+    stay bounded (Sugihara 2011).
     Joints pinned against a limit get their Jacobian column masked so the rest
     of the chain keeps moving. The zero posture starts first, then the
     IK_POOL_STARTS postures of a fixed pool (the same for every call with this
@@ -244,7 +247,7 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
         mu = max(IK_MU_FLOOR, IK_MU_INIT * max(sum(col[i] * col[i] for col in cols) for i in range(3)))
         nu = 2.0
         for _ in range(IK_START_ITERS):
-            if best_residual <= stop_at or iterations >= IK_MAX_ITERS:
+            if best_residual <= stop_at:
                 break
             iterations += 1
             dq = _dls_step(cols, ex, ey, ez, mu)
@@ -266,11 +269,14 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
                 mu *= nu
                 nu *= 2.0
                 continue
-            # the linear model's gain, dq . (mu dq + J^T err); a masked joint has dq = 0
-            predicted = sum(
-                s * (mu * s + jx * ex + jy * ey + jz * ez) for s, (jx, jy, jz) in zip(dq, cols)
-            )
-            rho = gain / predicted
+            # the linear model's gain |e|^2 - |e - J h|^2 for the step h taken after the
+            # projection; a model that predicts no gain counts as rho = 0
+            hx = hy = hz = 0.0
+            for a, b, (jx, jy, jz) in zip(q_next, q, cols):
+                h = a - b
+                hx += jx * h; hy += jy * h; hz += jz * h
+            predicted = hx * (2.0 * ex - hx) + hy * (2.0 * ey - hy) + hz * (2.0 * ez - hz)
+            rho = gain / predicted if predicted > 0.0 else 0.0
             mu = max(IK_MU_FLOOR, mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3))
             nu = 2.0
             local_minimum = gain < IK_MIN_GAIN * err_sq
@@ -281,7 +287,7 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
             if local_minimum:
                 break
             cols = _jacobian_columns(joints, (x, y, z))
-        if best_residual <= stop_at or iterations >= IK_MAX_ITERS:
+        if best_residual <= stop_at:
             break
 
     joints, reached = _chain(origin, codes, lengths, best_q, com_fraction)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import armdesign
 from armdesign.kinematics import (
     IK_MAX_ITERS,
+    IK_POOL_STARTS,
     IK_START_ITERS,
     GravityModel,
     forward_kinematics,
@@ -274,6 +275,10 @@ def test_ik_solution_properties(case, target):
     assert max(map(abs, sol.q)) <= JOINT_ANGLE_LIMIT
     assert sol.reached == tuple(forward_kinematics(p, sol.q))
     assert sol.iterations <= IK_MAX_ITERS
+
+
+def test_ik_starts_fit_within_the_cap():
+    assert (1 + IK_POOL_STARTS) * IK_START_ITERS <= IK_MAX_ITERS
 
 
 def test_base_yaw_invariance():
