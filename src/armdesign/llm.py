@@ -8,15 +8,16 @@ outcome transcript whether or not it succeeds.
 """
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import os
 import re
+import urllib.request
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-import requests
 
 from .evaluation import DEFAULT_ALPHA, TargetSet
 from .space import DesignParams, JointType, SpaceConfig, JOINT_ANGLE_LIMIT, make_params
@@ -175,17 +176,17 @@ class HttpChatBackend:
             ],
             **dict(cfg.decoding),
         }
-        try:
-            resp = requests.post(
-                cfg.base_url.rstrip("/") + "/chat/completions",
-                json=body,
-                headers={"Authorization": f"Bearer {token}"},
-                timeout=cfg.timeout,
+        headers = {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
+        try:  # HTTP and URL errors and timeouts are OSErrors; a malformed URL is a ValueError
+            request = urllib.request.Request(
+                cfg.base_url.rstrip("/") + "/chat/completions", json.dumps(body).encode(), headers
             )
-            resp.raise_for_status()
-            content = resp.json()["choices"][0]["message"]["content"]
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=cfg.timeout) as resp:
+                raw = resp.read()
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             raise BackendError(f"chat request failed: {exc}") from exc
+        try:
+            content = json.loads(raw)["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed chat response: {exc}") from exc
         if not isinstance(content, str):

@@ -6,7 +6,12 @@ density estimators - truncated-Gaussian mixtures for continuous slots, weighted
 counts for joint types - and the suggestion is the candidate drawn from the
 good densities that maximizes the good/bad density ratio.
 
-The sampler is stateless: the trial history is owned by the caller.
+The sampler is stateless: the trial history is owned by the caller. A call
+reads it once: the split ranks the objectives, one pass over the good and bad
+trials gives a matrix of continuous slots and one of joint codes, and each
+mixture is fitted once, with its kernels' CDFs at the bounds. The random draws
+come in a fixed order: per continuous slot a kernel choice then a uniform, then
+per joint a type choice.
 """
 from __future__ import annotations
 
@@ -88,49 +93,55 @@ def split_observations(
 
 
 @dataclass(frozen=True)
-class _TruncatedMixture:
-    """Weighted truncated-Gaussian mixture on [low, high]."""
+class _Mixtures:
+    """One weighted truncated-Gaussian mixture per continuous slot; row i lives on [low_i, high_i].
 
-    low: float
-    high: float
-    centers: np.ndarray
+    Each slot has a kernel per observation plus one prior kernel spanning its
+    bounds, so all rows share one weight vector. Each kernel's CDF at the
+    bounds is taken once, at the fit.
+    """
+
+    low: np.ndarray  # (slots,)
+    high: np.ndarray
+    centers: np.ndarray  # (slots, n + 1)
     widths: np.ndarray
-    weights: np.ndarray  # normalized
+    weights: np.ndarray  # (n + 1,), normalized
+    cdf_low: np.ndarray  # (slots, n + 1)
+    cdf_high: np.ndarray
 
     @classmethod
-    def fit(cls, observations: np.ndarray, low: float, high: float, cfg: TpeConfig) -> "_TruncatedMixture":
+    def fit(cls, observations: np.ndarray, low: np.ndarray, high: np.ndarray, cfg: TpeConfig) -> "_Mixtures":
+        """observations: (n, slots), one row per trial."""
         span = high - low
         n = len(observations)
         width = span * max(cfg.bandwidth_scale * n ** (-0.2), cfg.bandwidth_floor) if n else span
         # one prior kernel spanning the bounds keeps densities positive everywhere
-        centers = np.append(observations, 0.5 * (low + high))
-        widths = np.append(np.full(n, width), span)
+        centers = np.column_stack((observations.T, 0.5 * (low + high)))
+        widths = np.column_stack((np.repeat(width[:, None], n, axis=1), span))
         weights = np.append(np.ones(n), cfg.prior_weight)
-        return cls(low, high, centers, widths, weights / weights.sum())
+        cdf_low = ndtr((low[:, None] - centers) / widths)
+        cdf_high = ndtr((high[:, None] - centers) / widths)
+        return cls(low, high, centers, widths, weights / weights.sum(), cdf_low, cdf_high)
 
-    def _cdf_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = ndtr((self.low - self.centers) / self.widths)
-        hi = ndtr((self.high - self.centers) / self.widths)
-        return lo, hi
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, i: int, size: int) -> np.ndarray:
         ks = rng.choice(len(self.weights), size=size, p=self.weights)
-        lo, hi = self._cdf_bounds()
-        u = rng.uniform(lo[ks], hi[ks])
-        x = self.centers[ks] + self.widths[ks] * ndtri(u)
-        return np.clip(x, self.low, self.high)  # guard round-off at the edges
+        u = rng.uniform(self.cdf_low[i, ks], self.cdf_high[i, ks])
+        x = self.centers[i, ks] + self.widths[i, ks] * ndtri(u)
+        return np.clip(x, self.low[i], self.high[i])  # guard round-off at the edges
 
-    def log_pdf(self, x: np.ndarray) -> np.ndarray:
-        lo, hi = self._cdf_bounds()
-        z = (x[:, None] - self.centers[None, :]) / self.widths[None, :]
-        kernel = np.exp(-0.5 * z**2) / (np.sqrt(2.0 * np.pi) * self.widths[None, :])
-        density = (self.weights[None, :] * kernel / (hi - lo)[None, :]).sum(axis=1)
+    def log_pdf(self, i: int, x: np.ndarray) -> np.ndarray:
+        """Row i's log density at x, with one (len(x), n + 1) temporary per step."""
+        widths = self.widths[i]
+        z = (x[:, None] - self.centers[i]) / widths
+        kernel = np.exp(-0.5 * z**2) / (np.sqrt(2.0 * np.pi) * widths)
+        density = (self.weights * kernel / (self.cdf_high[i] - self.cdf_low[i])).sum(axis=1)
         return np.log(density)
 
 
 def _category_probs(counts: np.ndarray, prior_weight: float) -> np.ndarray:
-    k = len(counts)
-    return (counts + prior_weight / k) / (counts.sum() + prior_weight)
+    """Smoothed category frequencies, one distribution per row of counts."""
+    k = counts.shape[-1]
+    return (counts + prior_weight / k) / (counts.sum(axis=-1, keepdims=True) + prior_weight)
 
 
 def suggest(
@@ -148,50 +159,45 @@ def suggest(
         return random_sample(rng, space)
 
     good, bad = split_observations(trials, cfg.gamma, ref_point)
-    bounds = _continuous_bounds(space)
-    good_vecs = _slot_matrix(good, len(bounds))
-    bad_vecs = _slot_matrix(bad, len(bounds))
+    alphabet = space.joint_alphabet
+    slots, codes = _read_history(good + bad, alphabet)
+    n_good = len(good)
+    low = np.array([space.origin_low] * 3 + [space.length_low] * space.n_joints)
+    high = np.array([space.origin_high] * 3 + [space.length_high] * space.n_joints)
+    mix_good = _Mixtures.fit(slots[:n_good], low, high, cfg)
+    mix_bad = _Mixtures.fit(slots[n_good:], low, high, cfg)
+    p_good = _category_probs(_joint_counts(codes[:n_good], len(alphabet)), cfg.prior_weight)
+    p_bad = _category_probs(_joint_counts(codes[n_good:], len(alphabet)), cfg.prior_weight)
+
     n_cand = cfg.n_candidates
     score = np.zeros(n_cand)
-
-    cont_samples = np.empty((n_cand, len(bounds)))
-    for dim, (low, high) in enumerate(bounds):
-        mix_good = _TruncatedMixture.fit(good_vecs[:, dim], low, high, cfg)
-        mix_bad = _TruncatedMixture.fit(bad_vecs[:, dim], low, high, cfg)
-        x = mix_good.sample(rng, n_cand)
-        cont_samples[:, dim] = x
-        score += mix_good.log_pdf(x) - mix_bad.log_pdf(x)
-
-    alphabet = space.joint_alphabet
+    cont_samples = np.empty((n_cand, len(low)))
+    for i in range(len(low)):
+        x = mix_good.sample(rng, i, n_cand)
+        cont_samples[:, i] = x
+        score += mix_good.log_pdf(i, x) - mix_bad.log_pdf(i, x)
     cat_samples = np.empty((n_cand, space.n_joints), dtype=int)
     for j in range(space.n_joints):
-        good_counts = _joint_counts(good, j, alphabet)
-        bad_counts = _joint_counts(bad, j, alphabet)
-        p_good = _category_probs(good_counts, cfg.prior_weight)
-        p_bad = _category_probs(bad_counts, cfg.prior_weight)
-        c = rng.choice(len(alphabet), size=n_cand, p=p_good)
+        c = rng.choice(len(alphabet), size=n_cand, p=p_good[j])
         cat_samples[:, j] = c
-        score += np.log(p_good[c]) - np.log(p_bad[c])
+        score += np.log(p_good[j, c]) - np.log(p_bad[j, c])
 
     best = int(np.argmax(score))
     vec = cont_samples[best]
     return make_params(vec[:3], [alphabet[c] for c in cat_samples[best]], vec[3:])
 
 
-def _slot_matrix(trials: list[TrialRecord], n_dims: int) -> np.ndarray:
-    """One row per trial: its continuous slots, origin then lengths."""
-    return np.array([[*t.params.origin, *t.params.lengths] for t in trials]).reshape(-1, n_dims)
-
-
-def _continuous_bounds(space: SpaceConfig) -> list[tuple[float, float]]:
-    return [(space.origin_low, space.origin_high)] * 3 + [
-        (space.length_low, space.length_high)
-    ] * space.n_joints
-
-
-def _joint_counts(trials: list[TrialRecord], j: int, alphabet) -> np.ndarray:
-    counts = np.zeros(len(alphabet))
-    index = {jt: i for i, jt in enumerate(alphabet)}
+def _read_history(trials: list[TrialRecord], alphabet) -> tuple[np.ndarray, np.ndarray]:
+    """One row per trial: its continuous slots (origin then lengths) and its joint codes (alphabet indices)."""
+    slots, codes = [], []
     for t in trials:
-        counts[index[t.params.joints[j]]] += 1.0
-    return counts
+        p = t.params
+        slots.append((*p.origin, *p.lengths))
+        codes.append(tuple(map(alphabet.index, p.joints)))
+    return np.array(slots, dtype=float), np.array(codes, dtype=int)
+
+
+def _joint_counts(codes: np.ndarray, k: int) -> np.ndarray:
+    """(D, k): how often each of the k joint types sits at each joint position."""
+    d = codes.shape[1]
+    return np.bincount((codes + k * np.arange(d)).ravel(), minlength=k * d).reshape(d, k)

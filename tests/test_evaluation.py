@@ -121,3 +121,24 @@ def test_golden_objectives(design, target):
     e_pos, e_torque = GOLDEN_OBJECTIVES[design, target]
     assert report.objectives.e_pos == pytest.approx(e_pos, rel=1e-9)
     assert report.objectives.e_torque == pytest.approx(e_torque, rel=1e-9)
+
+
+# solve_ik's (iterations, converged) per target point of each golden pair. The
+# ledger writes both counters, and a solver loop that miscounts its iterations
+# can leave every objective equal, so these are pinned exactly. Any change that
+# moves them must say so.
+GOLDEN_IK_COUNTERS = {
+    ("mid-range YPRP", "target1"): [(5, True), (5, True), (13, True), (13, True), (5, True)],
+    ("mid-range YPRP", "target3"): [(48, False), (53, False), (5, True), (50, False), (16, True)],
+    ("scripted YYYR", "target1"): [(42, False), (38, False), (47, False), (46, False), (48, False)],
+    ("scripted YYYR", "target3"): [(37, False), (46, False), (47, False), (51, False), (44, False)],
+    ("long YPPR", "target1"): [(13, True), (8, True), (7, True), (6, True), (21, False)],
+    ("long YPPR", "target3"): [(12, True), (9, True), (11, True), (7, True), (28, False)],
+}
+
+
+@pytest.mark.parametrize("design, target", sorted(GOLDEN_IK_COUNTERS))
+def test_golden_ik_counters(design, target):
+    report = evaluate(GOLDEN_DESIGNS[design], load_targets(REPO / "targets" / f"{target}.json"))
+    counters = [(o.iterations, o.converged) for o in report.per_target]
+    assert counters == GOLDEN_IK_COUNTERS[design, target]

@@ -203,6 +203,7 @@ _GOOD_REPLY = {
 class _StubChatHandler(BaseHTTPRequestHandler):
     requests_seen: list = []
     reply: object = _GOOD_REPLY
+    status: int = 200
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -210,7 +211,7 @@ class _StubChatHandler(BaseHTTPRequestHandler):
             {"path": self.path, "auth": self.headers.get("Authorization"), "body": body}
         )
         data = json.dumps(type(self).reply).encode()
-        self.send_response(200)
+        self.send_response(type(self).status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -224,6 +225,7 @@ class _StubChatHandler(BaseHTTPRequestHandler):
 def stub_server():
     _StubChatHandler.requests_seen = []
     _StubChatHandler.reply = _GOOD_REPLY
+    _StubChatHandler.status = 200
     server = HTTPServer(("127.0.0.1", 0), _StubChatHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -264,6 +266,18 @@ def test_http_backend_malformed_reply_falls_back(stub_server, monkeypatch, space
     outcome = propose(backend, make_context(space))
     assert not outcome.ok
     assert outcome.failure_reason.startswith("transport: malformed chat response")
+    assert len(outcome.transcript) == 1
+
+
+def test_http_backend_error_status_falls_back(stub_server, monkeypatch, space):
+    monkeypatch.setenv("ARMDESIGN_API_TOKEN", "sekret")
+    _StubChatHandler.status = 500
+    backend = http_backend(space, stub_server)
+    with pytest.raises(BackendError, match="chat request failed"):
+        backend.send("hello")
+    outcome = propose(backend, make_context(space))
+    assert not outcome.ok
+    assert outcome.failure_reason.startswith("transport: chat request failed")
     assert len(outcome.transcript) == 1
 
 

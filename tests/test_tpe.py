@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from armdesign.pareto import ObjectiveValues, hypervolume_2d, pareto_front
 from armdesign.space import SpaceConfig, random_sample, validate
@@ -98,6 +99,42 @@ def test_suggest_deterministic_given_state(space):
     a = suggest(np.random.default_rng(77), trials, TpeConfig(), space)
     b = suggest(np.random.default_rng(77), trials, TpeConfig(), space)
     assert a == b
+
+
+# Three successive suggestions (origin, joint letters, lengths) from
+# default_rng(11) on a seeded history of n trials with uniform objectives, for
+# n = 30 and 300. Any change that moves these moves every run's ledger and must
+# say so.
+GOLDEN_SUGGESTIONS = {
+    30: [
+        ((-0.8229337730466614, -0.5861153114645135, -0.30905840331988443), "YYYP",
+         (0.2735537108217385, 0.10830696528778325, 0.23954937756471303, 0.04508687577006298)),
+        ((-0.21912223699083355, 0.931701503973144, -0.3041995639032187), "YRYP",
+         (0.28512496725318387, 0.2474294755130837, 0.06617167905053611, 0.19442284810208177)),
+        ((-0.2956231405446854, -0.025796267740164722, 0.27963338226328927), "YRYP",
+         (0.09847456606767516, 0.19704764273777167, 0.19117581688057755, 0.032233358978211946)),
+    ],
+    300: [
+        ((-0.7581433375786882, -0.11580050726144117, -0.5522147277828886), "PPYY",
+         (0.24519166722867503, 0.2477484441446656, 0.26790662575696744, 0.031053162870373296)),
+        ((0.7738397154469195, -0.5899656244880045, 0.7200780857635646), "PRRY",
+         (0.08023445003218248, 0.2696461087761955, 0.1497900843347716, 0.09221108425304878)),
+        ((0.40623814406738407, 0.10027975521969912, -0.06456722912534252), "PRRP",
+         (0.25988714552534015, 0.25446749247672046, 0.061528054762713856, 0.11442024164003489)),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_SUGGESTIONS))
+def test_golden_suggestions(space, n):
+    rng = np.random.default_rng(n)
+    trials = random_trials(rng, space, rng.uniform(0, 4, size=(n, 2)))
+    sampler_rng = np.random.default_rng(11)
+    for origin, joints, lengths in GOLDEN_SUGGESTIONS[n]:
+        p = suggest(sampler_rng, trials, TpeConfig(), space)
+        assert "".join(jt.letter for jt in p.joints) == joints
+        assert p.origin == pytest.approx(origin, rel=1e-12)
+        assert p.lengths == pytest.approx(lengths, rel=1e-12)
 
 
 def test_suggestions_always_inside_bounds(space):

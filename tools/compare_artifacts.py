@@ -10,9 +10,11 @@ ledgers; one fixed design is scored with `armdesign evaluate` on each
 stdout are compared byte for byte. The differing paths are printed with the
 count of identical files; when anything differs, each sweep's per-seed and
 mean final hypervolume (from its `summary.json`) follows for REV and for the
-working tree, since a change that moves results is judged on those. Last comes
+working tree, since a change that moves results is judged on those. Last come
 the line count of the Python sources under `src/` in REV and in the working
-tree. Exit 0 only if everything matches, 1 if anything differs, 2 if a command
+tree, and the wall time of each `armdesign run` sweep in both trees. The two
+trees run at the same time, so those times are indicative and gate nothing.
+Exit 0 only if everything matches, 1 if anything differs, 2 if a command
 fails. Nothing is written inside the repository.
 """
 from __future__ import annotations
@@ -25,6 +27,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -45,8 +48,12 @@ def armdesign(tree: Path, *argv: str, cwd: Path | None = None) -> bytes:
     return proc.stdout
 
 
-def write_artifacts(tree: Path, out: Path) -> None:
-    """Each experiment's sweep under out/<stem>; every stdout under out/stdout."""
+def write_artifacts(tree: Path, out: Path) -> dict[str, float]:
+    """Each experiment's sweep under out/<stem>; every stdout under out/stdout.
+
+    Returns the wall time in seconds of each experiment's `armdesign run`.
+    """
+    run_s = {}
     (out / "stdout").mkdir(parents=True)
     for targets in sorted((tree / "targets").glob("*.json")):
         stdout = armdesign(tree, "evaluate", "--vector", DESIGN, "--targets", str(targets))
@@ -54,12 +61,15 @@ def write_artifacts(tree: Path, out: Path) -> None:
     (out / "stdout" / "design.urdf").write_bytes(armdesign(tree, "urdf", "--vector", DESIGN))
     for exp in sorted((tree / "experiments").glob("*.experiment")):
         sweep = out / exp.stem
+        start = time.perf_counter()
         stdout = armdesign(tree, "run", "--experiment", str(exp), "--out", str(sweep))
+        run_s[exp.stem] = time.perf_counter() - start
         (out / "stdout" / f"{exp.stem}.run.txt").write_bytes(stdout)
         # relative paths, since report prints each ledger's path
         ledgers = sorted(sweep.glob("seed_*/ledger.jsonl"), key=lambda p: int(p.parent.name[5:]))
         stdout = armdesign(tree, "report", *(str(p.relative_to(sweep)) for p in ledgers), cwd=sweep)
         (out / "stdout" / f"{exp.stem}.report.txt").write_bytes(stdout)
+    return run_s
 
 
 def files(root: Path) -> set[Path]:
@@ -105,8 +115,7 @@ def main(argv=None) -> int:
         out_rev, out_work = tmp / "out_rev", tmp / "out_work"
         with ThreadPoolExecutor(max_workers=2) as pool:  # one CLI process per tree
             jobs = [pool.submit(write_artifacts, base, out_rev), pool.submit(write_artifacts, REPO, out_work)]
-            for job in jobs:
-                job.result()
+            run_s_rev, run_s_work = (job.result() for job in jobs)
 
         paths = files(out_rev) | files(out_work)
         differing = sorted(
@@ -123,6 +132,9 @@ def main(argv=None) -> int:
     for line in hv_lines:
         print(line)
     print(f"src/ lines: {lines_rev} in {args.rev}, {lines_work} in the working tree")
+    print(f"armdesign run wall time (s), both trees at once, indicative: sweep, {args.rev}, working tree")
+    for stem, seconds in run_s_rev.items():
+        print(f"  {stem:30s}  {seconds:8.2f}  {run_s_work.get(stem, math.nan):8.2f}")
     return 1 if differing else 0
 
 
