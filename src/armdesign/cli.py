@@ -26,7 +26,7 @@ from .ledger import (
     write_run_artifacts,
 )
 from .llm import BackendError
-from .orchestrator import AggregateResult, RunMode, aggregate_runs, hypervolume_curve, run
+from .orchestrator import RunMode, hypervolume_curve, run
 from .pareto import pareto_front
 from .space import DesignParams, SpaceConfig, from_vector, make_params, validate
 from .urdf import emit_urdf
@@ -122,23 +122,24 @@ def cmd_run(args) -> int:
             )
             return EXIT_RUNTIME
 
-    results = []
+    curves = []
     for config in spec.configs():
         result = run(config)
         write_run_artifacts(spec.out_dir / f"seed_{config.seed}", result)
-        results.append(result)
+        curves.append(result.hv_curve)
 
-    agg = aggregate_runs(results)
-    (spec.out_dir / "hv_aggregate.csv").write_text(aggregate_csv(agg), encoding="utf-8")
+    curves = np.stack(curves)  # (seeds, iterations)
+    (spec.out_dir / "hv_aggregate.csv").write_text(aggregate_csv(curves), encoding="utf-8")
+    finals = [float(c[-1]) for c in curves]
     summary = {
         "experiment": spec.name,
         "mode": spec.base.mode.value,
         "seeds": list(spec.seeds),
-        "final_hv_per_seed": {str(s): v for s, v in zip(spec.seeds, agg.final_per_seed)},
-        "final_hv_mean": float(np.mean(agg.final_per_seed)),
-        "final_hv_std": float(np.std(agg.final_per_seed)),
-        "mean_hv_over_iterations": agg.mean_hv,
-        "mean_std_over_iterations": agg.mean_std,
+        "final_hv_per_seed": {str(s): v for s, v in zip(spec.seeds, finals)},
+        "final_hv_mean": float(np.mean(finals)),
+        "final_hv_std": float(np.std(finals)),
+        "mean_hv_over_iterations": float(curves.mean(axis=0).mean()),
+        "mean_std_over_iterations": float(curves.std(axis=0).mean()),  # population sigma
     }
     (spec.out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2) + "\n", encoding="utf-8"
@@ -171,7 +172,7 @@ def cmd_report(args) -> int:
     scales = {(len(c), ref) for c, ref in zip(curves, refs)}
     if len(scales) != 1:
         raise InputError(f"ledgers have mismatched (iterations, reference point): {sorted(scales)}")
-    sys.stdout.write(aggregate_csv(AggregateResult(np.stack(curves))))
+    sys.stdout.write(aggregate_csv(np.stack(curves)))
     for path, front in fronts:
         print(f"# final front: {path}")
         print("id,source,e_pos,e_torque")

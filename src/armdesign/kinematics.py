@@ -40,12 +40,10 @@ class GravityModel:
 
 
 # IK budget and stopping rules
-# cap on LM iterations per solve; the starts stay within (1 + IK_POOL_STARTS) * IK_START_ITERS = 60
-IK_MAX_ITERS = 300
 IK_TOL = 1e-4  # m, position tolerance
 IK_START_POOL = 64  # fixed start postures per D, drawn once from default_rng(0x5EED)
 IK_POOL_STARTS = 2  # pool postures, closest to the target first, tried after the zero posture
-IK_START_ITERS = 20  # LM iterations per start
+IK_START_ITERS = 20  # LM iterations per start, so at most (1 + IK_POOL_STARTS) * 20 = 60 per solve
 IK_MIN_GAIN = 1e-8  # a start ends on an accepted gain below this share of |e|^2 ...
 IK_MIN_STEP = 1e-10  # rad, ... or on a step shorter than this
 IK_MU_INIT = 1e-3  # initial damping, as a share of max diag(J J^T)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .orchestrator import AggregateResult, RunResult
+from .orchestrator import RunResult
 from .pareto import DEFAULT_REF_POINT, ObjectiveValues
 from .space import from_vector, to_vector
 from .tpe import SampleSource, TrialRecord
@@ -48,16 +48,23 @@ def trial_to_json(trial: TrialRecord) -> str:
 
 
 def parse_ledger_line(line: str, lineno: int) -> TrialRecord:
-    """One ledger line as a trial; the per-target diagnostics are not read back."""
+    """One ledger line as a trial; the per-target diagnostics are not read back.
+
+    JSON admits NaN and Infinity, so a non-finite objective or vector value is
+    rejected here: the dominance sweep and the hypervolume assume finite pairs.
+    """
     try:
         row = json.loads(line)
-        return TrialRecord(
+        trial = TrialRecord(
             id=int(row["id"]),
             source=SampleSource(row["source"]),
             params=from_vector(row["vector"]),
             objectives=ObjectiveValues(*(float(v) for v in row["objectives"])),
             fallback=bool(row["fallback"]),
         )
+        if not all(map(math.isfinite, (*trial.objectives, *to_vector(trial.params)))):
+            raise ValueError("non-finite objective or vector value")
+        return trial
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise LedgerError(f"line {lineno}: corrupt ledger record ({exc})") from exc
 
@@ -103,9 +110,10 @@ def read_curve_csv(path: Path) -> np.ndarray:
     return np.array(curve)
 
 
-def aggregate_csv(agg: AggregateResult) -> str:
-    """The table of hv_aggregate.csv, which `report` prints too."""
-    return _iteration_csv("iteration,mean,std", agg.mean, agg.std)
+def aggregate_csv(curves: np.ndarray) -> str:
+    """The table of hv_aggregate.csv, which `report` prints too: the pointwise
+    mean and population sigma of a (seeds, iterations) stack of curves."""
+    return _iteration_csv("iteration,mean,std", curves.mean(axis=0), curves.std(axis=0))
 
 
 def read_ref_point(run_dir: Path) -> tuple[float, float]:

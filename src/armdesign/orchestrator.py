@@ -9,7 +9,7 @@ accountable. Runs are deterministic given the seed and an offline backend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -154,41 +154,3 @@ def hypervolume_curve(trials: list[TrialRecord], ref_point) -> np.ndarray:
         front = pareto_front([*front, trial])  # same set as the front of trials[: n_init + k + 1]
         curve[k] = hypervolume_2d([t.objectives for t in front], ref_point)
     return curve
-
-
-@dataclass(frozen=True)
-class AggregateResult:
-    """Pointwise statistics of equal-length hypervolume curves, one per seed."""
-
-    curves: np.ndarray  # (seeds, iterations)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.curves.mean(axis=0)
-
-    @property
-    def std(self) -> np.ndarray:
-        return self.curves.std(axis=0)  # population sigma
-
-    @property
-    def final_per_seed(self) -> tuple[float, ...]:
-        return tuple(float(c[-1]) for c in self.curves)
-
-    @property
-    def mean_hv(self) -> float:  # run-and-iteration-averaged hypervolume
-        return float(self.mean.mean())
-
-    @property
-    def mean_std(self) -> float:  # iteration-averaged standard deviation
-        return float(self.std.mean())
-
-
-def aggregate_runs(results: list[RunResult]) -> AggregateResult:
-    """Combine seeded replicas of the same configuration."""
-    if not results:
-        raise ValueError("no runs to aggregate")
-    base = replace(results[0].config, seed=0)
-    for r in results[1:]:
-        if replace(r.config, seed=0) != base:
-            raise ValueError("runs differ in more than the seed")
-    return AggregateResult(np.stack([r.hv_curve for r in results]))

@@ -1,4 +1,4 @@
-"""Dominance, Pareto-front extraction, and 2-D hypervolume (minimization).
+"""Nondomination ranks, Pareto-front extraction, and 2-D hypervolume (minimization).
 
 Hypervolume is the area between the front and a fixed reference point; points
 at or beyond the reference in either coordinate contribute zero (they are
@@ -22,13 +22,6 @@ class ObjectiveValues(NamedTuple):
 DEFAULT_REF_POINT = (5.0, 5.0)
 
 
-def dominates(a, b) -> bool:
-    """Weak Pareto dominance: a <= b componentwise with at least one strict <."""
-    a0, a1 = a
-    b0, b1 = b
-    return a0 <= b0 and a1 <= b1 and (a0 < b0 or a1 < b1)
-
-
 def nondomination_ranks(values) -> np.ndarray:
     """Rank 0 = nondominated; rank k = nondominated after removing ranks < k.
 
@@ -49,22 +42,16 @@ def nondomination_ranks(values) -> np.ndarray:
     return ranks
 
 
-def nondominated_indices(values) -> list[int]:
-    """Indices of nondominated rows of an (n, 2) array, in input order.
-
-    Duplicates of a nondominated pair are all retained (weak dominance has no
-    strict improvement between equals).
-    """
-    return np.flatnonzero(nondomination_ranks(values) == 0).tolist()
-
-
 T = TypeVar("T")
 
 
 def pareto_front(points: Sequence[T]) -> list[T]:
-    """Nondominated subset of objects carrying an .objectives pair, input order kept."""
-    values = [p.objectives for p in points]
-    return [points[i] for i in nondominated_indices(values)]
+    """Nondominated subset of objects carrying an .objectives pair, input order kept.
+
+    Duplicates of a nondominated pair are all kept (equal pairs share rank 0).
+    """
+    ranks = nondomination_ranks([p.objectives for p in points])
+    return [p for p, rank in zip(points, ranks) if rank == 0]
 
 
 def hypervolume_2d(values, ref=DEFAULT_REF_POINT) -> float:
@@ -94,7 +81,7 @@ def hypervolume_contributions(values, ref=DEFAULT_REF_POINT) -> np.ndarray:
     dominated points, equal pairs and points at or beyond ``ref`` get 0
     (Emmerich, Beume & Naujoks, EMO 2005). This equals the leave-one-out drop
     ``hv(all) - hv(all without i)`` only on a mutually nondominated set, which
-    is how ``tpe.split_observations`` calls it (one rank at a time); with
+    is how ``tpe.split_observations`` calls it (on the boundary rank); with
     dominated points inside a box, leave-one-out is smaller.
     """
     vals = np.asarray(values, dtype=float).reshape(-1, 2)

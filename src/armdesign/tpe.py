@@ -62,33 +62,26 @@ def split_observations(
     gamma: float,
     ref_point: tuple[float, float] = DEFAULT_REF_POINT,
 ) -> tuple[list[TrialRecord], list[TrialRecord]]:
-    """Partition trials into (good, bad) with |good| = ceil(gamma * n).
+    """Partition trials into (good, bad) with |good| = ceil(gamma * n), clipped to [0, n].
 
     Good trials are taken in ascending nondomination rank; within the boundary
-    rank the largest hypervolume contributors win, earlier trials on ties.
+    rank the largest hypervolume contributors win, earlier trials on ties. Both
+    sets keep the trials' order.
     """
     if not trials:
         raise ValueError("split_observations needs at least one trial")
-    n = len(trials)
-    n_good = int(np.ceil(gamma * n))
+    n_good = min(int(np.ceil(gamma * len(trials))), len(trials))
+    if n_good <= 0:
+        return [], list(trials)
     values = np.array([t.objectives for t in trials], dtype=float)
     ranks = nondomination_ranks(values)
-
-    good_idx: list[int] = []
-    for rank in range(ranks.max() + 1):
-        remaining = n_good - len(good_idx)
-        if remaining <= 0:
-            break
-        members = np.flatnonzero(ranks == rank).tolist()
-        if len(members) <= remaining:
-            good_idx.extend(members)
-            continue
-        contrib = hypervolume_contributions(values[members], ref_point)
-        order = sorted(range(len(members)), key=lambda k: (-contrib[k], k))
-        good_idx.extend(members[k] for k in order[:remaining])
-    good_set = set(good_idx)
-    good = [trials[i] for i in sorted(good_idx)]
-    bad = [trials[i] for i in range(n) if i not in good_set]
+    boundary = np.sort(ranks)[n_good - 1]
+    is_good = ranks < boundary
+    members = np.flatnonzero(ranks == boundary)
+    contrib = hypervolume_contributions(values[members], ref_point)
+    is_good[members[np.argsort(-contrib, kind="stable")[: n_good - is_good.sum()]]] = True
+    good = [t for t, g in zip(trials, is_good) if g]
+    bad = [t for t, g in zip(trials, is_good) if not g]
     return good, bad
 
 

@@ -1,4 +1,4 @@
-"""Reference dominance ranking and hypervolume contributions for the tests.
+"""Reference dominance, ranking and hypervolume contributions for the tests.
 
 Straight from the definitions, with no sorting tricks: layers are peeled off by
 an all-pairs dominance check, a point's contribution is the hypervolume lost
@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from armdesign.pareto import dominates, hypervolume_2d
+from armdesign.pareto import hypervolume_2d
+
+
+def dominates(a, b) -> bool:
+    """Weak Pareto dominance: a <= b componentwise with at least one strict <."""
+    a0, a1 = a
+    b0, b1 = b
+    return a0 <= b0 and a1 <= b1 and (a0 < b0 or a1 < b1)
 
 
 def layered_ranks(values) -> list[int]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from armdesign.kinematics import (
     solve_ik,
 )
 from armdesign.orchestrator import RunMode, source_for_iteration
-from armdesign.pareto import dominates, hypervolume_2d, nondominated_indices
+from armdesign.pareto import hypervolume_2d, pareto_front
 from armdesign.space import SpaceConfig, random_sample
 from armdesign.tpe import SampleSource
 
 from conftest import random_posture
+from pareto_oracle import dominates
 from test_kinematics import fd_gravity_torque, fd_jacobian
 from test_tpe import run_toy_problem
 
@@ -141,7 +143,8 @@ def test_criterion_4_pareto_and_hypervolume_oracles():
             for i, a in enumerate(values)
             if not any(dominates(b, a) for j, b in enumerate(values) if j != i)
         ]
-        if nondominated_indices(values) != brute:
+        records = [SimpleNamespace(i=i, objectives=v) for i, v in enumerate(values)]
+        if [r.i for r in pareto_front(records)] != brute:
             front_ok = False
             break
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from armdesign.cli import main
+from armdesign.ledger import read_curve_csv
 
 REPO = Path(__file__).resolve().parent.parent
 TARGET1 = str(REPO / "targets" / "target1.json")
@@ -116,6 +119,31 @@ def test_run_produces_artifacts_and_summary(capsys, tmp_path):
         assert len(ledger) == 16  # n_init + n_total
     assert (out_dir / "hv_aggregate.csv").exists()
     assert (out_dir / "summary.json").exists()
+
+
+def test_run_summary_is_numpy_over_the_seed_curves(capsys, tmp_path):
+    seeds = (0, 1, 2)
+    exp = quick_experiment(tmp_path, seeds=list(seeds))
+    code, out, _ = run_cli(capsys, "run", "--experiment", exp)
+    assert code == 0
+    out_dir = tmp_path / "out"
+    curves = np.stack([read_curve_csv(out_dir / f"seed_{s}" / "hv_curve.csv") for s in seeds])
+    finals = curves[:, -1]
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert json.loads(out) == summary
+    assert summary["final_hv_per_seed"] == {str(s): float(v) for s, v in zip(seeds, finals)}
+    assert summary["final_hv_mean"] == float(np.mean(finals))
+    assert summary["final_hv_std"] == float(np.std(finals))
+    assert summary["mean_hv_over_iterations"] == float(curves.mean(axis=0).mean())
+    assert summary["mean_std_over_iterations"] == float(curves.std(axis=0).mean())
+    assert np.std(finals) > 0  # seeds differ, so a sample sigma would not match
+
+    rows = (out_dir / "hv_aggregate.csv").read_text().splitlines()
+    assert rows[0] == "iteration,mean,std"
+    table = np.array([row.split(",") for row in rows[1:]], dtype=float)
+    np.testing.assert_array_equal(table[:, 0], np.arange(1, curves.shape[1] + 1))
+    np.testing.assert_array_equal(table[:, 1], curves.mean(axis=0))
+    np.testing.assert_array_equal(table[:, 2], curves.std(axis=0))
 
 
 def test_run_seed_and_out_overrides(capsys, tmp_path):
@@ -253,7 +281,14 @@ def test_report_flags_corrupt_ledger_line(capsys, tmp_path):
     lines = ledger.read_text().splitlines()
     good = lines[4]
     assert '"source": "llm"' in good
-    for bad in (good[:20], good.replace('"source": "llm"', '"source": "bogus"')):
+    corrupt = (
+        good[:20],
+        good.replace('"source": "llm"', '"source": "bogus"'),
+        re.sub(r'"objectives": \[[^,]*', '"objectives": [NaN', good),
+        re.sub(r'"vector": \[[^,]*', '"vector": [Infinity', good),
+    )
+    for bad in corrupt:
+        assert bad != good
         lines[4] = bad
         ledger.write_text("\n".join(lines) + "\n")
         code, _, err = run_cli(capsys, "report", str(ledger))

@@ -231,6 +231,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_backend_wire_format(stub_server, monkeypatch, space):

@@ -9,7 +9,6 @@ from armdesign.llm import BackendConfig
 from armdesign.orchestrator import (
     RunConfig,
     RunMode,
-    aggregate_runs,
     run,
     source_for_iteration,
 )
@@ -86,7 +85,8 @@ def test_hv_curve_non_decreasing_and_matches_front():
 
 
 def test_archive_equals_brute_force_front_at_every_step():
-    from armdesign.pareto import dominates, hypervolume_2d
+    from armdesign.pareto import hypervolume_2d
+    from pareto_oracle import dominates
 
     result = run(small_config())
     cfg = result.config
@@ -131,35 +131,6 @@ def test_bbo_mode_never_calls_backend():
     result = run(cfg)  # would raise if the script were opened
     assert result.transcripts == {}
     assert all(not t.fallback for t in result.ledger)
-
-
-def test_aggregate_identical_curves_has_zero_std():
-    results = [run(small_config()), run(small_config())]
-    agg = aggregate_runs(results)
-    np.testing.assert_array_equal(agg.std, np.zeros(20))
-    np.testing.assert_array_equal(agg.mean, results[0].hv_curve)
-
-
-def test_aggregate_mean_and_population_sigma():
-    a = run(small_config(seed=1))
-    b = run(small_config(seed=1))
-    b.hv_curve = a.hv_curve + 2.0
-    from dataclasses import replace
-
-    b.config = replace(b.config, seed=2)
-    agg = aggregate_runs([a, b])
-    np.testing.assert_allclose(agg.mean, a.hv_curve + 1.0)
-    np.testing.assert_allclose(agg.std, np.ones(20))
-    assert agg.mean_hv == pytest.approx(float(np.mean(a.hv_curve)) + 1.0)
-    assert agg.mean_std == pytest.approx(1.0)
-    assert agg.final_per_seed == (float(a.hv_curve[-1]), float(a.hv_curve[-1]) + 2.0)
-
-
-def test_aggregate_rejects_mismatched_configs():
-    a = run(small_config(seed=1))
-    b = run(small_config(seed=2, n_total=10))
-    with pytest.raises(ValueError, match="seed"):
-        aggregate_runs([a, b])
 
 
 def test_config_validation():

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from armdesign.pareto import (
     ObjectiveValues,
-    dominates,
     hypervolume_2d,
     hypervolume_contributions,
-    nondominated_indices,
     nondomination_ranks,
     pareto_front,
 )
-from pareto_oracle import grid_cell_hypervolume, layered_ranks, leave_one_out_contributions
+from pareto_oracle import dominates, grid_cell_hypervolume, layered_ranks, leave_one_out_contributions
+
+
+def front_indices(values):
+    """Input positions of the points pareto_front keeps."""
+    return [p.i for p in pareto_front([SimpleNamespace(i=i, objectives=v) for i, v in enumerate(values)])]
 
 
 def brute_force_front(values):
@@ -52,7 +55,7 @@ def test_dominates_basic_cases():
 
 def test_front_drops_dominated_point():
     values = [(1, 3), (2, 2), (3, 1), (2, 3)]
-    assert nondominated_indices(values) == [0, 1, 2]
+    assert front_indices(values) == [0, 1, 2]
 
 
 def test_front_singleton():
@@ -62,7 +65,7 @@ def test_front_singleton():
 
 def test_front_keeps_duplicate_nondominated_pairs():
     values = [(1, 1), (1, 1), (2, 0.5)]
-    assert nondominated_indices(values) == [0, 1, 2]
+    assert front_indices(values) == [0, 1, 2]
 
 
 def test_front_matches_brute_force_on_random_sets():
@@ -73,12 +76,12 @@ def test_front_matches_brute_force_on_random_sets():
         # sprinkle exact duplicates to exercise the tie handling
         if n > 3:
             values[1] = values[0]
-        assert nondominated_indices(values) == brute_force_front(values)
+        assert front_indices(values) == brute_force_front(values)
 
 
 def test_front_preserves_input_order():
     values = [(3, 1), (1, 3), (2, 2)]
-    assert nondominated_indices(values) == [0, 1, 2]
+    assert front_indices(values) == [0, 1, 2]
 
 
 def test_hypervolume_single_point():
@@ -110,8 +113,8 @@ def test_hypervolume_permutation_invariant():
     values = rng.uniform(0, 5, size=(30, 2))
     shuffled = values[rng.permutation(30)]
     assert hypervolume_2d(values) == hypervolume_2d(shuffled)
-    assert sorted(map(tuple, values[nondominated_indices(values)])) == sorted(
-        map(tuple, shuffled[nondominated_indices(shuffled)])
+    assert sorted(map(tuple, values[front_indices(values)])) == sorted(
+        map(tuple, shuffled[front_indices(shuffled)])
     )
 
 
@@ -174,7 +177,7 @@ def test_contributions_match_leave_one_out_on_each_rank(values):
 # each coordinate and one beyond it in f1 with the lowest f2
 @example([(1, 3), (1, 2), (2, 2), (2, 2), (5, 1), (0, 4), (6, 0)])
 def test_hypervolume_equals_front_hypervolume(values):
-    front = np.asarray(values, dtype=float).reshape(-1, 2)[nondominated_indices(values)]
+    front = np.asarray(values, dtype=float).reshape(-1, 2)[front_indices(values)]
     hv = hypervolume_2d(values, REF)
     assert hv == hypervolume_2d(front, REF)
     assert hv == grid_cell_hypervolume(values, REF)

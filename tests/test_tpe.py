@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from armdesign.pareto import ObjectiveValues, hypervolume_2d, pareto_front
-from armdesign.space import SpaceConfig, random_sample, validate
+from armdesign.space import SpaceConfig, make_params, random_sample, validate
 from armdesign.tpe import (
     SampleSource,
     TpeConfig,
@@ -14,6 +16,7 @@ from armdesign.tpe import (
     split_observations,
     suggest,
 )
+from pareto_oracle import layered_ranks, leave_one_out_contributions
 
 REF = (5.0, 5.0)
 
@@ -72,6 +75,45 @@ def test_boundary_rank_ties_broken_by_hv_contribution(space):
         ]
         expected = set(sorted(range(n), key=lambda i: (-contrib[i], i))[:k])
         assert {t.id for t in good} == expected
+
+
+def oracle_split(values, gamma, ref):
+    """(good, bad) indices: ceil(gamma * n) trials, clipped to [0, n], taken by
+    rank, then leave-one-out contribution within the rank (largest first), then index."""
+    n = len(values)
+    n_good = min(max(int(np.ceil(gamma * n)), 0), n)
+    ranks = layered_ranks(values)
+    contrib = np.zeros(n)
+    for rank in set(ranks):
+        members = [i for i in range(n) if ranks[i] == rank]
+        contrib[members] = leave_one_out_contributions([values[i] for i in members], ref)
+    order = sorted(range(n), key=lambda i: (ranks[i], -contrib[i], i))
+    good = sorted(order[:n_good])
+    return good, [i for i in range(n) if i not in good]
+
+
+@st.composite
+def split_cases(draw):
+    """Integer-grid histories (ties, equal pairs, points on or beyond ref) with
+    gammas at 0, at 1, above 1, on each rank boundary and in between."""
+    values = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=30))
+    n = len(values)
+    ranks = layered_ranks(values)
+    # (k - 0.5) / n rounds up to exactly k trials: all of ranks < r for each r
+    boundaries = [(sum(q < r for q in ranks) - 0.5) / n for r in range(1, max(ranks) + 2)]
+    gamma = draw(st.one_of(st.sampled_from([0.0, 1.0, 1.5, *boundaries]), st.floats(0.0, 1.0)))
+    ref = draw(st.sampled_from([(5.0, 4.0), (7.0, 7.0), (2.0, 3.0)]))
+    return values, gamma, ref
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(split_cases())
+def test_split_matches_oracle(case):
+    values, gamma, ref = case
+    params = make_params((0.0, 0.0, 0.0), "YPRP", (0.1,) * 4)
+    trials = [make_trial(i, pair, params) for i, pair in enumerate(values)]
+    good, bad = split_observations(trials, gamma, ref)
+    assert ([t.id for t in good], [t.id for t in bad]) == oracle_split(values, gamma, ref)
 
 
 def test_category_prior_formula():
@@ -148,7 +190,7 @@ def test_suggestions_always_inside_bounds(space):
 def test_suggest_concentrates_on_good_category(space):
     # all good trials share joints[0] = YAW; the suggestion should prefer it
     rng = np.random.default_rng(5)
-    from armdesign.space import JointType, make_params
+    from armdesign.space import JointType
 
     trials = []
     for i in range(40):
