@@ -5,6 +5,7 @@ import pytest
 
 from armdesign import tpe
 from armdesign.evaluation import TargetSet
+from armdesign.ledger import aggregate_csv
 from armdesign.llm import BackendConfig
 from armdesign.orchestrator import (
     RunConfig,
@@ -131,6 +132,31 @@ def test_bbo_mode_never_calls_backend():
     result = run(cfg)  # would raise if the script were opened
     assert result.transcripts == {}
     assert all(not t.fallback for t in result.ledger)
+
+
+def aggregate_table(curves) -> np.ndarray:
+    """hv_aggregate.csv's rows for a list of curves, as (iteration, mean, std) floats."""
+    rows = aggregate_csv(np.stack(curves)).splitlines()
+    assert rows[0] == "iteration,mean,std"
+    return np.array([row.split(",") for row in rows[1:]], dtype=float)
+
+
+def test_aggregate_identical_curves_has_zero_std():
+    results = [run(small_config()), run(small_config())]
+    table = aggregate_table([r.hv_curve for r in results])
+    np.testing.assert_array_equal(table[:, 0], np.arange(1, 21))
+    np.testing.assert_array_equal(table[:, 2], np.zeros(20))
+    np.testing.assert_array_equal(table[:, 1], results[0].hv_curve)
+
+
+def test_aggregate_mean_and_population_sigma():
+    a = run(small_config(seed=1)).hv_curve
+    b = a + 2.0
+    table = aggregate_table([a, b])
+    np.testing.assert_allclose(table[:, 1], a + 1.0)
+    np.testing.assert_allclose(table[:, 2], np.ones(20))  # a sample sigma would read sqrt(2)
+    assert table[:, 1].mean() == pytest.approx(float(np.mean(a)) + 1.0)
+    assert table[:, 2].mean() == pytest.approx(1.0)
 
 
 def test_config_validation():
