@@ -9,8 +9,14 @@ per posture, giving joint positions, axes and link vectors) and one Jacobian
 routine; link COMs are formed only in the torque pass. One IK iteration is a
 3x3 solve, one pass over the joints and one FK pass. At 3x3 sizes numpy's
 per-call overhead would dominate, and scalar arithmetic keeps results
-independent of the host's BLAS. numpy only draws the fixed IK start postures,
-once per D, and wraps the public functions' inputs and outputs.
+independent of the host's BLAS. numpy draws the fixed IK start postures, once
+per D, sums the start pool's reach over all 64 postures at once (the same
+floats as `_chain`), and wraps the public functions' inputs and outputs.
+
+A solve stops once its residual is within IK_TOL of a closed-form lower bound
+(`_residual_bound`): the distance from the target to the arc that link 1's
+end can sweep, less the rest of the chain's length (a relaxation in the
+spirit of Kumar & Waldron 1981, "The Workspace of a Mechanical Manipulator").
 """
 from __future__ import annotations
 
@@ -44,7 +50,7 @@ IK_TOL = 1e-4  # m, position tolerance
 IK_START_POOL = 64  # fixed start postures per D, drawn once from default_rng(0x5EED)
 IK_POOL_STARTS = 2  # pool postures, closest to the target first, tried after the zero posture
 IK_START_ITERS = 20  # LM iterations per start, so at most (1 + IK_POOL_STARTS) * 20 = 60 per solve
-IK_MIN_GAIN = 1e-8  # a start ends on an accepted gain below this share of |e|^2 ...
+IK_MIN_DROP = 1e-6  # m, a start ends on an accepted step that shortens the residual by less than this ...
 IK_MIN_STEP = 1e-10  # rad, ... or on a step shorter than this
 IK_MU_INIT = 1e-3  # initial damping, as a share of max diag(J J^T)
 IK_MU_FLOOR = 1e-9  # keeps J J^T + mu I invertible when columns are masked or D < 3
@@ -187,11 +193,54 @@ def _start_pool(d: int) -> tuple[tuple[float, ...], ...]:
     return tuple(map(tuple, postures.tolist()))
 
 
+# a run has 3^D joint sequences, all of which fit for D <= 6; each entry is 3 * D * 64 floats
+@functools.lru_cache(maxsize=1024)
+def _pool_directions(codes) -> np.ndarray:
+    """(3, D, IK_START_POOL): the world direction of each link over the start pool.
+
+    Taken from `_chain` at unit lengths, so length * direction is the same float
+    as `_chain`'s link vector for any length.
+    """
+    ones = (1.0,) * len(codes)
+    chains = [_chain((0.0, 0.0, 0.0), codes, ones, q)[0] for q in _start_pool(len(codes))]
+    return np.array([[joint[6:] for joint in joints] for joints in chains]).transpose(2, 1, 0)
+
+
 # one entry: `evaluate` solves all targets of a design before the next design comes
 @functools.lru_cache(maxsize=1)
 def _pool_reach(origin, codes, lengths) -> tuple[tuple[float, float, float], ...]:
-    """End-effector positions of a design's start pool, kept while its targets are solved."""
-    return tuple(_chain(origin, codes, lengths, q)[1] for q in _start_pool(len(codes)))
+    """End-effector positions of a design's start pool, kept while its targets are solved.
+
+    Sums the links in `_chain`'s order, so each position is `_chain`'s, bit for bit.
+    """
+    ends = []
+    for axis, start in zip(_pool_directions(codes), origin):
+        x = np.full(IK_START_POOL, start)
+        for length, direction in zip(lengths, axis):
+            x = x + length * direction
+        ends.append(x.tolist())
+    return tuple(zip(*ends))
+
+
+def _residual_bound(origin, codes, lengths, t) -> float:
+    """A lower bound on |FK(q) - t| over all postures within the joint limits.
+
+    Link 1 ends on an arc fixed by joint 1 alone: the point o + L1 z for yaw,
+    o + L1 (sin q, 0, cos q) for pitch, o + L1 (0, -sin q, cos q) for roll, with
+    |q| <= JOINT_ANGLE_LIMIT. Links 2..D reach at most sum(L[1:]) from its end,
+    so no posture gets closer than the distance from t to the arc's nearest
+    point minus that sum. This is never below |t - o| - sum(L).
+    """
+    dx, dy, dz = t[0] - origin[0], t[1] - origin[1], t[2] - origin[2]
+    first = lengths[0]
+    if codes[0] == 2:  # yaw: link 1 stays vertical
+        nx, ny, nz = 0.0, 0.0, first
+    else:  # pitch swings it in the x-z plane, roll in the y-z plane
+        u = dx if codes[0] == 1 else -dy
+        q = min(JOINT_ANGLE_LIMIT, max(-JOINT_ANGLE_LIMIT, math.atan2(u, dz)))
+        s, c = first * sin(q), first * cos(q)
+        nx, ny, nz = (s, 0.0, c) if codes[0] == 1 else (0.0, -s, c)
+    return max(0.0, math.dist((dx, dy, dz), (nx, ny, nz)) - math.fsum(lengths[1:]))
 
 
 def solve_ik(params: DesignParams, target) -> IKSolution:
@@ -212,9 +261,10 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
     chain keeps moving. The zero posture starts first, then the IK_POOL_STARTS postures
     of a fixed pool (the same for every call with this D, so the solver stays
     a pure function of its inputs) that land closest to the target. A start
-    ends after IK_START_ITERS iterations or at a local minimum (gain or step
-    below IK_MIN_GAIN, IK_MIN_STEP); the solve ends once the residual is
-    within IK_TOL of the reachability lower bound |target - origin| - sum(L).
+    ends after IK_START_ITERS iterations, on an accepted step that shortens
+    the residual by less than IK_MIN_DROP, or on a step shorter than
+    IK_MIN_STEP; the solve ends once the residual is within IK_TOL of
+    `_residual_bound`, which no posture within the joint limits can beat.
     Unreachable targets are not an error: the best posture found is returned
     with converged=False so the position-error objective stays defined. The
     torque is taken under the default GravityModel, once, at the returned
@@ -232,10 +282,7 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
     lengths = params.lengths
     limit = JOINT_ANGLE_LIMIT
     min_step_sq = IK_MIN_STEP**2
-    # no posture can get closer than this (triangle inequality on link lengths)
-    ox, oy, oz = tx - origin[0], ty - origin[1], tz - origin[2]
-    residual_floor = max(0.0, math.sqrt(ox * ox + oy * oy + oz * oz) - math.fsum(lengths))
-    stop_at = residual_floor + IK_TOL
+    stop_at = _residual_bound(origin, codes, lengths, (tx, ty, tz)) + IK_TOL
 
     def starts():
         yield [0.0] * d
@@ -291,12 +338,11 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
             rho = gain / predicted if predicted > 0.0 else 0.0
             mu = max(IK_MU_FLOOR, mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3))
             nu = 2.0
-            local_minimum = gain < IK_MIN_GAIN * err_sq
             q, ex, ey, ez, err_sq = q_next, ex_next, ey_next, ez_next, err_sq_next
-            residual = math.sqrt(err_sq)
+            residual, previous = math.sqrt(err_sq), residual
             if residual < best_residual:
                 best_q, best_residual = q, residual
-            if local_minimum:
+            if previous - residual < IK_MIN_DROP:  # a local minimum, or as good as one
                 break
             cols = _jacobian_columns(joints, ee)
             gram = _gram(cols)

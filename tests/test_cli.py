@@ -377,7 +377,7 @@ def test_usage_error_exits_one(capsys):
 def test_bundled_experiment_files_parse():
     from armdesign.experiment import load_experiment
 
-    for name in ("quick_mock", "target1_mock", "target1_llm_plus_mock"):
+    for name in ("quick_mock", "target1_mock", "target2_mock", "target3_mock", "target1_llm_plus_mock"):
         spec = load_experiment(REPO / "experiments" / f"{name}.experiment")
         assert len(spec.base.targets.points) == 5
         assert spec.seeds

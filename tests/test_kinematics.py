@@ -15,7 +15,12 @@ import armdesign
 from armdesign.kinematics import (
     IK_POOL_STARTS,
     IK_START_ITERS,
+    IK_TOL,
     GravityModel,
+    _chain,
+    _pool_reach,
+    _residual_bound,
+    _start_pool,
     forward_kinematics,
     gravity_torque,
     position_jacobian,
@@ -264,13 +269,70 @@ def test_ik_does_not_depend_on_call_history():
     assert repr(sol) == fresh
 
 
+def triangle_floor(p, target) -> float:
+    return max(0.0, math.dist(target, p.origin) - math.fsum(p.lengths))
+
+
+def residual_bound(p, target) -> float:
+    return _residual_bound(p.origin, tuple(jt.value for jt in p.joints), p.lengths, target)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    designs_and_postures(),
+    st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+    st.one_of(st.none(), st.floats(1.0, 2.0)),
+)
+def test_residual_bound_holds_for_every_posture(case, target, stretch):
+    p, q, _ = case
+    reached = forward_kinematics(p, q)
+    if stretch is not None:  # on the line from the origin through the reached point: tight when q[1:] = 0
+        target = tuple(np.asarray(p.origin) + stretch * (reached - np.asarray(p.origin)))
+    bound = residual_bound(p, target)
+    assert math.dist(reached, target) >= bound - 1e-12
+    assert bound >= triangle_floor(p, target) - 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(designs_and_postures(), st.tuples(*[st.floats(-1.5, 1.5)] * 3))
+def test_residual_bound_is_exact_for_one_joint(case, target):
+    # with one joint the arc is all the arm reaches, so the bound is its distance;
+    # a grid of 2e-3 rad, limits included, has a point within L1 * 1e-3 of the nearest
+    p, _, _ = case
+    p = make_params(p.origin, p.joints[:1], p.lengths[:1])
+    grid = np.linspace(-JOINT_ANGLE_LIMIT, JOINT_ANGLE_LIMIT, 2401)
+    nearest = min(math.dist(forward_kinematics(p, [a]), target) for a in grid)
+    assert nearest - p.lengths[0] * 1e-3 <= residual_bound(p, target) <= nearest + 1e-12
+
+
+def test_ik_stops_on_the_arc_certificate():
+    # yaw first: link 1 stays vertical, so no posture gets within 0.089 m of this
+    # point, while the triangle floor is 0 and would let every start run
+    p = make_params((0, 0, 0), "YPRP", [0.165] * 4)
+    target = (0.5, 0.3, 0.2)
+    bound = residual_bound(p, target)
+    assert triangle_floor(p, target) == 0.0 and bound > 0.08
+    sol = solve_ik(p, target)
+    assert bound <= sol.residual <= bound + IK_TOL
+    assert sol.iterations < IK_START_ITERS  # the zero posture's start alone
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(designs_and_postures())
+def test_pool_reach_is_the_chain_reach(case):
+    p, _, _ = case
+    codes = tuple(jt.value for jt in p.joints)
+    expected = tuple(_chain(p.origin, codes, p.lengths, q)[1] for q in _start_pool(len(codes)))
+    assert _pool_reach(p.origin, codes, p.lengths) == expected
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(designs_and_postures(), st.tuples(*[st.floats(-1.5, 1.5)] * 3))
 def test_ik_solution_properties(case, target):
     p, _, _ = case
     sol = solve_ik(p, target)
-    floor = max(0.0, math.dist(target, p.origin) - math.fsum(p.lengths))
-    assert sol.residual >= floor - 1e-12
+    assert sol.residual >= triangle_floor(p, target) - 1e-12
+    assert sol.residual >= residual_bound(p, target) - 1e-12
     assert max(map(abs, sol.q)) <= JOINT_ANGLE_LIMIT
     assert sol.reached == tuple(forward_kinematics(p, sol.q))
     assert sol.iterations <= (1 + IK_POOL_STARTS) * IK_START_ITERS
