@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import DEFAULT_ALPHA, evaluate
+from .evaluation import evaluate
 from .experiment import ExperimentError, load_experiment, load_targets
 from .ledger import (
     LedgerError,
@@ -68,10 +68,7 @@ def cmd_evaluate(args) -> int:
     params = _load_params(args)
     _require_valid(params)
     targets = load_targets(args.targets)
-    try:
-        report = evaluate(params, targets, alpha=args.alpha)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    report = evaluate(params, targets)
     out = {
         "targets": targets.name,
         "e_pos": report.objectives.e_pos,
@@ -84,8 +81,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_urdf(args) -> int:
     params = _load_params(args)
-    _require_valid(params)
-    text = emit_urdf(params)
+    try:
+        text = emit_urdf(params)
+    except ValueError as exc:  # emit_urdf validates the design
+        raise InputError(str(exc)) from exc
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -202,7 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score a design against a target set")
     add_params_args(p_eval)
     p_eval.add_argument("--targets", required=True, help="targets JSON file")
-    p_eval.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_urdf = sub.add_parser("urdf", help="emit the URDF for a design")

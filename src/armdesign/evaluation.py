@@ -1,9 +1,9 @@
 """Bi-objective design scoring against a target set, with per-target diagnostics.
 
 The position objective sums end-effector errors over targets; the torque
-objective sums gravity-compensation torque norms, scaled by alpha to a
-comparable magnitude. Every target is solved independently from the same fixed
-start postures, so the score is order-independent and deterministic.
+objective sums gravity-compensation torque norms, scaled by the fixed weight
+ALPHA to a comparable magnitude. Every target is solved independently from the
+same fixed start postures, so the score is order-independent and deterministic.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .kinematics import solve_ik
 from .pareto import ObjectiveValues
 from .space import DesignParams
 
-DEFAULT_ALPHA = 40.0
+ALPHA = 40.0  # weight of the torque objective
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,8 @@ class EvaluationReport:
     per_target: tuple[TargetOutcome, ...]
 
 
-def evaluate(params: DesignParams, targets: TargetSet, alpha: float = DEFAULT_ALPHA) -> EvaluationReport:
-    """Score a design: e_pos = sum of IK residuals, e_torque = alpha * sum of torque norms."""
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
+def evaluate(params: DesignParams, targets: TargetSet) -> EvaluationReport:
+    """Score a design: e_pos = sum of IK residuals, e_torque = ALPHA * sum of torque norms."""
     outcomes = []
     for point in targets.points:
         sol = solve_ik(params, point)
@@ -68,7 +66,7 @@ def evaluate(params: DesignParams, targets: TargetSet, alpha: float = DEFAULT_AL
                 reached=sol.reached,
                 torque=sol.torque,
                 e_pos=sol.residual,
-                e_torque=alpha * float(np.linalg.norm(sol.torque)),
+                e_torque=ALPHA * float(np.linalg.norm(sol.torque)),
                 converged=sol.converged,
                 iterations=sol.iterations,
             )

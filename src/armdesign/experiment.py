@@ -10,7 +10,6 @@ BackendConfig), shown in parentheses:
       "mode": "bbo" | "bbo-llm-minus" | "bbo-llm-plus",   (bbo)
       "seeds": [0, 1, 2, 3, 4],                           ([0]; distinct, >= 0)
       "n_joints": 4, "n_init": 10, "n_step": 10, "n_total": 200,
-      "n_pareto": 5, "n_random": 5, "alpha": 40.0,        (alpha finite, > 0)
       "ref_point": [5.0, 5.0],                            (two finite numbers)
       "backend": {"kind": "mock-heuristic" | "mock-script" | "http",
                   "script": "...", "base_url": "...", "model": "...",
@@ -25,8 +24,10 @@ an object for "decoding".
 
 Seeds and n_* keys must be integers (5.0 loads as 5; 2.5 or true is rejected,
 never truncated). Keys not named above, at the top level or inside "backend",
-are rejected with ExperimentError. The reference point scores both the
-hypervolume curve and the TPE good/bad split.
+are rejected with ExperimentError, and so are "alpha", "n_pareto" and
+"n_random": the torque weight and the feedback sizes are the constants
+evaluation.ALPHA, llm.FEEDBACK_PARETO and llm.FEEDBACK_RANDOM. The reference
+point scores both the hypervolume curve and the TPE good/bad split.
 
 Targets may also live in their own file ({"name", "points"}) referenced as
 "targets": "path/to/targets.json"; relative paths (targets, backend script,
@@ -77,6 +78,8 @@ def load_targets(source, base_dir: Path | None = None) -> TargetSet:
             source = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ExperimentError(f"cannot read targets file {path}: {exc}") from exc
+    if not isinstance(source, dict):
+        raise ExperimentError(f"malformed target set: expected an object, got {type(source).__name__}")
     try:
         return TargetSet(name=str(source.get("name", "targets")), points=source["points"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -112,9 +115,6 @@ _RUN_KEYS = {
     "n_init": _integer,
     "n_step": _integer,
     "n_total": _integer,
-    "n_pareto": _integer,
-    "n_random": _integer,
-    "alpha": float,
     "ref_point": lambda v: tuple(float(x) for x in v),
 }
 _KNOWN_KEYS = {"name", "targets", "mode", "seeds", "n_joints", "backend", "out_dir", *_RUN_KEYS}
@@ -126,6 +126,8 @@ def load_experiment(path) -> ExperimentSpec:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ExperimentError(f"cannot read experiment file {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ExperimentError(f"experiment file {path} must hold a JSON object, got {type(raw).__name__}")
 
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
@@ -146,9 +148,9 @@ def load_experiment(path) -> ExperimentSpec:
         backend = _load_backend(raw.get("backend"), path.parent)
         base = RunConfig(targets=targets, backend=backend, **settings)
         seeds = tuple(map(_integer, raw.get("seeds", [0])))
+        out_dir = Path(raw.get("out_dir", f"runs/{raw.get('name', path.stem)}"))
     except (TypeError, ValueError) as exc:
         raise ExperimentError(f"invalid experiment settings: {exc}") from exc
-    out_dir = Path(raw.get("out_dir", f"runs/{raw.get('name', path.stem)}"))
     if not out_dir.is_absolute():
         out_dir = path.parent / out_dir
     return ExperimentSpec(

@@ -30,20 +30,10 @@ import numpy as np
 from .space import JOINT_ANGLE_LIMIT, DesignParams
 
 
-@dataclass(frozen=True)
-class GravityModel:
-    """Uniform-rod link masses under gravity along -z."""
-
-    g: float = 9.81
-    linear_density: float = 1.0  # kg/m
-    com_fraction: float = 0.5  # COM position along each link
-
-    def __post_init__(self) -> None:
-        if self.linear_density <= 0:
-            raise ValueError("linear_density must be > 0")
-        if not 0.0 <= self.com_fraction <= 1.0:
-            raise ValueError("com_fraction must be in [0, 1]")
-
+# uniform-rod link masses under gravity along -z
+GRAVITY = 9.81  # m/s^2
+LINEAR_DENSITY = 1.0  # kg/m
+COM_FRACTION = 0.5  # COM position along each link
 
 # IK budget and stopping rules
 IK_TOL = 1e-4  # m, position tolerance
@@ -120,10 +110,10 @@ def _jacobian_columns(joints, ee) -> list[tuple[float, float, float]]:
     ]
 
 
-def _torques(joints, lengths, gravity: GravityModel) -> list[float]:
+def _torques(joints, lengths) -> list[float]:
     """tau_j = sum over links i >= j of weight_i * (axis_j x (com_i - p_j))_z."""
-    f = gravity.com_fraction
-    weights = [gravity.linear_density * length * gravity.g for length in lengths]
+    weights = [LINEAR_DENSITY * length * GRAVITY for length in lengths]
+    f = COM_FRACTION
     coms = [(x + f * sx, y + f * sy) for x, y, _, _, _, _, sx, sy, _ in joints]  # z is not needed
     out = []
     for j, (px, py, _, ax, ay, _, _, _, _) in enumerate(joints):
@@ -149,14 +139,14 @@ def position_jacobian(params: DesignParams, q) -> np.ndarray:
     return np.array(_jacobian_columns(*_state(params, q))).T
 
 
-def gravity_torque(params: DesignParams, q, gravity: GravityModel = GravityModel()) -> np.ndarray:
+def gravity_torque(params: DesignParams, q) -> np.ndarray:
     """Static joint torques holding the arm against gravity: dU/dq (N*m).
 
     Joint j only moves the COMs of links j..D, each contributing its weight
     times the z-component of axis_j x (com_i - p_j).
     """
     joints, _ = _state(params, q)
-    return np.array(_torques(joints, params.lengths, gravity))
+    return np.array(_torques(joints, params.lengths))
 
 
 def _gram(cols) -> tuple[float, ...]:
@@ -267,8 +257,8 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
     `_residual_bound`, which no posture within the joint limits can beat.
     Unreachable targets are not an error: the best posture found is returned
     with converged=False so the position-error objective stays defined. The
-    torque is taken under the default GravityModel, once, at the returned
-    posture. A target that is not finite is an error.
+    torque is taken once, at the returned posture, for uniform rods of
+    LINEAR_DENSITY under GRAVITY. A target that is not finite is an error.
     """
     target = np.asarray(target, dtype=float).ravel()
     if target.size != 3:
@@ -349,12 +339,11 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
         if best_residual <= stop_at:
             break
 
-    gravity = GravityModel()
     joints, reached = _chain(origin, codes, lengths, best_q)
     return IKSolution(
         q=tuple(best_q),
         reached=reached,
-        torque=tuple(_torques(joints, lengths, gravity)),
+        torque=tuple(_torques(joints, lengths)),
         residual=best_residual,  # computed from this same FK pass when best_q was found
         converged=best_residual <= IK_TOL,
         iterations=iterations,

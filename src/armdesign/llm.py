@@ -19,9 +19,12 @@ from typing import Protocol
 
 import numpy as np
 
-from .evaluation import DEFAULT_ALPHA, TargetSet
+from .evaluation import ALPHA, TargetSet
 from .space import DesignParams, JointType, SpaceConfig, JOINT_ANGLE_LIMIT, make_params
 from .tpe import TrialRecord
+
+FEEDBACK_PARETO = 5  # feedback designs drawn from the Pareto archive per prompt ...
+FEEDBACK_RANDOM = 5  # ... and from every trial so far
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,6 @@ class PromptContext:
     pareto_feedback: tuple[TrialRecord, ...]
     random_feedback: tuple[TrialRecord, ...]
     analysis: bool  # add the per-parameter analysis block (bbo-llm-plus)
-    alpha: float = DEFAULT_ALPHA
 
 
 def format_point(point) -> str:
@@ -118,7 +120,7 @@ def build_prompt(ctx: PromptContext) -> str:
         llo=ctx.space.length_low,
         lhi=ctx.space.length_high,
         qlim=JOINT_ANGLE_LIMIT,
-        alpha=ctx.alpha,
+        alpha=ALPHA,
     ).replace("$TARGET", target_lines)
     parts = [problem]
     if ctx.pareto_feedback or ctx.random_feedback:
@@ -354,16 +356,14 @@ def select_feedback(
     trials: list[TrialRecord],
     archive: list[TrialRecord],
     rng: np.random.Generator,
-    n_pareto: int,
-    n_random: int,
 ) -> tuple[tuple[TrialRecord, ...], tuple[TrialRecord, ...]]:
-    """Uniform without-replacement picks: n_pareto from the archive, n_random overall."""
+    """Uniform without-replacement picks: FEEDBACK_PARETO from the archive, FEEDBACK_RANDOM overall."""
 
     def _draw(pool: list[TrialRecord], k: int) -> tuple[TrialRecord, ...]:
-        if not pool or k <= 0:
+        if not pool:
             return ()
         k = min(k, len(pool))
         idx = rng.choice(len(pool), size=k, replace=False)
         return tuple(pool[i] for i in sorted(idx))
 
-    return _draw(archive, n_pareto), _draw(trials, n_random)
+    return _draw(archive, FEEDBACK_PARETO), _draw(trials, FEEDBACK_RANDOM)

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .evaluation import DEFAULT_ALPHA, TargetSet, evaluate
+from .evaluation import TargetSet, evaluate
 from .llm import (
     BackendConfig,
     LLMBackend,
@@ -46,9 +46,6 @@ class RunConfig:
     n_init: int = 10
     n_step: int = 10
     n_total: int = 200
-    n_pareto: int = 5
-    n_random: int = 5
-    alpha: float = DEFAULT_ALPHA
     ref_point: tuple[float, float] = DEFAULT_REF_POINT
     backend: BackendConfig = field(default_factory=BackendConfig)
     seed: int = 0
@@ -62,8 +59,6 @@ class RunConfig:
             raise ValueError("n_total must be >= 1")
         if len(self.ref_point) != 2 or not all(map(math.isfinite, self.ref_point)):
             raise ValueError(f"ref_point must be two finite numbers, got {self.ref_point!r}")
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be a finite number > 0, got {self.alpha!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
@@ -97,7 +92,7 @@ def run(config: RunConfig) -> RunResult:
     transcripts: dict[int, tuple[TranscriptEntry, ...]] = {}
 
     def _record(params, source: SampleSource, fallback: bool = False) -> None:
-        report = evaluate(params, config.targets, alpha=config.alpha)
+        report = evaluate(params, config.targets)
         ledger.append(
             TrialRecord(len(ledger), source, params, report.objectives, report.per_target, fallback)
         )
@@ -111,16 +106,13 @@ def run(config: RunConfig) -> RunResult:
     for t in range(1, config.n_total + 1):
         source = source_for_iteration(t, config.mode, config.n_step)
         if source is SampleSource.LLM:
-            pareto_fb, random_fb = select_feedback(
-                ledger, pareto_front(ledger), rng, config.n_pareto, config.n_random
-            )
+            pareto_fb, random_fb = select_feedback(ledger, pareto_front(ledger), rng)
             ctx = PromptContext(
                 targets=config.targets,
                 space=config.space,
                 pareto_feedback=pareto_fb,
                 random_feedback=random_fb,
                 analysis=config.mode is RunMode.BBO_LLM_PLUS,
-                alpha=config.alpha,
             )
             outcome = propose(backend, ctx)
             transcripts[t] = outcome.transcript

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
-from .kinematics import GravityModel
+from .kinematics import COM_FRACTION, LINEAR_DENSITY
 from .space import JOINT_ANGLE_LIMIT, DesignParams, JointType, SpaceConfig, validate
 
 VISUAL_RADIUS = 0.02  # m, cosmetic only
@@ -31,7 +31,6 @@ def emit_urdf(params: DesignParams) -> str:
     if violations:
         raise ValueError("invalid design: " + "; ".join(violations))
 
-    gravity = GravityModel()
     robot = ET.Element("robot", name="arm")
     ET.SubElement(robot, "link", name="world")
 
@@ -64,9 +63,9 @@ def emit_urdf(params: DesignParams) -> str:
         geometry = ET.SubElement(visual, "geometry")
         ET.SubElement(geometry, "cylinder", radius=repr(VISUAL_RADIUS), length=repr(float(length)))
 
-        mass = gravity.linear_density * length
+        mass = LINEAR_DENSITY * length
         inertial = ET.SubElement(link, "inertial")
-        ET.SubElement(inertial, "origin", xyz=_vec(0.0, 0.0, gravity.com_fraction * length), rpy="0 0 0")
+        ET.SubElement(inertial, "origin", xyz=_vec(0.0, 0.0, COM_FRACTION * length), rpy="0 0 0")
         ET.SubElement(inertial, "mass", value=repr(mass))
         # thin uniform rod about its COM
         i_perp = mass * length**2 / 12.0

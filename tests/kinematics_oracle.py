@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from armdesign.kinematics import GravityModel
+from armdesign.kinematics import COM_FRACTION, GRAVITY, LINEAR_DENSITY
 
 
 def rotation(code: int, angle: float) -> np.ndarray:
@@ -22,7 +22,7 @@ def rotation(code: int, angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def frames(params, q, com_fraction: float = 0.5):
+def frames(params, q):
     """World joint positions, joint axes and link COMs (each (D, 3)) and the EE (3,)."""
     q = np.asarray(q, dtype=float)
     d = params.n_joints
@@ -34,7 +34,7 @@ def frames(params, q, com_fraction: float = 0.5):
         axes[j] = rot[:, jt.value]  # local unit axis in the world frame
         rot = rot @ rotation(jt.value, q[j])
         step = length * rot[:, 2]
-        coms[j] = pos + com_fraction * step
+        coms[j] = pos + COM_FRACTION * step
         pos = pos + step
     return positions, axes, coms, pos
 
@@ -49,10 +49,10 @@ def position_jacobian(params, q) -> np.ndarray:
     return np.cross(axes, ee - positions).T
 
 
-def gravity_torque(params, q, gravity: GravityModel = GravityModel()) -> np.ndarray:
+def gravity_torque(params, q) -> np.ndarray:
     """tau_j = sum over links i >= j of m_i g (axis_j x (com_i - p_j))_z."""
-    positions, axes, coms, _ = frames(params, q, gravity.com_fraction)
-    weights = gravity.linear_density * np.asarray(params.lengths) * gravity.g
+    positions, axes, coms, _ = frames(params, q)
+    weights = LINEAR_DENSITY * np.asarray(params.lengths) * GRAVITY
     return np.array(
         [
             np.sum(weights[j:] * np.cross(axes[j], coms[j:] - positions[j])[:, 2])
@@ -61,8 +61,8 @@ def gravity_torque(params, q, gravity: GravityModel = GravityModel()) -> np.ndar
     )
 
 
-def potential_energy(params, q, gravity: GravityModel = GravityModel()) -> float:
+def potential_energy(params, q) -> float:
     """Gravitational potential energy of the link masses at posture q (J)."""
-    _, _, coms, _ = frames(params, q, gravity.com_fraction)
-    masses = gravity.linear_density * np.asarray(params.lengths)
-    return float(np.sum(masses * gravity.g * coms[:, 2]))
+    _, _, coms, _ = frames(params, q)
+    masses = LINEAR_DENSITY * np.asarray(params.lengths)
+    return float(np.sum(masses * GRAVITY * coms[:, 2]))

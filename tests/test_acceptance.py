@@ -15,13 +15,7 @@ import numpy as np
 import pytest
 
 from armdesign.cli import main as cli_main
-from armdesign.kinematics import (
-    GravityModel,
-    forward_kinematics,
-    gravity_torque,
-    position_jacobian,
-    solve_ik,
-)
+from armdesign.kinematics import forward_kinematics, gravity_torque, position_jacobian, solve_ik
 from armdesign.orchestrator import RunMode, source_for_iteration
 from armdesign.pareto import hypervolume_2d, pareto_front
 from armdesign.space import SpaceConfig, random_sample
@@ -71,13 +65,12 @@ def full_run(tmp_path_factory):
 def test_criterion_1_gravity_torque_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
-    gravity = GravityModel()
     worst = 0.0
     for _ in range(100):
         p = random_sample(rng, SPACE)
         q = random_posture(rng, 4)
-        analytic = gravity_torque(p, q, gravity)
-        numeric = fd_gravity_torque(p, q, gravity, eps=1e-6)
+        analytic = gravity_torque(p, q)
+        numeric = fd_gravity_torque(p, q, eps=1e-6)
         scale = max(np.abs(numeric).max(), 1e-9)
         worst = max(worst, float(np.abs(analytic - numeric).max() / scale))
     elapsed = time.perf_counter() - start

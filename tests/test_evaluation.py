@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from armdesign.evaluation import TargetSet, evaluate
+from armdesign.evaluation import ALPHA, TargetSet, evaluate
 from armdesign.experiment import load_targets
 from armdesign.kinematics import forward_kinematics, solve_ik
 from armdesign.space import SpaceConfig, make_params, random_sample
@@ -28,25 +28,14 @@ def test_target_points_are_held_as_float_tuples():
     assert all(type(v) is float for p in targets.points for v in p)
 
 
-def test_alpha_scales_torque_only():
-    rng = np.random.default_rng(0)
-    p = random_sample(rng, SpaceConfig(n_joints=4))
-    targets = TargetSet("t", ((0.3, 0.1, 0.4), (-0.2, 0.2, 0.5)))
-    r1 = evaluate(p, targets, alpha=40.0)
-    r2 = evaluate(p, targets, alpha=80.0)
-    assert r2.objectives.e_pos == r1.objectives.e_pos
-    assert r2.objectives.e_torque == pytest.approx(2.0 * r1.objectives.e_torque, rel=1e-12)
-
-
 def test_single_target_matches_direct_ik():
     rng = np.random.default_rng(1)
     p = random_sample(rng, SpaceConfig(n_joints=4))
     target = (0.25, -0.1, 0.35)
-    alpha = 40.0
-    report = evaluate(p, TargetSet("one", (target,)), alpha=alpha)
+    report = evaluate(p, TargetSet("one", (target,)))
     sol = solve_ik(p, np.array(target))
     assert report.objectives.e_pos == sol.residual
-    assert report.objectives.e_torque == pytest.approx(alpha * np.linalg.norm(sol.torque), rel=1e-12)
+    assert report.objectives.e_torque == pytest.approx(ALPHA * np.linalg.norm(sol.torque), rel=1e-12)
     outcome = report.per_target[0]
     np.testing.assert_allclose(outcome.reached, sol.reached)
     np.testing.assert_allclose(outcome.torque, sol.torque)
@@ -87,10 +76,6 @@ def test_empty_or_bad_inputs_rejected():
         TargetSet("bad", ())
     with pytest.raises(ValueError):
         TargetSet("bad", ((0.0, float("nan"), 0.0),))
-    p = make_params((0, 0, 0), "YPRP", [0.1] * 4)
-    for alpha in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="alpha"):
-            evaluate(p, TargetSet("t", ((0.1, 0.1, 0.1),)), alpha=alpha)
 
 
 # (E_POS, E_TORQUE) of fixed designs on the bundled targets. Any change that moves

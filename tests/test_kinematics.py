@@ -16,7 +16,6 @@ from armdesign.kinematics import (
     IK_POOL_STARTS,
     IK_START_ITERS,
     IK_TOL,
-    GravityModel,
     _chain,
     _pool_reach,
     _residual_bound,
@@ -43,7 +42,7 @@ def fd_jacobian(params, q, eps=1e-6):
     return np.array(cols).T
 
 
-def fd_gravity_torque(params, q, gravity, eps=1e-6):
+def fd_gravity_torque(params, q, eps=1e-6):
     """Central finite differences of the potential energy - the torque oracle."""
     q = np.asarray(q, dtype=float)
     torque = np.empty(len(q))
@@ -51,8 +50,8 @@ def fd_gravity_torque(params, q, gravity, eps=1e-6):
         step = np.zeros_like(q)
         step[j] = eps
         torque[j] = (
-            oracle.potential_energy(params, q + step, gravity)
-            - oracle.potential_energy(params, q - step, gravity)
+            oracle.potential_energy(params, q + step)
+            - oracle.potential_energy(params, q - step)
         ) / (2 * eps)
     return torque
 
@@ -123,8 +122,7 @@ def test_gravity_torque_zero_at_vertical_pose():
 
 def test_gravity_torque_horizontal_rod_hand_check():
     p = make_params((0, 0, 0), "P", [0.2])
-    gravity = GravityModel(linear_density=1.0)
-    tau = gravity_torque(p, [np.pi / 2], gravity)
+    tau = gravity_torque(p, [np.pi / 2])
     # 0.2 kg rod, COM lever 0.1 m
     assert abs(abs(tau[0]) - 0.2 * 9.81 * 0.1) < 1e-9
 
@@ -132,12 +130,11 @@ def test_gravity_torque_horizontal_rod_hand_check():
 def test_gravity_torque_matches_energy_finite_differences():
     rng = np.random.default_rng(13)
     cfg = SpaceConfig(n_joints=4)
-    gravity = GravityModel()
     for _ in range(100):
         p = random_sample(rng, cfg)
         q = random_posture(rng, 4)
-        analytic = gravity_torque(p, q, gravity)
-        numeric = fd_gravity_torque(p, q, gravity)
+        analytic = gravity_torque(p, q)
+        numeric = fd_gravity_torque(p, q)
         scale = max(np.abs(numeric).max(), 1e-6)
         assert np.abs(analytic - numeric).max() / scale < 1e-5
 
@@ -155,20 +152,17 @@ def designs_and_postures(draw):
         st.floats(-JOINT_ANGLE_LIMIT, JOINT_ANGLE_LIMIT),
     )
     q = draw(st.lists(angle, min_size=d, max_size=d))
-    gravity = GravityModel(com_fraction=draw(st.floats(0.0, 1.0)))
-    return make_params(origin, joints, lengths), np.array(q), gravity
+    return make_params(origin, joints, lengths), np.array(q)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(designs_and_postures())
 def test_kernel_matches_numpy_frame_oracle(case):
-    p, q, gravity = case
+    p, q = case
     close = dict(atol=1e-12, rtol=0)
     np.testing.assert_allclose(forward_kinematics(p, q), oracle.forward_kinematics(p, q), **close)
     np.testing.assert_allclose(position_jacobian(p, q), oracle.position_jacobian(p, q), **close)
-    np.testing.assert_allclose(
-        gravity_torque(p, q, gravity), oracle.gravity_torque(p, q, gravity), **close
-    )
+    np.testing.assert_allclose(gravity_torque(p, q), oracle.gravity_torque(p, q), **close)
 
 
 def test_ik_already_solved_target():
@@ -284,7 +278,7 @@ def residual_bound(p, target) -> float:
     st.one_of(st.none(), st.floats(1.0, 2.0)),
 )
 def test_residual_bound_holds_for_every_posture(case, target, stretch):
-    p, q, _ = case
+    p, q = case
     reached = forward_kinematics(p, q)
     if stretch is not None:  # on the line from the origin through the reached point: tight when q[1:] = 0
         target = tuple(np.asarray(p.origin) + stretch * (reached - np.asarray(p.origin)))
@@ -298,7 +292,7 @@ def test_residual_bound_holds_for_every_posture(case, target, stretch):
 def test_residual_bound_is_exact_for_one_joint(case, target):
     # with one joint the arc is all the arm reaches, so the bound is its distance;
     # a grid of 2e-3 rad, limits included, has a point within L1 * 1e-3 of the nearest
-    p, _, _ = case
+    p, _ = case
     p = make_params(p.origin, p.joints[:1], p.lengths[:1])
     grid = np.linspace(-JOINT_ANGLE_LIMIT, JOINT_ANGLE_LIMIT, 2401)
     nearest = min(math.dist(forward_kinematics(p, [a]), target) for a in grid)
@@ -320,7 +314,7 @@ def test_ik_stops_on_the_arc_certificate():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(designs_and_postures())
 def test_pool_reach_is_the_chain_reach(case):
-    p, _, _ = case
+    p, _ = case
     codes = tuple(jt.value for jt in p.joints)
     expected = tuple(_chain(p.origin, codes, p.lengths, q)[1] for q in _start_pool(len(codes)))
     assert _pool_reach(p.origin, codes, p.lengths) == expected
@@ -329,7 +323,7 @@ def test_pool_reach_is_the_chain_reach(case):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(designs_and_postures(), st.tuples(*[st.floats(-1.5, 1.5)] * 3))
 def test_ik_solution_properties(case, target):
-    p, _, _ = case
+    p, _ = case
     sol = solve_ik(p, target)
     assert sol.residual >= triangle_floor(p, target) - 1e-12
     assert sol.residual >= residual_bound(p, target) - 1e-12
@@ -346,9 +340,3 @@ def test_base_yaw_invariance():
         q[0] = angle
         np.testing.assert_allclose(forward_kinematics(p, q), base, atol=1e-12)
 
-
-def test_gravity_model_validation():
-    with pytest.raises(ValueError):
-        GravityModel(linear_density=0.0)
-    with pytest.raises(ValueError):
-        GravityModel(com_fraction=1.5)

@@ -179,7 +179,7 @@ def test_heuristic_backend_round_trip(space):
 def test_select_feedback_truncates_small_archive(space):
     rng = np.random.default_rng(0)
     trials = [make_trial(i, random_sample(rng, space)) for i in range(3)]
-    pareto_fb, random_fb = select_feedback(trials, trials, rng, n_pareto=5, n_random=5)
+    pareto_fb, random_fb = select_feedback(trials, trials, rng)
     assert len(pareto_fb) == 3
     assert len(random_fb) == 3
 
@@ -188,10 +188,10 @@ def test_select_feedback_without_replacement_and_deterministic(space):
     rng = np.random.default_rng(1)
     one = TargetSet("one", ((0.1, 0.1, 0.3),))
     trials = [make_trial(i, random_sample(rng, space), one) for i in range(200)]
-    _, picks = select_feedback(trials, trials[:5], np.random.default_rng(9), 5, 5)
+    _, picks = select_feedback(trials, trials[:5], np.random.default_rng(9))
     ids = [id(r) for r in picks]
     assert len(set(ids)) == 5
-    again = select_feedback(trials, trials[:5], np.random.default_rng(9), 5, 5)
+    again = select_feedback(trials, trials[:5], np.random.default_rng(9))
     assert [id(r) for r in again[1]] == ids
 
 

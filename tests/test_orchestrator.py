@@ -164,9 +164,6 @@ def test_config_validation():
         RunConfig(targets=TARGETS, n_step=0)
     with pytest.raises(ValueError):
         RunConfig(targets=TARGETS, n_total=0)
-    for alpha in (float("nan"), float("inf"), -1.0, 0.0):
-        with pytest.raises(ValueError, match="alpha"):
-            RunConfig(targets=TARGETS, alpha=alpha)
     with pytest.raises(ValueError):
         source_for_iteration(0, RunMode.BBO, 5)
 

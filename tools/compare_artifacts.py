@@ -10,7 +10,8 @@ ledgers; one fixed design is scored with `armdesign evaluate` on each
 stdout are compared byte for byte. The differing paths are printed with the
 count of identical files; when anything differs, each sweep's per-seed and
 mean final hypervolume (from its `summary.json`) follows for REV and for the
-working tree, since a change that moves results is judged on those. Last come
+working tree, since a change that moves results is judged on those; a sweep
+that only one tree has shows nan for the other. Last come
 the line count of the Python sources under `src/` in REV and in the working
 tree, and the wall time of each `armdesign run` sweep in both trees. The two
 trees run at the same time, so those times are indicative and gate nothing.
@@ -76,17 +77,26 @@ def files(root: Path) -> set[Path]:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
 
+def read_summary(path: Path) -> dict:
+    """A sweep's summary.json; a sweep the tree does not have reads as nan."""
+    if not path.is_file():
+        return {"final_hv_per_seed": {}, "final_hv_mean": math.nan}
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def hypervolume_table(out_rev: Path, out_work: Path, rev: str) -> list[str]:
-    """Per sweep in both trees: final hypervolume per seed and the mean, REV then working tree."""
+    """Per sweep in either tree: final hypervolume per seed and the mean, REV then working tree.
+
+    A sweep or a seed that only one tree has shows nan on the other side.
+    """
     lines = []
-    for summary in sorted(out_rev.glob("*/summary.json")):
-        work = out_work / summary.parent.name / "summary.json"
-        if not work.is_file():
-            continue
-        before, after = (json.loads(p.read_text(encoding="utf-8")) for p in (summary, work))
-        lines.append(f"final hypervolume of {summary.parent.name}: seed, {rev}, working tree")
-        for seed, value in before["final_hv_per_seed"].items():
-            lines.append(f"  {seed:>4}  {value:10.4f}  {after['final_hv_per_seed'].get(seed, math.nan):10.4f}")
+    sweeps = {p.parent.name for out in (out_rev, out_work) for p in out.glob("*/summary.json")}
+    for sweep in sorted(sweeps):
+        before, after = (read_summary(out / sweep / "summary.json") for out in (out_rev, out_work))
+        lines.append(f"final hypervolume of {sweep}: seed, {rev}, working tree")
+        for seed in dict.fromkeys([*before["final_hv_per_seed"], *after["final_hv_per_seed"]]):
+            values = (s["final_hv_per_seed"].get(seed, math.nan) for s in (before, after))
+            lines.append(f"  {seed:>4}  " + "  ".join(f"{v:10.4f}" for v in values))
         lines.append(f"  mean  {before['final_hv_mean']:10.4f}  {after['final_hv_mean']:10.4f}")
     return lines
 
