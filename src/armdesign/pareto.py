@@ -1,5 +1,7 @@
 """Nondomination ranks, Pareto-front extraction, and 2-D hypervolume (minimization).
 
+The first front is one sort and a running minimum over arrays; full ranks, which
+only the TPE split needs, are one bisection sweep over the same sort order.
 Hypervolume is the area between the front and a fixed reference point; points
 at or beyond the reference in either coordinate contribute zero (they are
 clipped, not rejected, so early bad samples keep the curve defined).
@@ -7,6 +9,7 @@ clipped, not rejected, so early bad samples keep the curve defined).
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from typing import NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -22,6 +25,12 @@ class ObjectiveValues(NamedTuple):
 DEFAULT_REF_POINT = (5.0, 5.0)
 
 
+def objective_array(points) -> np.ndarray:
+    """(n, 2) array of the .objectives pairs of a sequence of objects."""
+    flat = chain.from_iterable(p.objectives for p in points)
+    return np.fromiter(flat, dtype=float, count=2 * len(points)).reshape(-1, 2)
+
+
 def nondomination_ranks(values) -> np.ndarray:
     """Rank 0 = nondominated; rank k = nondominated after removing ranks < k.
 
@@ -31,15 +40,36 @@ def nondomination_ranks(values) -> np.ndarray:
     sorts strictly below the point's. Those tails stay sorted, so a point's rank
     is a bisection over them, and the point becomes its rank's new tail.
     """
-    vals = np.asarray(values, dtype=float).reshape(-1, 2).tolist()
-    ranks = np.zeros(len(vals), dtype=int)
-    tails: list[list[float]] = []  # (f2, f1) of the last member of each rank
-    for i in sorted(range(len(vals)), key=vals.__getitem__):
-        key = vals[i][::-1]
+    vals = np.asarray(values, dtype=float).reshape(-1, 2)
+    order = np.lexsort((vals[:, 1], vals[:, 0]))
+    swept = []
+    tails: list[tuple[float, float]] = []  # (f2, f1) of the last member of each rank
+    for key in zip(vals[order, 1].tolist(), vals[order, 0].tolist()):
         rank = bisect_left(tails, key)
         tails[rank : rank + 1] = [key]
-        ranks[i] = rank
+        swept.append(rank)
+    ranks = np.zeros(len(vals), dtype=int)
+    ranks[order] = swept
     return ranks
+
+
+def first_front(values) -> np.ndarray:
+    """Boolean mask of rank 0 (nondominated rows) of an (n, 2) array without NaN.
+
+    In (f1, f2) order a point is dominated iff some earlier point's (f2, f1)
+    sorts strictly below its own: the running minimum of f2 before it lies
+    below its f2, or equals it at a smaller f1. Of the earlier points at that
+    minimum the first has the smallest f1. Equal pairs stay on the front.
+    """
+    vals = np.asarray(values, dtype=float).reshape(-1, 2)
+    on_front = np.ones(len(vals), dtype=bool)
+    order = np.lexsort((vals[:, 1], vals[:, 0]))
+    f1, f2 = vals[order, 0], vals[order, 1]
+    prev = np.minimum.accumulate(f2)[:-1]  # prev[k - 1]: least f2 of sorted points before k
+    starts = np.append(True, f2[1:] < prev)  # where the running minimum first takes its value
+    prev_first = np.maximum.accumulate(np.where(starts, np.arange(len(f2)), 0))[:-1]
+    on_front[order[1:]] = ~((prev < f2[1:]) | ((prev == f2[1:]) & (f1[prev_first] < f1[1:])))
+    return on_front
 
 
 T = TypeVar("T")
@@ -50,8 +80,7 @@ def pareto_front(points: Sequence[T]) -> list[T]:
 
     Duplicates of a nondominated pair are all kept (equal pairs share rank 0).
     """
-    ranks = nondomination_ranks([p.objectives for p in points])
-    return [p for p, rank in zip(points, ranks) if rank == 0]
+    return [p for p, keep in zip(points, first_front(objective_array(points)).tolist()) if keep]
 
 
 def hypervolume_2d(values, ref=DEFAULT_REF_POINT) -> float:
@@ -86,7 +115,7 @@ def hypervolume_contributions(values, ref=DEFAULT_REF_POINT) -> np.ndarray:
     """
     vals = np.asarray(values, dtype=float).reshape(-1, 2)
     rx, ry = float(ref[0]), float(ref[1])
-    front = np.flatnonzero((nondomination_ranks(vals) == 0) & (vals[:, 0] < rx) & (vals[:, 1] < ry))
+    front = np.flatnonzero(first_front(vals) & (vals[:, 0] < rx) & (vals[:, 1] < ry))
     order = front[np.lexsort((vals[front, 1], vals[front, 0]))]
     f1, f2 = vals[order, 0], vals[order, 1]
     contrib = np.zeros(len(vals))

@@ -10,20 +10,24 @@ The sampler is stateless: the trial history is owned by the caller. A call
 reads it once: the split ranks the objectives, one pass over the good and bad
 trials gives a matrix of continuous slots and one of joint codes, and each
 mixture is fitted once, with its kernels' CDFs at the bounds. The random draws
-come in a fixed order: per continuous slot a kernel choice then a uniform, then
-per joint a type choice.
+are one block of uniform doubles: per continuous slot a kernel choice then a
+uniform, then per joint a type choice. A choice searches its doubles in the
+normalised CDF of its weights, as ``Generator.choice`` does, so the block
+yields what per-slot ``choice`` and ``uniform`` calls would.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .evaluation import TargetOutcome
-from .pareto import DEFAULT_REF_POINT, ObjectiveValues, hypervolume_contributions, nondomination_ranks
+from .pareto import DEFAULT_REF_POINT, ObjectiveValues, objective_array
+from .pareto import hypervolume_contributions, nondomination_ranks
 from .space import DesignParams, SpaceConfig, make_params, random_sample
 
 
@@ -73,7 +77,7 @@ def split_observations(
     n_good = min(int(np.ceil(gamma * len(trials))), len(trials))
     if n_good <= 0:
         return [], list(trials)
-    values = np.array([t.objectives for t in trials], dtype=float)
+    values = objective_array(trials)
     ranks = nondomination_ranks(values)
     boundary = np.sort(ranks)[n_good - 1]
     is_good = ranks < boundary
@@ -116,11 +120,17 @@ class _Mixtures:
         cdf_high = ndtr((high[:, None] - centers) / widths)
         return cls(low, high, centers, widths, weights / weights.sum(), cdf_low, cdf_high)
 
-    def sample(self, rng: np.random.Generator, i: int, size: int) -> np.ndarray:
-        ks = rng.choice(len(self.weights), size=size, p=self.weights)
-        u = rng.uniform(self.cdf_low[i, ks], self.cdf_high[i, ks])
-        x = self.centers[i, ks] + self.widths[i, ks] * ndtri(u)
-        return np.clip(x, self.low[i], self.high[i])  # guard round-off at the edges
+    def sample(self, kernel_draws: np.ndarray, uniform_draws: np.ndarray) -> np.ndarray:
+        """(slots, m) samples from two (slots, m) blocks of uniform doubles.
+
+        A kernel draw picks the kernel by its weight; a uniform draw places the
+        sample at that quantile of the kernel truncated to the bounds.
+        """
+        ks = _cdf(self.weights).searchsorted(kernel_draws, side="right")
+        rows = np.arange(len(ks))[:, None]
+        lo, hi = self.cdf_low[rows, ks], self.cdf_high[rows, ks]
+        x = self.centers[rows, ks] + self.widths[rows, ks] * ndtri(lo + (hi - lo) * uniform_draws)
+        return np.clip(x, self.low[:, None], self.high[:, None])  # guard round-off at the edges
 
     def log_pdf(self, i: int, x: np.ndarray) -> np.ndarray:
         """Row i's log density at x, with one (len(x), n + 1) temporary per step."""
@@ -129,6 +139,12 @@ class _Mixtures:
         kernel = np.exp(-0.5 * z**2) / (np.sqrt(2.0 * np.pi) * widths)
         density = (self.weights * kernel / (self.cdf_high[i] - self.cdf_low[i])).sum(axis=1)
         return np.log(density)
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative probabilities, normalised as ``Generator.choice`` normalises them."""
+    cdf = p.cumsum()
+    return cdf / cdf[-1]
 
 
 def _category_probs(counts: np.ndarray, prior_weight: float) -> np.ndarray:
@@ -151,43 +167,49 @@ def suggest(
     if len(trials) < cfg.n_startup:
         return random_sample(rng, space)
 
+    d = space.n_joints
+    for t in trials:
+        if len(t.params.joints) != d or len(t.params.lengths) != d:
+            raise ValueError(
+                f"trial {t.id} has {len(t.params.joints)} joints and {len(t.params.lengths)} lengths;"
+                f" the space has {d} joints"
+            )
     good, bad = split_observations(trials, cfg.gamma, ref_point)
     alphabet = space.joint_alphabet
-    slots, codes = _read_history(good + bad, alphabet)
+    slots, codes = _read_history(good + bad, alphabet, d)
     n_good = len(good)
-    low = np.array([space.origin_low] * 3 + [space.length_low] * space.n_joints)
-    high = np.array([space.origin_high] * 3 + [space.length_high] * space.n_joints)
+    low = np.array([space.origin_low] * 3 + [space.length_low] * d)
+    high = np.array([space.origin_high] * 3 + [space.length_high] * d)
     mix_good = _Mixtures.fit(slots[:n_good], low, high, cfg)
     mix_bad = _Mixtures.fit(slots[n_good:], low, high, cfg)
     p_good = _category_probs(_joint_counts(codes[:n_good], len(alphabet)), cfg.prior_weight)
     p_bad = _category_probs(_joint_counts(codes[n_good:], len(alphabet)), cfg.prior_weight)
 
-    n_cand = cfg.n_candidates
+    n_cand, n_slots = cfg.n_candidates, len(low)
+    draws = rng.random(n_cand * (2 * n_slots + d))
+    per_slot = draws[: 2 * n_slots * n_cand].reshape(n_slots, 2, n_cand)
+    cont_samples = mix_good.sample(per_slot[:, 0], per_slot[:, 1])
     score = np.zeros(n_cand)
-    cont_samples = np.empty((n_cand, len(low)))
-    for i in range(len(low)):
-        x = mix_good.sample(rng, i, n_cand)
-        cont_samples[:, i] = x
+    for i, x in enumerate(cont_samples):
         score += mix_good.log_pdf(i, x) - mix_bad.log_pdf(i, x)
-    cat_samples = np.empty((n_cand, space.n_joints), dtype=int)
-    for j in range(space.n_joints):
-        c = rng.choice(len(alphabet), size=n_cand, p=p_good[j])
-        cat_samples[:, j] = c
+    per_joint = draws[2 * n_slots * n_cand :].reshape(d, n_cand)
+    cat_samples = np.array([_cdf(p).searchsorted(u, side="right") for p, u in zip(p_good, per_joint)])
+    for j, c in enumerate(cat_samples):
         score += np.log(p_good[j, c]) - np.log(p_bad[j, c])
 
     best = int(np.argmax(score))
-    vec = cont_samples[best]
-    return make_params(vec[:3], [alphabet[c] for c in cat_samples[best]], vec[3:])
+    vec = cont_samples[:, best]
+    return make_params(vec[:3], [alphabet[c] for c in cat_samples[:, best]], vec[3:])
 
 
-def _read_history(trials: list[TrialRecord], alphabet) -> tuple[np.ndarray, np.ndarray]:
-    """One row per trial: its continuous slots (origin then lengths) and its joint codes (alphabet indices)."""
-    slots, codes = [], []
-    for t in trials:
-        p = t.params
-        slots.append((*p.origin, *p.lengths))
-        codes.append(tuple(map(alphabet.index, p.joints)))
-    return np.array(slots, dtype=float), np.array(codes, dtype=int)
+def _read_history(trials: list[TrialRecord], alphabet, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """One row per trial of d joints: its continuous slots (origin then lengths)
+    and its joint codes (alphabet indices)."""
+    n = len(trials)
+    params = [t.params for t in trials]
+    slots = np.fromiter(chain.from_iterable(p.origin + p.lengths for p in params), float, n * (3 + d))
+    codes = np.fromiter(map(alphabet.index, chain.from_iterable(p.joints for p in params)), int, n * d)
+    return slots.reshape(n, 3 + d), codes.reshape(n, d)
 
 
 def _joint_counts(codes: np.ndarray, k: int) -> np.ndarray:

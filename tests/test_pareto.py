@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from armdesign.pareto import (
     ObjectiveValues,
+    first_front,
     hypervolume_2d,
     hypervolume_contributions,
     nondomination_ranks,
@@ -145,7 +146,9 @@ uniform_sets = st.builds(
     st.integers(0, 2**32 - 1),
     st.integers(0, 40),
 )
-point_sets = st.one_of(grid_sets, uniform_sets)
+# signed zeros compare equal, so (-0.0, 1.0) and (0.0, 1.0) are an equal pair
+signed_zero_sets = st.lists(st.tuples(*[st.sampled_from([-0.0, 0.0, 1.0, 2.0])] * 2), max_size=12)
+point_sets = st.one_of(grid_sets, uniform_sets, signed_zero_sets)
 
 
 def tie_broken_order(contrib):
@@ -155,8 +158,14 @@ def tie_broken_order(contrib):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(point_sets)
+@example([])
+@example([(2, 3)])
+@example([(1, 2), (1, 2), (0, 3), (2, 1), (2, 2), (1, 3)])
+@example([(0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (1.0, 0.0), (-0.0, 2.0)])
 def test_ranks_match_layered_oracle(values):
-    assert nondomination_ranks(values).tolist() == layered_ranks(values)
+    oracle = layered_ranks(values)
+    assert nondomination_ranks(values).tolist() == oracle
+    assert first_front(values).tolist() == [rank == 0 for rank in oracle]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

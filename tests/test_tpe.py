@@ -17,6 +17,7 @@ from armdesign.tpe import (
     suggest,
 )
 from pareto_oracle import layered_ranks, leave_one_out_contributions
+from tpe_oracle import suggest_one_draw_at_a_time
 
 REF = (5.0, 5.0)
 
@@ -177,6 +178,53 @@ def test_golden_suggestions(space, n):
         assert "".join(jt.letter for jt in p.joints) == joints
         assert p.origin == pytest.approx(origin, rel=1e-12)
         assert p.lengths == pytest.approx(lengths, rel=1e-12)
+
+
+@st.composite
+def suggest_cases(draw):
+    """Seeded histories of 10-80 trials over 1-6 joints, with the reference points
+    of the split test. In the duplicate-heavy ones every design is one of three
+    and the objectives sit on an integer grid."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(10, 80))
+    space = SpaceConfig(n_joints=draw(st.integers(1, 6)))
+    ref = draw(st.sampled_from([(5.0, 4.0), (7.0, 7.0), (2.0, 3.0)]))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        pool = [random_sample(rng, space) for _ in range(3)]
+        designs = [pool[k] for k in rng.integers(3, size=n)]
+        pairs = rng.integers(0, 7, size=(n, 2))
+    else:
+        designs = [random_sample(rng, space) for _ in range(n)]
+        pairs = rng.uniform(0, 6, size=(n, 2))
+    return [make_trial(i, pair, p) for i, (pair, p) in enumerate(zip(pairs, designs))], space, ref, seed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(suggest_cases())
+def test_block_draw_matches_one_draw_at_a_time(case):
+    trials, space, ref, seed = case
+    rng, oracle_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    cfg = TpeConfig()
+    expected = suggest_one_draw_at_a_time(oracle_rng, trials, cfg, space, ref)
+    assert suggest(rng, trials, cfg, space, ref) == expected
+    # the same number of doubles consumed
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "joint_counts, first_bad",
+    [([3, 5] * 6, 0), ([3] * 12, 0), ([4] * 7 + [5] + [4] * 4, 7)],
+    ids=["alternating-3-5", "all-3", "one-5"],
+)
+def test_suggest_rejects_designs_of_another_joint_count(space, joint_counts, first_bad):
+    rng = np.random.default_rng(6)
+    trials = [
+        make_trial(i, rng.uniform(0, 4, size=2), random_sample(rng, SpaceConfig(n_joints=d)))
+        for i, d in enumerate(joint_counts)
+    ]
+    with pytest.raises(ValueError, match=f"^trial {first_bad} has {joint_counts[first_bad]} joints"):
+        suggest(rng, trials, TpeConfig(), space)
 
 
 def test_suggestions_always_inside_bounds(space):
