@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .evaluation import TargetOutcome
 from .orchestrator import RunResult
 from .pareto import DEFAULT_REF_POINT, ObjectiveValues
 from .space import from_vector, to_vector
@@ -47,11 +48,24 @@ def trial_to_json(trial: TrialRecord) -> str:
     return json.dumps(row, separators=(", ", ": "))
 
 
-def parse_ledger_line(line: str, lineno: int) -> TrialRecord:
-    """One ledger line as a trial; the per-target diagnostics are not read back.
+def _parse_outcome(row: dict) -> TargetOutcome:
+    """One per_target object as an outcome; its residual key, a copy of e_pos, is not read."""
+    target, reached, torque = (tuple(float(v) for v in row[key]) for key in ("target", "reached", "torque"))
+    e_pos, e_torque = float(row["e_pos"]), float(row["e_torque"])
+    if len(target) != 3 or len(reached) != 3:
+        raise ValueError("a target and a reached point need 3 values each")
+    if not all(map(math.isfinite, (*target, *reached, *torque, e_pos, e_torque))):
+        raise ValueError("non-finite per-target value")
+    converged, iterations = bool(row["converged"]), int(row["iterations"])
+    return TargetOutcome(target, reached, torque, e_pos, e_torque, converged, iterations)
 
-    JSON admits NaN and Infinity, so a non-finite objective or vector value is
-    rejected here: the dominance sweep and the hypervolume assume finite pairs.
+
+def parse_ledger_line(line: str, lineno: int) -> TrialRecord:
+    """One ledger line as a trial, with its per-target outcomes.
+
+    JSON admits NaN and Infinity, so a non-finite value among the objectives,
+    the vector or the outcomes is rejected here: the dominance sweep and the
+    hypervolume assume finite pairs, and an evaluation writes finite outcomes.
     """
     try:
         row = json.loads(line)
@@ -60,6 +74,7 @@ def parse_ledger_line(line: str, lineno: int) -> TrialRecord:
             source=SampleSource(row["source"]),
             params=from_vector(row["vector"]),
             objectives=ObjectiveValues(*(float(v) for v in row["objectives"])),
+            per_target=tuple(map(_parse_outcome, row["per_target"])),
             fallback=bool(row["fallback"]),
         )
         if not all(map(math.isfinite, (*trial.objectives, *to_vector(trial.params)))):

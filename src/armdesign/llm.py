@@ -8,12 +8,10 @@ outcome transcript whether or not it succeeds.
 """
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
 import re
-import urllib.request
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -166,6 +164,9 @@ class HttpChatBackend:
     cfg: BackendConfig  # kind "http"
 
     def send(self, prompt: str) -> str:
+        import http.client  # imported at the first request, so offline processes skip the HTTP stack
+        import urllib.request
+
         cfg = self.cfg
         token = os.environ.get(cfg.token_env, "")
         if not token:

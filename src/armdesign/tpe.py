@@ -13,7 +13,14 @@ mixture is fitted once, with its kernels' CDFs at the bounds. The random draws
 are one block of uniform doubles: per continuous slot a kernel choice then a
 uniform, then per joint a type choice. A choice searches its doubles in the
 normalised CDF of its weights, as ``Generator.choice`` does, so the block
-yields what per-slot ``choice`` and ``uniform`` calls would.
+yields what per-slot ``choice`` and ``uniform`` calls would. The candidates'
+densities under each mixture are one broadcast over all slots.
+
+scipy.special (the truncated Gaussians' ``ndtr`` and ``ndtri``) is imported
+at the first mixture fit, not with this module: it costs about 0.35 s and
+25 MB, so processes that never sample (``evaluate``, ``report``, ``urdf``)
+start in about 0.3 s. A run pays it once, at its first suggestion from
+``n_startup`` or more trials.
 """
 from __future__ import annotations
 
@@ -23,7 +30,6 @@ from itertools import chain
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .evaluation import TargetOutcome
 from .pareto import DEFAULT_REF_POINT, ObjectiveValues, objective_array
@@ -116,6 +122,8 @@ class _Mixtures:
         centers = np.column_stack((observations.T, 0.5 * (low + high)))
         widths = np.column_stack((np.repeat(width[:, None], n, axis=1), span))
         weights = np.append(np.ones(n), cfg.prior_weight)
+        from scipy.special import ndtr  # here, not at module import: see the module docstring
+
         cdf_low = ndtr((low[:, None] - centers) / widths)
         cdf_high = ndtr((high[:, None] - centers) / widths)
         return cls(low, high, centers, widths, weights / weights.sum(), cdf_low, cdf_high)
@@ -126,19 +134,31 @@ class _Mixtures:
         A kernel draw picks the kernel by its weight; a uniform draw places the
         sample at that quantile of the kernel truncated to the bounds.
         """
+        from scipy.special import ndtri  # loaded by fit
+
         ks = _cdf(self.weights).searchsorted(kernel_draws, side="right")
         rows = np.arange(len(ks))[:, None]
         lo, hi = self.cdf_low[rows, ks], self.cdf_high[rows, ks]
         x = self.centers[rows, ks] + self.widths[rows, ks] * ndtri(lo + (hi - lo) * uniform_draws)
         return np.clip(x, self.low[:, None], self.high[:, None])  # guard round-off at the edges
 
-    def log_pdf(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Row i's log density at x, with one (len(x), n + 1) temporary per step."""
-        widths = self.widths[i]
-        z = (x[:, None] - self.centers[i]) / widths
-        kernel = np.exp(-0.5 * z**2) / (np.sqrt(2.0 * np.pi) * widths)
-        density = (self.weights * kernel / (self.cdf_high[i] - self.cdf_low[i])).sum(axis=1)
-        return np.log(density)
+    def log_pdf(self, x: np.ndarray) -> np.ndarray:
+        """(slots, m) log densities of a (slots, m) block of points, row i under row i's mixture.
+
+        One (slots, m, n + 1) buffer is updated in place, in the operation order
+        of the per-slot formula: z = (x - center) / width, then
+        exp(-0.5 * z**2) / (sqrt(2 pi) * width) * weight / (cdf_high - cdf_low),
+        summed over the kernels. So every value is the one that formula gives.
+        """
+        t = x[:, :, None] - self.centers[:, None, :]
+        t /= self.widths[:, None, :]
+        t *= t
+        t *= -0.5
+        np.exp(t, out=t)
+        t /= (np.sqrt(2.0 * np.pi) * self.widths)[:, None, :]
+        t *= self.weights
+        t /= (self.cdf_high - self.cdf_low)[:, None, :]
+        return np.log(t.sum(axis=2))
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
@@ -190,8 +210,8 @@ def suggest(
     per_slot = draws[: 2 * n_slots * n_cand].reshape(n_slots, 2, n_cand)
     cont_samples = mix_good.sample(per_slot[:, 0], per_slot[:, 1])
     score = np.zeros(n_cand)
-    for i, x in enumerate(cont_samples):
-        score += mix_good.log_pdf(i, x) - mix_bad.log_pdf(i, x)
+    for row in mix_good.log_pdf(cont_samples) - mix_bad.log_pdf(cont_samples):
+        score += row  # added in slot order, which fixes each score's rounding
     per_joint = draws[2 * n_slots * n_cand :].reshape(d, n_cand)
     cat_samples = np.array([_cdf(p).searchsorted(u, side="right") for p, u in zip(p_good, per_joint)])
     for j, c in enumerate(cat_samples):

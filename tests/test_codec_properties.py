@@ -4,6 +4,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from armdesign.evaluation import TargetOutcome
 from armdesign.ledger import parse_ledger_line, trial_to_json
 from armdesign.llm import parse_design_response
 from armdesign.pareto import ObjectiveValues
@@ -25,6 +26,20 @@ def designs(draw, origin=st.floats(LO, HI), length=st.floats(LLO, LHI)):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+points = st.tuples(finite, finite, finite)
+
+
+@st.composite
+def outcomes(draw, n_joints: int):
+    return TargetOutcome(
+        target=draw(points),
+        reached=draw(points),
+        torque=tuple(draw(st.lists(finite, min_size=n_joints, max_size=n_joints))),
+        e_pos=draw(finite),
+        e_torque=draw(finite),
+        converged=draw(st.booleans()),
+        iterations=draw(st.integers(0, 10**4)),
+    )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -34,16 +49,18 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
     designs(),
     st.builds(ObjectiveValues, finite, finite),
     st.booleans(),
+    st.data(),
 )
-def test_ledger_line_round_trip(trial_id, source, params, objectives, fallback):
-    trial = TrialRecord(trial_id, source, params, objectives, fallback=fallback)
+def test_ledger_line_round_trip(trial_id, source, params, objectives, fallback, data):
+    per_target = tuple(data.draw(st.lists(outcomes(len(params.joints)), max_size=4)))
+    trial = TrialRecord(trial_id, source, params, objectives, per_target, fallback)
     back = parse_ledger_line(trial_to_json(trial), 1)
     assert back.id == trial_id
     assert back.source is source
     assert back.params == params
     assert back.objectives == objectives
     assert back.fallback is fallback
-    assert back.per_target == ()
+    assert back.per_target == per_target
 
 
 def clamp(v: float, lo: float, hi: float) -> float:

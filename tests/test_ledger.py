@@ -48,9 +48,8 @@ def test_ledger_round_trip(tmp_path, small_result):
         assert row.fallback == trial.fallback
         assert row.objectives == trial.objectives
         assert row.params == trial.params
-        assert row.per_target == ()
-    raw = [json.loads(line) for line in path.read_text().splitlines()]
-    assert all(len(r["per_target"]) == 2 for r in raw)
+        assert row.per_target == trial.per_target
+        assert len(row.per_target) == 2
 
 
 def test_ledger_write_is_deterministic(tmp_path, small_result):
@@ -72,6 +71,9 @@ def test_corrupt_line_reported_with_number(tmp_path, small_result):
         line.replace('"vector": [', '"vector": [0.5, '),  # 12 values: not 2D+3
         json.dumps(dict(json.loads(line), vector=[0, 0, 0, 1.5, 1, 1, 1, 0.1, 0.1, 0.1, 0.1])),
         json.dumps(dict(json.loads(line), objectives=[1.0])),
+        line.replace('"e_torque": ', '"e_torque": NaN, "x": ', 1),  # non-finite outcome value
+        line.replace('"target": [', '"target": [0.5, ', 1),  # 4 values: not a point
+        line.replace('"iterations": ', '"iters": ', 1),
     ]
     for bad in corrupt:
         lines[6] = bad

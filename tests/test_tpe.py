@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from armdesign.pareto import ObjectiveValues, hypervolume_2d, pareto_front
@@ -12,12 +12,14 @@ from armdesign.tpe import (
     TpeConfig,
     TrialRecord,
     _category_probs,
+    _Mixtures,
+    _read_history,
     nondomination_ranks,
     split_observations,
     suggest,
 )
 from pareto_oracle import layered_ranks, leave_one_out_contributions
-from tpe_oracle import suggest_one_draw_at_a_time
+from tpe_oracle import log_pdf_slot, suggest_one_draw_at_a_time
 
 REF = (5.0, 5.0)
 
@@ -180,17 +182,12 @@ def test_golden_suggestions(space, n):
         assert p.lengths == pytest.approx(lengths, rel=1e-12)
 
 
-@st.composite
-def suggest_cases(draw):
-    """Seeded histories of 10-80 trials over 1-6 joints, with the reference points
-    of the split test. In the duplicate-heavy ones every design is one of three
-    and the objectives sit on an integer grid."""
-    seed = draw(st.integers(0, 2**32 - 1))
-    n = draw(st.integers(10, 80))
-    space = SpaceConfig(n_joints=draw(st.integers(1, 6)))
-    ref = draw(st.sampled_from([(5.0, 4.0), (7.0, 7.0), (2.0, 3.0)]))
+def history_case(seed: int, n: int, d: int, ref: tuple[float, float], duplicates: bool):
+    """A seeded history of n trials over d joints. In a duplicate-heavy one every
+    design is one of three and the objectives sit on an integer grid."""
+    space = SpaceConfig(n_joints=d)
     rng = np.random.default_rng(seed)
-    if draw(st.booleans()):
+    if duplicates:
         pool = [random_sample(rng, space) for _ in range(3)]
         designs = [pool[k] for k in rng.integers(3, size=n)]
         pairs = rng.integers(0, 7, size=(n, 2))
@@ -198,6 +195,19 @@ def suggest_cases(draw):
         designs = [random_sample(rng, space) for _ in range(n)]
         pairs = rng.uniform(0, 6, size=(n, 2))
     return [make_trial(i, pair, p) for i, (pair, p) in enumerate(zip(pairs, designs))], space, ref, seed
+
+
+@st.composite
+def suggest_cases(draw):
+    """Seeded histories of 10-80 trials over 1-6 joints, with the reference points
+    of the split test; half of them duplicate-heavy."""
+    return history_case(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n=draw(st.integers(10, 80)),
+        d=draw(st.integers(1, 6)),
+        ref=draw(st.sampled_from([(5.0, 4.0), (7.0, 7.0), (2.0, 3.0)])),
+        duplicates=draw(st.booleans()),
+    )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -210,6 +220,24 @@ def test_block_draw_matches_one_draw_at_a_time(case):
     assert suggest(rng, trials, cfg, space, ref) == expected
     # the same number of doubles consumed
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(suggest_cases())
+@example(history_case(seed=5, n=600, d=4, ref=(5.0, 5.0), duplicates=False))
+def test_broadcast_log_pdf_matches_per_slot_formula(case):
+    trials, space, ref, seed = case
+    cfg = TpeConfig()
+    good, bad = split_observations(trials, cfg.gamma, ref)
+    slots, _ = _read_history(good + bad, space.joint_alphabet, space.n_joints)
+    low = np.array([space.origin_low] * 3 + [space.length_low] * space.n_joints)
+    high = np.array([space.origin_high] * 3 + [space.length_high] * space.n_joints)
+    mixtures = [_Mixtures.fit(part, low, high, cfg) for part in (slots[: len(good)], slots[len(good) :])]
+    rng = np.random.default_rng(seed)
+    x = mixtures[0].sample(*rng.random((2, len(low), cfg.n_candidates)))
+    for mix in mixtures:
+        expected = np.array([log_pdf_slot(mix, i, row) for i, row in enumerate(x)])
+        assert mix.log_pdf(x).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,9 @@
 This is ``tpe.suggest`` as it was before its draws became one block: per
 continuous slot a ``Generator.choice`` of a kernel then a ``Generator.uniform``
 inside it, then per joint a ``Generator.choice`` of a type, and the history
-read row by row. It shares the split, the mixture fit and the densities with
-``armdesign.tpe``, so a test that compares the two checks the draws and the
-history read.
+read row by row. It shares the split and the mixture fit with ``armdesign.tpe``,
+so a test that compares the two checks the draws and the history read. Its
+density is ``log_pdf_slot``, one slot at a time with a temporary per step.
 """
 from __future__ import annotations
 
@@ -29,6 +29,15 @@ def sample_slot(mix: _Mixtures, rng: np.random.Generator, i: int, size: int) -> 
     u = rng.uniform(mix.cdf_low[i, ks], mix.cdf_high[i, ks])
     x = mix.centers[i, ks] + mix.widths[i, ks] * ndtri(u)
     return np.clip(x, mix.low[i], mix.high[i])  # guard round-off at the edges
+
+
+def log_pdf_slot(mix: _Mixtures, i: int, x: np.ndarray) -> np.ndarray:
+    """Row i's log density at x, with one (len(x), n + 1) temporary per step."""
+    widths = mix.widths[i]
+    z = (x[:, None] - mix.centers[i]) / widths
+    kernel = np.exp(-0.5 * z**2) / (np.sqrt(2.0 * np.pi) * widths)
+    density = (mix.weights * kernel / (mix.cdf_high[i] - mix.cdf_low[i])).sum(axis=1)
+    return np.log(density)
 
 
 def read_history(trials: list[TrialRecord], alphabet) -> tuple[np.ndarray, np.ndarray]:
@@ -68,7 +77,7 @@ def suggest_one_draw_at_a_time(
     for i in range(len(low)):
         x = sample_slot(mix_good, rng, i, n_cand)
         cont_samples[:, i] = x
-        score += mix_good.log_pdf(i, x) - mix_bad.log_pdf(i, x)
+        score += log_pdf_slot(mix_good, i, x) - log_pdf_slot(mix_bad, i, x)
     cat_samples = np.empty((n_cand, space.n_joints), dtype=int)
     for j in range(space.n_joints):
         c = rng.choice(len(alphabet), size=n_cand, p=p_good[j])

@@ -13,8 +13,11 @@ mean final hypervolume (from its `summary.json`) follows for REV and for the
 working tree, since a change that moves results is judged on those; a sweep
 that only one tree has shows nan for the other. Last come
 the line count of the Python sources under `src/` in REV and in the working
-tree, and the wall time of each `armdesign run` sweep in both trees. The two
-trees run at the same time, so those times are indicative and gate nothing.
+tree, the wall time of each `armdesign run` sweep in both trees, and the
+median wall time of the `evaluate`, `urdf` and `report` calls in both trees
+(mostly interpreter and import start-up, so a heavy import put back on their
+path shows there). The two trees run at the same time, so those times are
+indicative and gate nothing.
 Exit 0 only if everything matches, 1 if anything differs, 2 if a command
 fails. Nothing is written inside the repository.
 """
@@ -24,6 +27,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -49,17 +53,25 @@ def armdesign(tree: Path, *argv: str, cwd: Path | None = None) -> bytes:
     return proc.stdout
 
 
-def write_artifacts(tree: Path, out: Path) -> dict[str, float]:
+def write_artifacts(tree: Path, out: Path) -> tuple[dict[str, float], dict[str, list[float]]]:
     """Each experiment's sweep under out/<stem>; every stdout under out/stdout.
 
-    Returns the wall time in seconds of each experiment's `armdesign run`.
+    Returns the wall time in seconds of each experiment's `armdesign run`, and
+    those of the `evaluate`, `urdf` and `report` calls by command.
     """
-    run_s = {}
+    run_s, cli_s = {}, {"evaluate": [], "urdf": [], "report": []}
+
+    def timed(command: str, *argv: str, cwd: Path | None = None) -> bytes:
+        start = time.perf_counter()
+        stdout = armdesign(tree, command, *argv, cwd=cwd)
+        cli_s[command].append(time.perf_counter() - start)
+        return stdout
+
     (out / "stdout").mkdir(parents=True)
     for targets in sorted((tree / "targets").glob("*.json")):
-        stdout = armdesign(tree, "evaluate", "--vector", DESIGN, "--targets", str(targets))
+        stdout = timed("evaluate", "--vector", DESIGN, "--targets", str(targets))
         (out / "stdout" / f"{targets.stem}.evaluate.txt").write_bytes(stdout)
-    (out / "stdout" / "design.urdf").write_bytes(armdesign(tree, "urdf", "--vector", DESIGN))
+    (out / "stdout" / "design.urdf").write_bytes(timed("urdf", "--vector", DESIGN))
     for exp in sorted((tree / "experiments").glob("*.experiment")):
         sweep = out / exp.stem
         start = time.perf_counter()
@@ -68,9 +80,9 @@ def write_artifacts(tree: Path, out: Path) -> dict[str, float]:
         (out / "stdout" / f"{exp.stem}.run.txt").write_bytes(stdout)
         # relative paths, since report prints each ledger's path
         ledgers = sorted(sweep.glob("seed_*/ledger.jsonl"), key=lambda p: int(p.parent.name[5:]))
-        stdout = armdesign(tree, "report", *(str(p.relative_to(sweep)) for p in ledgers), cwd=sweep)
+        stdout = timed("report", *(str(p.relative_to(sweep)) for p in ledgers), cwd=sweep)
         (out / "stdout" / f"{exp.stem}.report.txt").write_bytes(stdout)
-    return run_s
+    return run_s, cli_s
 
 
 def files(root: Path) -> set[Path]:
@@ -101,6 +113,17 @@ def hypervolume_table(out_rev: Path, out_work: Path, rev: str) -> list[str]:
     return lines
 
 
+def wall_time_table(
+    title: str, key: str, rev: str, before: dict[str, float], after: dict[str, float]
+) -> list[str]:
+    """A heading, then one row per key in either dict: its seconds in REV and in
+    the working tree, nan on the side that lacks it."""
+    lines = [f"{title} wall time (s), both trees at once, indicative: {key}, {rev}, working tree"]
+    for name in {**before, **after}:
+        lines.append(f"  {name:30s}  {before.get(name, math.nan):8.3f}  {after.get(name, math.nan):8.3f}")
+    return lines
+
+
 def src_lines(tree: Path) -> int:
     """Lines in the tree's src/**/*.py, as `wc -l` counts them."""
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src").rglob("*.py"))
@@ -125,7 +148,7 @@ def main(argv=None) -> int:
         out_rev, out_work = tmp / "out_rev", tmp / "out_work"
         with ThreadPoolExecutor(max_workers=2) as pool:  # one CLI process per tree
             jobs = [pool.submit(write_artifacts, base, out_rev), pool.submit(write_artifacts, REPO, out_work)]
-            run_s_rev, run_s_work = (job.result() for job in jobs)
+            (run_s_rev, cli_s_rev), (run_s_work, cli_s_work) = (job.result() for job in jobs)
 
         paths = files(out_rev) | files(out_work)
         differing = sorted(
@@ -142,9 +165,12 @@ def main(argv=None) -> int:
     for line in hv_lines:
         print(line)
     print(f"src/ lines: {lines_rev} in {args.rev}, {lines_work} in the working tree")
-    print(f"armdesign run wall time (s), both trees at once, indicative: sweep, {args.rev}, working tree")
-    for stem, seconds in run_s_rev.items():
-        print(f"  {stem:30s}  {seconds:8.2f}  {run_s_work.get(stem, math.nan):8.2f}")
+    medians = [{cmd: statistics.median(s) for cmd, s in cli_s.items() if s} for cli_s in (cli_s_rev, cli_s_work)]
+    for line in [
+        *wall_time_table("armdesign run", "sweep", args.rev, run_s_rev, run_s_work),
+        *wall_time_table("median armdesign", "command", args.rev, *medians),
+    ]:
+        print(line)
     return 1 if differing else 0
 
 
