@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -93,15 +92,7 @@ def cmd_urdf(args) -> int:
 
 
 def _apply_overrides(spec, args):
-    base = spec.base
-    if args.mode is not None:
-        base = replace(base, mode=RunMode(args.mode))
-    if args.n_step is not None:
-        base = replace(base, n_step=args.n_step)
-    if args.backend == "mock" and base.backend.kind == "http":
-        base = replace(base, backend=replace(base.backend, kind="mock-heuristic"))
-    if args.backend == "http":
-        base = replace(base, backend=replace(base.backend, kind="http"))
+    base = replace(spec.base, mode=RunMode(args.mode)) if args.mode else spec.base
     seeds = tuple(args.seed) if args.seed is not None else spec.seeds
     out_dir = Path(args.out) if args.out else spec.out_dir
     return replace(spec, base=base, seeds=seeds, out_dir=out_dir)
@@ -112,14 +103,6 @@ def cmd_run(args) -> int:
         spec = _apply_overrides(load_experiment(args.experiment), args)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-    if spec.base.mode.uses_llm and spec.base.backend.kind == "http":
-        if not os.environ.get(spec.base.backend.token_env, ""):
-            print(
-                f"error: live backend requires a token in ${spec.base.backend.token_env}",
-                file=sys.stderr,
-            )
-            return EXIT_RUNTIME
 
     curves = []
     for config in spec.configs():
@@ -212,8 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--experiment", required=True)
     p_run.add_argument("--seed", type=int, nargs="+", help="override the seed list")
     p_run.add_argument("--mode", choices=[m.value for m in RunMode])
-    p_run.add_argument("--n-step", type=int, dest="n_step")
-    p_run.add_argument("--backend", choices=["mock", "http"])
     p_run.add_argument("--out", help="override the output directory")
     p_run.set_defaults(func=cmd_run)
 

@@ -1,32 +1,34 @@
 """Experiment files: a JSON document defining one replication sweep.
 
-Schema. Only "targets" is required; every other key may be left out, and then
-takes the default of the dataclass it sets (RunConfig, SpaceConfig,
-BackendConfig), shown in parentheses:
+Schema. "targets" is required, and so is "backend" in the LLM modes; every
+other key may be left out, and then takes the default of the dataclass it sets
+(RunConfig, BackendConfig), shown in parentheses:
 
     {
       "name": "target1-bbo",                              (file stem)
       "targets": {"name": "...", "points": [[x, y, z], ...]},
       "mode": "bbo" | "bbo-llm-minus" | "bbo-llm-plus",   (bbo)
       "seeds": [0, 1, 2, 3, 4],                           ([0]; distinct, >= 0)
-      "n_joints": 4, "n_init": 10, "n_step": 10, "n_total": 200,
-      "ref_point": [5.0, 5.0],                            (two finite numbers)
+      "n_init": 10, "n_step": 10, "n_total": 200,
+      "ref_point": [5.0, 5.0],                            (an array of two finite numbers)
       "backend": {"kind": "mock-heuristic" | "mock-script" | "http",
                   "script": "...", "base_url": "...", "model": "...",
                   "token_env": "ARMDESIGN_API_TOKEN", "timeout": 60.0,
-                  "decoding": {...}},                     (mock-heuristic)
+                  "decoding": {...}},                     (none; kind mock-heuristic)
       "out_dir": "runs/target1-bbo"                       (runs/<name>)
     }
 
-The backend block is checked at load, in every mode: a known kind, "script"
-for mock-script, "base_url" and "model" for http, a finite timeout > 0 (s) and
-an object for "decoding".
+The backend block must be an object, checked at load in every mode: a known
+kind, "script" for mock-script, "base_url" and "model" for http, a finite
+timeout > 0 (s) and an object for "decoding". BackendConfig.make reads the
+http token when a run builds the backend.
 
 Seeds and n_* keys must be integers (5.0 loads as 5; 2.5 or true is rejected,
 never truncated). Keys not named above, at the top level or inside "backend",
-are rejected with ExperimentError, and so are "alpha", "n_pareto" and
-"n_random": the torque weight and the feedback sizes are the constants
-evaluation.ALPHA, llm.FEEDBACK_PARETO and llm.FEEDBACK_RANDOM. The reference
+are rejected with ExperimentError, "alpha", "n_pareto", "n_random" and
+"n_joints" among them: the torque weight, the feedback sizes and D are the
+constants evaluation.ALPHA, llm.FEEDBACK_PARETO, llm.FEEDBACK_RANDOM and
+orchestrator.SPACE (D = 4). The reference
 point scores both the hypervolume curve and the TPE good/bad split.
 
 Targets may also live in their own file ({"name", "points"}) referenced as
@@ -42,7 +44,6 @@ from pathlib import Path
 from .evaluation import TargetSet
 from .llm import BackendConfig
 from .orchestrator import RunConfig, RunMode
-from .space import SpaceConfig
 
 
 class ExperimentError(ValueError):
@@ -86,8 +87,10 @@ def load_targets(source, base_dir: Path | None = None) -> TargetSet:
         raise ExperimentError(f"malformed target set: {exc}") from exc
 
 
-def _load_backend(raw: dict | None, base_dir: Path) -> BackendConfig:
-    raw = dict(raw or {})
+def _load_backend(raw, base_dir: Path) -> BackendConfig:
+    if not isinstance(raw, dict):
+        raise ExperimentError(f"backend must be an object, got {raw!r}")
+    raw = dict(raw)
     unknown = set(raw) - {"kind", "script", "base_url", "model", "token_env", "timeout", "decoding"}
     if unknown:
         raise ExperimentError(f"unknown backend keys: {sorted(unknown)}")
@@ -110,14 +113,21 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _numbers(value) -> tuple[float, ...]:
+    """A JSON array of numbers; a string or a boolean is not one."""
+    if not isinstance(value, list) or any(isinstance(x, (bool, str)) for x in value):
+        raise ValueError(f"expected an array of numbers, got {value!r}")
+    return tuple(map(float, value))
+
+
 # optional top-level keys that go straight into RunConfig, with their converters
 _RUN_KEYS = {
     "n_init": _integer,
     "n_step": _integer,
     "n_total": _integer,
-    "ref_point": lambda v: tuple(float(x) for x in v),
+    "ref_point": _numbers,
 }
-_KNOWN_KEYS = {"name", "targets", "mode", "seeds", "n_joints", "backend", "out_dir", *_RUN_KEYS}
+_KNOWN_KEYS = {"name", "targets", "mode", "seeds", "backend", "out_dir", *_RUN_KEYS}
 
 
 def load_experiment(path) -> ExperimentSpec:
@@ -143,10 +153,9 @@ def load_experiment(path) -> ExperimentSpec:
             raise ExperimentError(f"unknown mode {raw['mode']!r}") from exc
     try:
         settings.update((k, convert(raw[k])) for k, convert in _RUN_KEYS.items() if k in raw)
-        if "n_joints" in raw:
-            settings["space"] = SpaceConfig(n_joints=_integer(raw["n_joints"]))
-        backend = _load_backend(raw.get("backend"), path.parent)
-        base = RunConfig(targets=targets, backend=backend, **settings)
+        if "backend" in raw:
+            settings["backend"] = _load_backend(raw["backend"], path.parent)
+        base = RunConfig(targets=targets, **settings)
         seeds = tuple(map(_integer, raw.get("seeds", [0])))
         out_dir = Path(raw.get("out_dir", f"runs/{raw.get('name', path.stem)}"))
     except (TypeError, ValueError) as exc:

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -150,7 +150,7 @@ def _feedback_block(index: int, pool: str, trial: TrialRecord) -> str:
 
 
 class BackendError(Exception):
-    """Transport-level failure: timeout, HTTP error, exhausted or malformed script."""
+    """Transport-level failure: missing API token, timeout, HTTP error, exhausted or malformed script."""
 
 
 class LLMBackend(Protocol):
@@ -159,18 +159,16 @@ class LLMBackend(Protocol):
 
 @dataclass(frozen=True)
 class HttpChatBackend:
-    """Chat-completion client over HTTP; auth token read from the environment."""
+    """Chat-completion client over HTTP; BackendConfig.make reads its auth token."""
 
     cfg: BackendConfig  # kind "http"
+    token: str = field(repr=False)
 
     def send(self, prompt: str) -> str:
         import http.client  # imported at the first request, so offline processes skip the HTTP stack
         import urllib.request
 
         cfg = self.cfg
-        token = os.environ.get(cfg.token_env, "")
-        if not token:
-            raise BackendError(f"no API token in ${cfg.token_env}")
         body = {
             "model": cfg.model,
             "messages": [
@@ -179,7 +177,7 @@ class HttpChatBackend:
             ],
             **dict(cfg.decoding),
         }
-        headers = {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
+        headers = {"Authorization": f"Bearer {self.token}", "Content-Type": "application/json"}
         try:  # HTTP and URL errors and timeouts are OSErrors; a malformed URL is a ValueError
             request = urllib.request.Request(
                 cfg.base_url.rstrip("/") + "/chat/completions", json.dumps(body).encode(), headers
@@ -266,7 +264,10 @@ class BackendConfig:
             return HeuristicBackend(space)
         if self.kind == "mock-script":
             return ScriptedBackend.from_file(self.script_path)
-        return HttpChatBackend(self)
+        token = os.environ.get(self.token_env, "")
+        if not token:
+            raise BackendError(f"the http backend needs an API token in ${self.token_env}")
+        return HttpChatBackend(self, token)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ accountable. Runs are deterministic given the seed and an offline backend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,6 +27,8 @@ from .pareto import DEFAULT_REF_POINT, hypervolume_2d, pareto_front
 from .space import SpaceConfig, random_sample
 from .tpe import SampleSource, TpeConfig, TrialRecord, suggest
 
+SPACE = SpaceConfig()  # every run samples D = 4 designs; evaluate and urdf read D from the design
+
 
 class RunMode(Enum):
     BBO = "bbo"
@@ -41,13 +43,12 @@ class RunMode(Enum):
 @dataclass(frozen=True)
 class RunConfig:
     targets: TargetSet
-    space: SpaceConfig = SpaceConfig()
     mode: RunMode = RunMode.BBO
     n_init: int = 10
     n_step: int = 10
     n_total: int = 200
     ref_point: tuple[float, float] = DEFAULT_REF_POINT
-    backend: BackendConfig = field(default_factory=BackendConfig)
+    backend: BackendConfig | None = None  # required, and only built, in the LLM modes
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -61,6 +62,8 @@ class RunConfig:
             raise ValueError(f"ref_point must be two finite numbers, got {self.ref_point!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        if self.mode.uses_llm and self.backend is None:
+            raise ValueError(f"mode {self.mode.value} needs a backend object")
 
 
 @dataclass
@@ -84,9 +87,7 @@ def source_for_iteration(t: int, mode: RunMode, n_step: int) -> SampleSource:
 def run(config: RunConfig) -> RunResult:
     """Execute one seeded optimization run."""
     rng = np.random.default_rng(config.seed)
-    backend: LLMBackend | None = (
-        config.backend.make(config.space) if config.mode.uses_llm else None
-    )
+    backend: LLMBackend | None = config.backend.make(SPACE) if config.mode.uses_llm else None
 
     ledger: list[TrialRecord] = []
     transcripts: dict[int, tuple[TranscriptEntry, ...]] = {}
@@ -98,10 +99,10 @@ def run(config: RunConfig) -> RunResult:
         )
 
     def _suggest():
-        return suggest(rng, ledger, TpeConfig(), config.space, config.ref_point)
+        return suggest(rng, ledger, TpeConfig(), SPACE, config.ref_point)
 
     for _ in range(config.n_init):
-        _record(random_sample(rng, config.space), SampleSource.RANDOM)
+        _record(random_sample(rng, SPACE), SampleSource.RANDOM)
 
     for t in range(1, config.n_total + 1):
         source = source_for_iteration(t, config.mode, config.n_step)
@@ -109,7 +110,7 @@ def run(config: RunConfig) -> RunResult:
             pareto_fb, random_fb = select_feedback(ledger, pareto_front(ledger), rng)
             ctx = PromptContext(
                 targets=config.targets,
-                space=config.space,
+                space=SPACE,
                 pareto_feedback=pareto_fb,
                 random_feedback=random_fb,
                 analysis=config.mode is RunMode.BBO_LLM_PLUS,

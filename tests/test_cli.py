@@ -47,6 +47,7 @@ def quick_experiment(tmp_path, **overrides):
         "out_dir": str(tmp_path / "out"),
     }
     spec.update(overrides)
+    spec = {key: value for key, value in spec.items() if value is not None}  # None drops a key
     path = tmp_path / "exp.experiment"
     path.write_text(json.dumps(spec))
     return str(path)
@@ -187,9 +188,11 @@ def test_run_http_backend_without_token(capsys, tmp_path, monkeypatch):
     exp = quick_experiment(
         tmp_path, backend={"kind": "http", "base_url": "http://127.0.0.1:1", "model": "m"}
     )
-    code, _, err = run_cli(capsys, "run", "--experiment", exp)
+    code, out, err = run_cli(capsys, "run", "--experiment", exp)
     assert code == 2
-    assert "token" in err
+    assert out == ""
+    assert "$ARMDESIGN_API_TOKEN" in error_line(err)
+    assert not (tmp_path / "out").exists()
 
 
 def error_line(err: str) -> str:
@@ -228,8 +231,8 @@ def test_run_rejects_bad_backend(capsys, tmp_path, backend, code, message):
 @pytest.mark.parametrize(
     "overrides, argv, message",
     [
-        ({}, ["--n-step", "0"], "n_step must be >= 1"),
-        ({}, ["--n-step", "-1"], "n_step must be >= 1"),
+        ({"n_step": 0}, [], "n_step must be >= 1"),
+        ({"n_step": -1}, [], "n_step must be >= 1"),
         ({}, ["--seed", "-1"], "seed must be >= 0"),
         ({"seeds": [-1]}, [], "seed must be >= 0"),
         ({}, ["--seed", "0", "0"], "seed list must be non-empty and distinct"),
@@ -239,10 +242,16 @@ def test_run_rejects_bad_backend(capsys, tmp_path, backend, code, message):
         ({"targets": [[0.1, 0.2, 0.3]]}, [], "malformed target set: expected an object, got list"),
         ({"out_dir": 3}, [], "invalid experiment settings"),
         ({"alpha": 40.0}, [], "unknown experiment keys: ['alpha']"),
+        ({"n_joints": 4}, [], "unknown experiment keys: ['n_joints']"),
+        ({"backend": None}, [], "mode bbo-llm-plus needs a backend object"),
+        ({"backend": False}, [], "backend must be an object, got False"),
+        ({"backend": []}, [], "backend must be an object, got []"),
+        ({"mode": "bbo", "backend": None}, ["--mode", "bbo-llm-plus"], "mode bbo-llm-plus needs a backend object"),
     ],
     ids=["n-step-0", "n-step-negative", "seed-negative", "file-seed-negative",
          "seed-repeated", "file-seed-repeated", "target-2-vector", "n-total-fractional",
-         "targets-list", "out-dir-number", "alpha-key"],
+         "targets-list", "out-dir-number", "alpha-key", "n-joints-key", "no-backend",
+         "backend-false", "backend-list", "mode-override-no-backend"],
 )
 def test_run_rejects_bad_settings(capsys, tmp_path, overrides, argv, message):
     exp = quick_experiment(tmp_path, **overrides)
@@ -331,11 +340,10 @@ def test_report_uses_the_runs_ref_point(capsys, tmp_path):
     assert "disagrees" in err
 
 
-def test_run_mode_and_nstep_overrides(capsys, tmp_path):
-    exp = quick_experiment(tmp_path, mode="bbo", n_step=4)
+def test_run_mode_override(capsys, tmp_path):
+    exp = quick_experiment(tmp_path, mode="bbo", n_step=6)
     code, out, _ = run_cli(
-        capsys, "run", "--experiment", exp, "--seed", "0",
-        "--mode", "bbo-llm-minus", "--n-step", "6",
+        capsys, "run", "--experiment", exp, "--seed", "0", "--mode", "bbo-llm-minus"
     )
     assert code == 0
     assert json.loads(out)["mode"] == "bbo-llm-minus"
@@ -345,14 +353,18 @@ def test_run_mode_and_nstep_overrides(capsys, tmp_path):
     assert len(slots) == 2  # ceil(12 / 6)
 
 
-def test_backend_mock_override_replaces_http(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("ARMDESIGN_API_TOKEN", raising=False)
-    exp = quick_experiment(
-        tmp_path, backend={"kind": "http", "base_url": "http://127.0.0.1:1", "model": "m"}
-    )
-    code, out, _ = run_cli(capsys, "run", "--experiment", exp, "--backend", "mock", "--seed", "0")
-    assert code == 0
-    assert (tmp_path / "out" / "seed_0" / "ledger.jsonl").exists()
+@pytest.mark.parametrize(
+    "argv", [["--n-step", "2"], ["--backend", "mock"], ["--backend", "http"]],
+    ids=["n-step", "backend-mock", "backend-http"],
+)
+def test_run_settings_come_from_the_file(capsys, tmp_path, argv):
+    """The schedule and the backend have no command-line override."""
+    exp = quick_experiment(tmp_path)
+    code, out, err = run_cli(capsys, "run", "--experiment", exp, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv)}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_urdf_to_stdout(capsys, params_file):
@@ -370,7 +382,10 @@ def test_usage_error_exits_one(capsys):
 def test_bundled_experiment_files_parse():
     from armdesign.experiment import load_experiment
 
-    for name in ("quick_mock", "target1_mock", "target2_mock", "target3_mock", "target1_llm_plus_mock"):
-        spec = load_experiment(REPO / "experiments" / f"{name}.experiment")
+    paths = sorted((REPO / "experiments").glob("*.experiment"))
+    assert len(paths) >= 5
+    for path in paths:
+        spec = load_experiment(path)
         assert len(spec.base.targets.points) == 5
         assert spec.seeds
+        assert (spec.base.backend is None) is not spec.base.mode.uses_llm, path.name

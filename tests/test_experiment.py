@@ -21,6 +21,7 @@ BASE = {
     "mode": "bbo-llm-minus",
     "seeds": [4, 5],
     "n_total": 50,
+    "backend": {"kind": "mock-heuristic"},
 }
 
 
@@ -37,10 +38,9 @@ def test_load_inline_targets_and_seeds(tmp_path):
 
 
 def test_integral_floats_load_as_integers(tmp_path):
-    spec = load_experiment(write(tmp_path, dict(BASE, seeds=[4.0, 5], n_total=50.0, n_joints=3.0)))
+    spec = load_experiment(write(tmp_path, dict(BASE, seeds=[4.0, 5], n_total=50.0)))
     assert spec.seeds == (4, 5) and all(type(s) is int for s in spec.seeds)
     assert spec.base.n_total == 50 and type(spec.base.n_total) is int
-    assert spec.base.space.n_joints == 3
 
 
 def test_targets_file_reference_resolves_relative(tmp_path):
@@ -63,6 +63,7 @@ def test_script_path_resolves_relative(tmp_path):
 def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
     spec = load_experiment(write(tmp_path, {"targets": BASE["targets"]}))
     assert spec.base == RunConfig(targets=spec.base.targets)
+    assert spec.base.backend is None  # a bbo run builds none
     assert spec.seeds == (0,)
 
 
@@ -93,10 +94,14 @@ def test_experiment_error_cases(tmp_path):
     for i, bad in enumerate(([5.0, None], 5.0)):
         with pytest.raises(ExperimentError, match="invalid experiment settings"):
             load_experiment(write(tmp_path, dict(BASE, ref_point=bad), f"g{i}.experiment"))
+    # a string is not iterated into digits, and a boolean is not a number
+    for i, bad in enumerate(("55", ["5", "5"], [True, 5.0], {"x": 5.0, "y": 5.0})):
+        with pytest.raises(ExperimentError, match=re.escape(f"expected an array of numbers, got {bad!r}")):
+            load_experiment(write(tmp_path, dict(BASE, ref_point=bad), f"r{i}.experiment"))
     with pytest.raises(ExperimentError, match="invalid experiment settings"):
         load_experiment(write(tmp_path, dict(BASE, seeds=["x"]), "h.experiment"))
     # integer settings are never truncated, and a boolean is not an integer
-    not_integers = [("seeds", [1.9]), ("seeds", [0, True]), ("n_joints", 4.5), ("n_joints", True)]
+    not_integers = [("seeds", [1.9]), ("seeds", [0, True])]
     not_integers += [(key, 2.5) for key in ("n_init", "n_step", "n_total")]
     not_integers += [("n_total", 3.7), ("n_step", False)]
     for i, (key, bad) in enumerate(not_integers):
@@ -122,12 +127,21 @@ def test_experiment_error_cases(tmp_path):
     # checked at load even where the run never builds the backend
     with pytest.raises(ExperimentError, match="http backend needs base_url and model"):
         load_experiment(write(tmp_path, dict(BASE, mode="bbo", backend={"kind": "http"}), "m.experiment"))
+    # an LLM mode needs a backend object; an absent, null, false or list block is none
+    no_backend = {k: v for k, v in BASE.items() if k != "backend"}
+    with pytest.raises(ExperimentError, match="mode bbo-llm-minus needs a backend object"):
+        load_experiment(write(tmp_path, no_backend, "n0.experiment"))
+    for i, bad in enumerate((None, False, [], "mock-heuristic")):
+        with pytest.raises(ExperimentError, match=re.escape(f"backend must be an object, got {bad!r}")):
+            load_experiment(write(tmp_path, dict(BASE, backend=bad), f"n{i + 1}.experiment"))
+        with pytest.raises(ExperimentError, match="backend must be an object"):  # in every mode
+            load_experiment(write(tmp_path, dict(BASE, mode="bbo", backend=bad), f"nb{i}.experiment"))
     with pytest.raises(ExperimentError, match="seed must be >= 0, got -1"):
         load_experiment(write(tmp_path, dict(BASE, seeds=[0, -1]), "s1.experiment"))
     with pytest.raises(ExperimentError, match="seed list must be non-empty and distinct"):
         load_experiment(write(tmp_path, dict(BASE, seeds=[3, 1, 3]), "s2.experiment"))
-    # the torque weight and the feedback sizes are constants, not keys
-    for key, value in (("n_totl", 3), ("alpha", 40.0), ("n_pareto", 5), ("n_random", 5)):
+    # the torque weight, the feedback sizes and D are constants, not keys
+    for key, value in (("n_totl", 3), ("alpha", 40.0), ("n_pareto", 5), ("n_random", 5), ("n_joints", 4)):
         with pytest.raises(ExperimentError, match=re.escape(f"unknown experiment keys: ['{key}']")):
             load_experiment(write(tmp_path, dict(BASE, **{key: value}), f"f-{key}.experiment"))
     for i, (top, shown) in enumerate(((5, "int"), ([1, 2], "list"), ("exp", "str"))):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -284,9 +285,14 @@ def test_http_backend_error_status_falls_back(stub_server, monkeypatch, space):
 
 def test_http_backend_requires_token(monkeypatch, space):
     monkeypatch.delenv("ARMDESIGN_API_TOKEN", raising=False)
-    backend = http_backend(space, "http://127.0.0.1:1")
+    with pytest.raises(BackendError, match=re.escape("needs an API token in $ARMDESIGN_API_TOKEN")):
+        http_backend(space, "http://127.0.0.1:1")
+    monkeypatch.setenv("ARMDESIGN_API_TOKEN", "")
     with pytest.raises(BackendError, match="token"):
-        backend.send("hello")
+        http_backend(space, "http://127.0.0.1:1")
+    monkeypatch.setenv("OTHER_TOKEN", "sekret")
+    backend = http_backend(space, "http://127.0.0.1:1", token_env="OTHER_TOKEN")
+    assert backend.token == "sekret" and "sekret" not in repr(backend)
 
 
 def test_http_backend_connection_failure_is_backend_error(monkeypatch, space):
@@ -296,7 +302,8 @@ def test_http_backend_connection_failure_is_backend_error(monkeypatch, space):
         backend.send("hello")
 
 
-def test_backend_config_factory(space, tmp_path):
+def test_backend_config_factory(monkeypatch, space, tmp_path):
+    monkeypatch.setenv("ARMDESIGN_API_TOKEN", "x")
     assert isinstance(BackendConfig(kind="mock-heuristic").make(space), HeuristicBackend)
     script = tmp_path / "script.json"
     script.write_text(json.dumps({"responses": ["a", "b"]}))

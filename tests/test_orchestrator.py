@@ -166,6 +166,10 @@ def test_config_validation():
         RunConfig(targets=TARGETS, n_total=0)
     with pytest.raises(ValueError):
         source_for_iteration(0, RunMode.BBO, 5)
+    assert RunConfig(targets=TARGETS).backend is None  # bbo builds no backend
+    for mode in (RunMode.BBO_LLM_MINUS, RunMode.BBO_LLM_PLUS):
+        with pytest.raises(ValueError, match=f"mode {mode.value} needs a backend object"):
+            RunConfig(targets=TARGETS, mode=mode)
 
 
 def test_tpe_ranks_against_the_run_reference_point(monkeypatch):
