@@ -1,8 +1,9 @@
 """Experiment files: a JSON document defining one replication sweep.
 
-Schema. "targets" is required, and so is "backend" in the LLM modes; every
-other key may be left out, and then takes the default of the dataclass it sets
-(RunConfig, BackendConfig), shown in parentheses:
+Schema. "targets" is required, and so are "backend" in the LLM modes and
+"kind" in every backend block; every other key may be left out, and then takes
+the default of the dataclass it sets (RunConfig, BackendConfig), shown in
+parentheses:
 
     {
       "name": "target1-bbo",                              (file stem)
@@ -14,14 +15,14 @@ other key may be left out, and then takes the default of the dataclass it sets
       "backend": {"kind": "mock-heuristic" | "mock-script" | "http",
                   "script": "...", "base_url": "...", "model": "...",
                   "token_env": "ARMDESIGN_API_TOKEN", "timeout": 60.0,
-                  "decoding": {...}},                     (none; kind mock-heuristic)
+                  "decoding": {...}},                     (none)
       "out_dir": "runs/target1-bbo"                       (runs/<name>)
     }
 
 The backend block must be an object, checked at load in every mode: a known
-kind, "script" for mock-script, "base_url" and "model" for http, a finite
-timeout > 0 (s) and an object for "decoding". BackendConfig.make reads the
-http token when a run builds the backend.
+"kind", "script" for mock-script, "base_url" and "model" for http, a JSON
+number > 0 and finite for "timeout" (s) and an object for "decoding".
+BackendConfig.make reads the http token when a run builds the backend.
 
 Seeds and n_* keys must be integers (5.0 loads as 5; 2.5 or true is rejected,
 never truncated). Keys not named above, at the top level or inside "backend",
@@ -94,11 +95,16 @@ def _load_backend(raw, base_dir: Path) -> BackendConfig:
     unknown = set(raw) - {"kind", "script", "base_url", "model", "token_env", "timeout", "decoding"}
     if unknown:
         raise ExperimentError(f"unknown backend keys: {sorted(unknown)}")
+    if "kind" not in raw:
+        raise ExperimentError(f"backend needs a kind, got {raw!r}")
     script = raw.pop("script", None)
     if script is not None:
         raw["script_path"] = str(base_dir / script)  # an absolute script path stays as it is
     if "timeout" in raw:
-        raw["timeout"] = float(raw["timeout"])
+        timeout = raw["timeout"]
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
+            raise ExperimentError(f"backend timeout must be a number, got {timeout!r}")
+        raw["timeout"] = float(timeout)
     if "decoding" in raw:
         if not isinstance(raw["decoding"], dict):
             raise ExperimentError(f"backend decoding must be an object, got {raw['decoding']!r}")

@@ -14,9 +14,13 @@ per D, sums the start pool's reach over all 64 postures at once (the same
 floats as `_chain`), and wraps the public functions' inputs and outputs.
 
 A solve stops once its residual is within IK_TOL of a closed-form lower bound
-(`_residual_bound`): the distance from the target to the arc that link 1's
-end can sweep, less the rest of the chain's length (a relaxation in the
-spirit of Kumar & Waldron 1981, "The Workspace of a Mechanical Manipulator").
+(`_residual_bound`). A yaw joint turns a link about its own axis, so the chain
+splits into groups of collinear links: a joint and the yaw joints after it.
+The bound is the distance from the target to where the first groups can end,
+less the rest of the chain's length (a relaxation in the spirit of Kumar &
+Waldron 1981, "The Workspace of a Mechanical Manipulator"): an arc swept by
+the first group when joint 1 is roll or pitch, or, when it is yaw, a spherical
+cap swept by the second group on top of a vertical column of leading yaw links.
 """
 from __future__ import annotations
 
@@ -212,25 +216,50 @@ def _pool_reach(origin, codes, lengths) -> tuple[tuple[float, float, float], ...
     return tuple(zip(*ends))
 
 
+def _skip_yaws(codes, k: int) -> int:
+    """The index of the first joint at or after k that is not yaw, or D."""
+    while k < len(codes) and codes[k] == 2:
+        k += 1
+    return k
+
+
 def _residual_bound(origin, codes, lengths, t) -> float:
     """A lower bound on |FK(q) - t| over all postures within the joint limits.
 
-    Link 1 ends on an arc fixed by joint 1 alone: the point o + L1 z for yaw,
-    o + L1 (sin q, 0, cos q) for pitch, o + L1 (0, -sin q, cos q) for roll, with
-    |q| <= JOINT_ANGLE_LIMIT. Links 2..D reach at most sum(L[1:]) from its end,
-    so no posture gets closer than the distance from t to the arc's nearest
-    point minus that sum. This is never below |t - o| - sum(L).
+    A yaw joint turns about its own link's axis, so the link after it keeps the
+    direction of the link before it: a joint and the yaw joints after it move
+    one rod of their summed length R. If joint 1 is pitch or roll, the first rod
+    ends on an arc: o + R (sin q, 0, cos q) for pitch, o + R (0, -sin q, cos q)
+    for roll, |q| <= JOINT_ANGLE_LIMIT. If joint 1 is yaw, the leading yaw links
+    form a vertical column of height H, and the next rod (the first roll or
+    pitch joint and the yaws after it) ends on the spherical cap of radius R
+    about o + H z whose polar angle from +z is at most JOINT_ANGLE_LIMIT; every
+    azimuth is reached, since the column turns the rod's plane and q and -q
+    point it to opposite sides. An all-yaw chain ends at the one point
+    o + sum(L) z. The links after the rod reach at most the sum of their
+    lengths from its end, so no posture gets closer than the distance from t
+    to the arc, cap or point, less that sum. This is never below
+    |t - o| - sum(L), and it is exact when nothing follows the rod.
     """
     dx, dy, dz = t[0] - origin[0], t[1] - origin[1], t[2] - origin[2]
-    first = lengths[0]
-    if codes[0] == 2:  # yaw: link 1 stays vertical
-        nx, ny, nz = 0.0, 0.0, first
-    else:  # pitch swings it in the x-z plane, roll in the y-z plane
+    if codes[0] == 2:  # yaw: a vertical column, then a cap
+        start = _skip_yaws(codes, 1)  # the first roll or pitch joint
+        dz -= math.fsum(lengths[:start])
+        if start == len(codes):
+            return math.hypot(dx, dy, dz)
+        end = _skip_yaws(codes, start + 1)
+        radius = math.fsum(lengths[start:end])
+        rho = math.hypot(dx, dy)  # the cap's nearest point shares the target's azimuth
+        q = min(JOINT_ANGLE_LIMIT, math.atan2(rho, dz))
+        gap = math.hypot(rho - radius * sin(q), dz - radius * cos(q))
+    else:  # pitch swings the rod in the x-z plane, roll in the y-z plane
+        end = _skip_yaws(codes, 1)
+        radius = math.fsum(lengths[:end])
         u = dx if codes[0] == 1 else -dy
         q = min(JOINT_ANGLE_LIMIT, max(-JOINT_ANGLE_LIMIT, math.atan2(u, dz)))
-        s, c = first * sin(q), first * cos(q)
-        nx, ny, nz = (s, 0.0, c) if codes[0] == 1 else (0.0, -s, c)
-    return max(0.0, math.dist((dx, dy, dz), (nx, ny, nz)) - math.fsum(lengths[1:]))
+        s, c = radius * sin(q), radius * cos(q)
+        gap = math.dist((dx, dy, dz), (s, 0.0, c) if codes[0] == 1 else (0.0, -s, c))
+    return max(0.0, gap - math.fsum(lengths[end:]))
 
 
 def solve_ik(params: DesignParams, target) -> IKSolution:
@@ -254,7 +283,9 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
     ends after IK_START_ITERS iterations, on an accepted step that shortens
     the residual by less than IK_MIN_DROP, or on a step shorter than
     IK_MIN_STEP; the solve ends once the residual is within IK_TOL of
-    `_residual_bound`, which no posture within the joint limits can beat.
+    `_residual_bound` (the first link group's arc, or its cap on a yaw column,
+    less the rest of the chain), which no posture within the joint limits can
+    beat.
     Unreachable targets are not an error: the best posture found is returned
     with converged=False so the position-error objective stays defined. The
     torque is taken once, at the returned posture, for uniform rods of

@@ -241,7 +241,7 @@ class HeuristicBackend:
 class BackendConfig:
     """A backend's settings, checked once here; make() builds a fresh instance per run."""
 
-    kind: str = "mock-heuristic"  # mock-heuristic | mock-script | http
+    kind: str  # mock-heuristic | mock-script | http
     script_path: str | None = None
     base_url: str | None = None
     model: str | None = None

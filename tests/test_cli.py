@@ -212,8 +212,13 @@ def error_line(err: str) -> str:
         ({"kind": "mock-heuristic", "timeout": -1}, 1, "timeout must be a finite number > 0"),
         ({"kind": "mock-script", "script": "not-json.json"}, 2, "malformed script file"),
         ({"kind": "mock-script", "script": "no-responses.json"}, 2, "malformed script file"),
+        ({}, 1, "backend needs a kind"),
+        ({"timeout": 30}, 1, "backend needs a kind"),
+        ({"kind": "mock-heuristic", "timeout": True}, 1, "backend timeout must be a number, got True"),
+        ({"kind": "mock-heuristic", "timeout": "45"}, 1, "backend timeout must be a number, got '45'"),
     ],
-    ids=["kind", "no-script", "no-url", "decoding", "timeout", "script-not-json", "script-no-responses"],
+    ids=["kind", "no-script", "no-url", "decoding", "timeout", "script-not-json", "script-no-responses",
+         "no-kind", "timeout-no-kind", "timeout-bool", "timeout-string"],
 )
 def test_run_rejects_bad_backend(capsys, tmp_path, backend, code, message):
     (tmp_path / "not-json.json").write_text("responses: none")

@@ -82,21 +82,29 @@ def test_empty_or_bad_inputs_rejected():
 # IK results moves these and must say so. The designs are ones whose objectives
 # move by under 5e-12 (relative) when every target coordinate moves by 1e-14
 # (relative) either way, so the pins hold against last-bit noise while still
-# covering solves that run all three IK starts (every "scripted YYYR" solve) and
-# solves that stop on the link-1 arc certificate where the triangle floor
-# |target - origin| - sum(L) is lower ("mid-range YPRP" on target3, points 0, 1, 3).
+# covering solves that run all three IK starts, because the residual bound does
+# not certify them (every "sampled PPYY" solve); solves that the bound certifies
+# where the triangle floor |target - origin| - sum(L) is lower ("mid-range YPRP"
+# on target3, points 0, 1, 3: link 1 is a column, link 2 ends on a cap); and
+# solves certified by a cap at the top of a three-link yaw column (every
+# "scripted YYYR" solve).
 GOLDEN_DESIGNS = {
     "mid-range YPRP": make_params((0.0, 0.0, 0.0), "YPRP", [0.165] * 4),
     "scripted YYYR": make_params(
         (0.0420, 0.0135, -0.0105), "YYYR", [0.2322, 0.1389, 0.1577, 0.0300]
     ),
     "long YPPR": make_params((0.0, 0.0, 0.2), "YPPR", [0.3] * 4),
+    "sampled PPYY": make_params(
+        (0.0363, 0.0474, -0.1791), "PPYY", [0.1318, 0.2349, 0.0333, 0.1159]
+    ),
 }
 GOLDEN_OBJECTIVES = {
     ("mid-range YPRP", "target1"): (5.8330269817660834e-05, 153.48421626735762),
     ("mid-range YPRP", "target3"): (0.3987110441772135, 155.0652781397702),
-    ("scripted YYYR", "target1"): (1.6163994189976274, 0.7612301388276586),
-    ("scripted YYYR", "target3"): (2.053179847551229, 0.7777119990137629),
+    ("scripted YYYR", "target1"): (1.616588518976618, 0.7582432793541702),
+    ("scripted YYYR", "target3"): (2.0533170309487567, 0.7663542326604605),
+    ("sampled PPYY", "target1"): (1.4676541928198044, 77.93713641474281),
+    ("sampled PPYY", "target3"): (1.6964738048184536, 123.61367954214408),
     ("long YPPR", "target1"): (0.25075214634293774, 411.6060102431739),
     ("long YPPR", "target3"): (0.04030688350886633, 464.86687722563147),
 }
@@ -117,8 +125,10 @@ def test_golden_objectives(design, target):
 GOLDEN_IK_COUNTERS = {
     ("mid-range YPRP", "target1"): [(5, True), (5, True), (10, True), (10, True), (5, True)],
     ("mid-range YPRP", "target3"): [(9, False), (9, False), (5, True), (7, False), (12, True)],
-    ("scripted YYYR", "target1"): [(35, False), (34, False), (38, False), (32, False), (32, False)],
-    ("scripted YYYR", "target3"): [(30, False), (35, False), (38, False), (40, False), (34, False)],
+    ("scripted YYYR", "target1"): [(18, False), (19, False), (9, False), (9, False), (9, False)],
+    ("scripted YYYR", "target3"): [(17, False), (11, False), (15, False), (13, False), (7, False)],
+    ("sampled PPYY", "target1"): [(28, False), (29, False), (24, False), (24, False), (29, False)],
+    ("sampled PPYY", "target3"): [(27, False), (32, False), (31, False), (47, False), (11, False)],
     ("long YPPR", "target1"): [(12, True), (8, True), (7, True), (6, True), (17, False)],
     ("long YPPR", "target3"): [(12, True), (9, True), (11, True), (7, True), (23, False)],
 }

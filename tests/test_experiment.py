@@ -114,12 +114,20 @@ def test_experiment_error_cases(tmp_path):
             ({"kind": "mock-script"}, "mock-script backend needs script_path"),
             ({"kind": "http"}, "http backend needs base_url and model"),
             ({"kind": "http", "base_url": "http://h"}, "http backend needs base_url and model"),
-            ({"decoding": [1, 2]}, "backend decoding must be an object"),
-            ({"decoding": None}, "backend decoding must be an object"),
+            ({"kind": "mock-heuristic", "decoding": [1, 2]}, "backend decoding must be an object"),
+            ({"kind": "mock-heuristic", "decoding": None}, "backend decoding must be an object"),
             *(
-                ({"timeout": t}, "timeout must be a finite number > 0")
+                ({"kind": "mock-heuristic", "timeout": t}, "timeout must be a finite number > 0")
                 for t in (-1, 0, float("inf"), float("nan"))
             ),
+            # no kind is no backend: the mid-range mock is never a silent default
+            ({}, re.escape("backend needs a kind, got {}")),
+            ({"timeout": 30}, re.escape("backend needs a kind, got {'timeout': 30}")),
+            ({"decoding": {}}, "backend needs a kind"),
+            # a timeout is a JSON number; a boolean or a string is not one
+            ({"kind": "mock-heuristic", "timeout": True}, "backend timeout must be a number, got True"),
+            ({"kind": "mock-heuristic", "timeout": "45"}, "backend timeout must be a number, got '45'"),
+            ({"kind": "mock-heuristic", "timeout": None}, "backend timeout must be a number, got None"),
         )
     ):
         with pytest.raises(ExperimentError, match=message):

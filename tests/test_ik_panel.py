@@ -2,8 +2,11 @@
 
 No posture gets closer to a point than the panel's oracle residual (up to the
 oracle's own search) or than `kinematics._residual_bound`, the joint-aware
-lower bound that `solve_ik` stops on: the distance from the point to the arc
-link 1's end can sweep, less the rest of the chain's length. A `solve_ik`
+lower bound that `solve_ik` stops on. A joint and the yaw joints after it move
+one rod of collinear links; the bound is the distance from the point to the
+arc the first rod's end sweeps (roll or pitch first) or to the cap the next
+rod's end sweeps on top of the leading yaw column (yaw first), less the rest
+of the chain's length. A `solve_ik`
 residual below either is a residual the solver did not achieve; one below the
 oracle alone means the oracle search is too weak and the panel must be
 regenerated with more refinement starts or evaluations. An oracle residual

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
@@ -140,12 +141,19 @@ def test_gravity_torque_matches_energy_finite_differences():
 
 
 @st.composite
-def designs_and_postures(draw):
-    """A design of 1-6 joints within the space bounds and a posture, limits included."""
-    d = draw(st.integers(1, 6))
+def designs_and_postures(draw, sequences=None):
+    """A design within the space bounds and a posture, limits included.
+
+    The joints are 1-6 uniform draws, or one of `sequences` (letters) when given.
+    """
+    if sequences is None:
+        d = draw(st.integers(1, 6))
+        joints = draw(st.lists(st.sampled_from(list(JointType)), min_size=d, max_size=d))
+    else:
+        joints = draw(st.sampled_from(sequences))
+        d = len(joints)
     coord = st.floats(-1.0, 1.0)
     origin = draw(st.tuples(coord, coord, coord))
-    joints = draw(st.lists(st.sampled_from(list(JointType)), min_size=d, max_size=d))
     lengths = draw(st.lists(st.floats(0.03, 0.3), min_size=d, max_size=d))
     angle = st.one_of(
         st.sampled_from([-JOINT_ANGLE_LIMIT, 0.0, JOINT_ANGLE_LIMIT]),
@@ -232,8 +240,9 @@ def test_ik_torque_field_matches_returned_posture():
 
 
 def test_ik_does_not_depend_on_call_history():
-    # start postures and their reach are cached, so a solve must not depend on earlier solves
-    design, target = ((0.1, -0.2, 0.05), "PYRP", (0.2, 0.15, 0.1, 0.12)), (0.9, 0.3, 0.4)
+    # start postures and their reach are cached, so a solve must not depend on earlier solves;
+    # no yaw at joints 1-2, so the bound is link 1's arc and this solve runs the pool starts
+    design, target = ((0.1, -0.2, 0.05), "PPRP", (0.2, 0.15, 0.1, 0.12)), (0.9, 0.3, 0.4)
     history = [
         ((0, 0, 0), "PPY", (0.1, 0.2, 0.1)),
         ((0, 0, 0), "PYPRP", (0.1,) * 5),
@@ -271,32 +280,123 @@ def residual_bound(p, target) -> float:
     return _residual_bound(p.origin, tuple(jt.value for jt in p.joints), p.lengths, target)
 
 
+def arc_bound(p, target) -> float:
+    """The bound with link 1 alone on its arc and links 2..D relaxed (a yaw link 1 is a point)."""
+    dx, dy, dz = (t - o for t, o in zip(target, p.origin))
+    first, code = p.lengths[0], p.joints[0].value
+    if code == 2:
+        nx, ny, nz = 0.0, 0.0, first
+    else:
+        u = dx if code == 1 else -dy
+        q = min(JOINT_ANGLE_LIMIT, max(-JOINT_ANGLE_LIMIT, math.atan2(u, dz)))
+        s, c = first * math.sin(q), first * math.cos(q)
+        nx, ny, nz = (s, 0.0, c) if code == 1 else (0.0, -s, c)
+    return max(0.0, math.dist((dx, dy, dz), (nx, ny, nz)) - math.fsum(p.lengths[1:]))
+
+
+# runs of yaw joints, which merge links into one rod: a leading column, a cap, an arc
+YAW_HEAVY = ["YYYY", "YYYR", "RYYY", "YPYY", "YYP", "PYYR", "Y", "YR"]
+
+
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(
-    designs_and_postures(),
+    st.one_of(designs_and_postures(), designs_and_postures(YAW_HEAVY)),
     st.tuples(*[st.floats(-1.5, 1.5)] * 3),
-    st.one_of(st.none(), st.floats(1.0, 2.0)),
+    st.sampled_from(["anywhere", "stretch", "below"]),
+    st.floats(1.0, 2.0),
 )
-def test_residual_bound_holds_for_every_posture(case, target, stretch):
+def test_residual_bound_holds_for_every_posture(case, target, place, stretch):
     p, q = case
     reached = forward_kinematics(p, q)
-    if stretch is not None:  # on the line from the origin through the reached point: tight when q[1:] = 0
-        target = tuple(np.asarray(p.origin) + stretch * (reached - np.asarray(p.origin)))
+    origin = np.asarray(p.origin)
+    if place == "stretch":  # on the line from the origin through the reached point: tight when q[1:] = 0
+        target = tuple(origin + stretch * (reached - origin))
+    elif place == "below":  # within 0.74 rad of straight down from any column top: past the cap's rim
+        target = tuple(origin + (0.05 * target[0], 0.05 * target[1], -0.1 - abs(target[2])))
     bound = residual_bound(p, target)
     assert math.dist(reached, target) >= bound - 1e-12
     assert bound >= triangle_floor(p, target) - 1e-12
+    assert bound >= arc_bound(p, target) - 1e-12
+
+
+NO_YAW_AT_1_2 = [
+    "".join(s) for d in range(1, 7) for s in itertools.product("RPY", repeat=d) if "Y" not in s[:2]
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(designs_and_postures(NO_YAW_AT_1_2), st.tuples(*[st.floats(-1.5, 1.5)] * 3))
+def test_residual_bound_is_the_link_one_arc_without_a_yaw_at_joints_1_2(case, target):
+    p, _ = case
+    assert residual_bound(p, target) == arc_bound(p, target)  # the same float
+
+
+def grid_nearest(p, q, joint, target) -> float:
+    """The closest the end gets to target as `joint` sweeps a 2e-3 rad grid, limits included.
+
+    The grid has a point within 1e-3 rad of any angle, so a rod of length R
+    ends within R * 1e-3 of any point on its arc.
+    """
+    nearest = math.inf
+    for a in np.linspace(-JOINT_ANGLE_LIMIT, JOINT_ANGLE_LIMIT, 2401):
+        q[joint] = a
+        nearest = min(nearest, math.dist(forward_kinematics(p, q), target))
+    return nearest
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(designs_and_postures(), st.tuples(*[st.floats(-1.5, 1.5)] * 3))
 def test_residual_bound_is_exact_for_one_joint(case, target):
-    # with one joint the arc is all the arm reaches, so the bound is its distance;
-    # a grid of 2e-3 rad, limits included, has a point within L1 * 1e-3 of the nearest
+    # with one joint the arc is all the arm reaches, so the bound is its distance
     p, _ = case
     p = make_params(p.origin, p.joints[:1], p.lengths[:1])
-    grid = np.linspace(-JOINT_ANGLE_LIMIT, JOINT_ANGLE_LIMIT, 2401)
-    nearest = min(math.dist(forward_kinematics(p, [a]), target) for a in grid)
+    nearest = grid_nearest(p, [0.0], 0, target)
     assert nearest - p.lengths[0] * 1e-3 <= residual_bound(p, target) <= nearest + 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    designs_and_postures(["P", "R", "PY", "RY", "PYY", "RYYY", "PYYYY"]),
+    st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+)
+def test_residual_bound_is_exact_for_a_rod_on_an_arc(case, target):
+    # joint 1 and the yaws after it swing one rod of their summed length, and
+    # the yaw angles move nothing, so the arc of that length is all the arm reaches
+    p, q = case
+    rod = math.fsum(p.lengths)
+    nearest = grid_nearest(p, q.tolist(), 0, target)
+    assert nearest - rod * 1e-3 <= residual_bound(p, target) <= nearest + 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    designs_and_postures(["YP", "YR", "YYP", "YRY", "YYYR", "YPYY", "YYRYY"]),
+    st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+)
+def test_residual_bound_is_exact_for_a_column_and_a_cap(case, target):
+    # the yaw column turns the rod's plane to the target's azimuth, or to the
+    # opposite one, where a negative angle points it back; the rod then sweeps
+    # that plane, so the grid finds the cap's nearest point
+    p, q = case
+    x = [j is JointType.YAW for j in p.joints].index(False)
+    column = (p.origin[0], p.origin[1], p.origin[2] + math.fsum(p.lengths[:x]))
+    azimuth = math.atan2(target[1] - column[1], target[0] - column[0])
+    if p.joints[x] is JointType.ROLL:  # roll tips the rod toward -y at yaw 0
+        azimuth += math.pi / 2
+    yaw = math.remainder(azimuth, 2 * math.pi)
+    if abs(yaw) > JOINT_ANGLE_LIMIT:
+        yaw -= math.copysign(math.pi, yaw)
+    q = [yaw] + [0.0] * (x - 1) + q[x:].tolist()
+    rod = math.fsum(p.lengths[x:])
+    nearest = grid_nearest(p, q, x, target)
+    assert nearest - rod * 1e-3 <= residual_bound(p, target) <= nearest + 1e-12
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(designs_and_postures(["Y", "YY", "YYY", "YYYY", "YYYYYY"]), st.tuples(*[st.floats(-1.5, 1.5)] * 3))
+def test_residual_bound_is_exact_for_an_all_yaw_chain(case, target):
+    p, q = case
+    assert residual_bound(p, target) == pytest.approx(math.dist(forward_kinematics(p, q), target), abs=1e-12)
 
 
 def test_ik_stops_on_the_arc_certificate():
@@ -306,6 +406,19 @@ def test_ik_stops_on_the_arc_certificate():
     target = (0.5, 0.3, 0.2)
     bound = residual_bound(p, target)
     assert triangle_floor(p, target) == 0.0 and bound > 0.08
+    sol = solve_ik(p, target)
+    assert bound <= sol.residual <= bound + IK_TOL
+    assert sol.iterations < IK_START_ITERS  # the zero posture's start alone
+
+
+def test_ik_stops_on_the_cap_certificate():
+    # links 1-3 form a 0.495 m column and link 4 ends on a cap of radius 0.165
+    # about its top, so no posture gets within 0.246 m of this target1 point;
+    # link 1's arc alone and the triangle floor both give 0
+    p = make_params((0, 0, 0), "YYYR", [0.165] * 4)
+    target = (0.4, 0.0, 0.4)
+    bound = residual_bound(p, target)
+    assert triangle_floor(p, target) == arc_bound(p, target) == 0.0 and bound > 0.24
     sol = solve_ik(p, target)
     assert bound <= sol.residual <= bound + IK_TOL
     assert sol.iterations < IK_START_ITERS  # the zero posture's start alone

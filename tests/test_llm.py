@@ -317,7 +317,7 @@ def test_backend_config_factory(monkeypatch, space, tmp_path):
         dict(kind="nope"),
         dict(kind="http", model="m"),
         dict(kind="http", base_url="http://h"),
-        *(dict(timeout=t) for t in (-1.0, 0.0, float("inf"), float("nan"))),
+        *(dict(kind="mock-heuristic", timeout=t) for t in (-1.0, 0.0, float("inf"), float("nan"))),
     ):
         with pytest.raises(ValueError):  # the settings are checked when the config is built
             BackendConfig(**bad)
