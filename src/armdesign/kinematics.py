@@ -21,6 +21,8 @@ less the rest of the chain's length (a relaxation in the spirit of Kumar &
 Waldron 1981, "The Workspace of a Mechanical Manipulator"): an arc swept by
 the first group when joint 1 is roll or pitch, or, when it is yaw, a spherical
 cap swept by the second group on top of a vertical column of leading yaw links.
+The same routine gives the first start: the posture that puts the group's end
+on the arc's or cap's nearest point, with the rest of the chain straight on.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ COM_FRACTION = 0.5  # COM position along each link
 # IK budget and stopping rules
 IK_TOL = 1e-4  # m, position tolerance
 IK_START_POOL = 64  # fixed start postures per D, drawn once from default_rng(0x5EED)
-IK_POOL_STARTS = 2  # pool postures, closest to the target first, tried after the zero posture
+IK_POOL_STARTS = 2  # pool postures, closest to the target first, tried after the aimed start
 IK_START_ITERS = 20  # LM iterations per start, so at most (1 + IK_POOL_STARTS) * 20 = 60 per solve
 IK_MIN_DROP = 1e-6  # m, a start ends on an accepted step that shortens the residual by less than this ...
 IK_MIN_STEP = 1e-10  # rad, ... or on a step shorter than this
@@ -223,8 +225,8 @@ def _skip_yaws(codes, k: int) -> int:
     return k
 
 
-def _residual_bound(origin, codes, lengths, t) -> float:
-    """A lower bound on |FK(q) - t| over all postures within the joint limits.
+def _residual_bound(origin, codes, lengths, t) -> tuple[float, list[float]]:
+    """A lower bound on |FK(q) - t| over all postures within the joint limits, and a start aimed at t.
 
     A yaw joint turns about its own link's axis, so the link after it keeps the
     direction of the link before it: a joint and the yaw joints after it move
@@ -240,18 +242,33 @@ def _residual_bound(origin, codes, lengths, t) -> float:
     lengths from its end, so no posture gets closer than the distance from t
     to the arc, cap or point, less that sum. This is never below
     |t - o| - sum(L), and it is exact when nothing follows the rod.
+
+    The aimed start puts the rod's end on that nearest point and every other
+    joint at 0, so the rest of the chain carries on along the rod. Joint 1
+    takes the arc's angle; or the first yaw joint turns the rod's plane to the
+    target's azimuth (a quarter turn more for roll, which tips the rod toward
+    -y at yaw 0), or half a turn back from past a limit with the rod tipped the
+    other way, and the first roll or pitch joint takes the cap's polar angle.
+    An all-yaw chain starts at the zero posture.
     """
+    aimed = [0.0] * len(codes)
     dx, dy, dz = t[0] - origin[0], t[1] - origin[1], t[2] - origin[2]
     if codes[0] == 2:  # yaw: a vertical column, then a cap
-        start = _skip_yaws(codes, 1)  # the first roll or pitch joint
-        dz -= math.fsum(lengths[:start])
-        if start == len(codes):
-            return math.hypot(dx, dy, dz)
-        end = _skip_yaws(codes, start + 1)
-        radius = math.fsum(lengths[start:end])
+        k = _skip_yaws(codes, 1)  # the first roll or pitch joint
+        dz -= math.fsum(lengths[:k])
+        if k == len(codes):
+            return math.hypot(dx, dy, dz), aimed
+        end = _skip_yaws(codes, k + 1)
+        radius = math.fsum(lengths[k:end])
         rho = math.hypot(dx, dy)  # the cap's nearest point shares the target's azimuth
         q = min(JOINT_ANGLE_LIMIT, math.atan2(rho, dz))
         gap = math.hypot(rho - radius * sin(q), dz - radius * cos(q))
+        yaw = math.atan2(dy, dx) + (math.pi / 2 if codes[k] == 0 else 0.0)
+        if yaw > math.pi:
+            yaw -= 2 * math.pi
+        if abs(yaw) > JOINT_ANGLE_LIMIT:
+            yaw, q = yaw - math.copysign(math.pi, yaw), -q
+        aimed[0], aimed[k] = yaw, q
     else:  # pitch swings the rod in the x-z plane, roll in the y-z plane
         end = _skip_yaws(codes, 1)
         radius = math.fsum(lengths[:end])
@@ -259,7 +276,8 @@ def _residual_bound(origin, codes, lengths, t) -> float:
         q = min(JOINT_ANGLE_LIMIT, max(-JOINT_ANGLE_LIMIT, math.atan2(u, dz)))
         s, c = radius * sin(q), radius * cos(q)
         gap = math.dist((dx, dy, dz), (s, 0.0, c) if codes[0] == 1 else (0.0, -s, c))
-    return max(0.0, gap - math.fsum(lengths[end:]))
+        aimed[0] = q
+    return max(0.0, gap - math.fsum(lengths[end:])), aimed
 
 
 def solve_ik(params: DesignParams, target) -> IKSolution:
@@ -277,15 +295,16 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
     step h, its squared length and J h in one pass over the joints, and runs
     one FK pass at the new posture. Joints pinned against a limit get their
     Jacobian column masked, and the system solved again, so the rest of the
-    chain keeps moving. The zero posture starts first, then the IK_POOL_STARTS postures
-    of a fixed pool (the same for every call with this D, so the solver stays
-    a pure function of its inputs) that land closest to the target. A start
-    ends after IK_START_ITERS iterations, on an accepted step that shortens
-    the residual by less than IK_MIN_DROP, or on a step shorter than
-    IK_MIN_STEP; the solve ends once the residual is within IK_TOL of
-    `_residual_bound` (the first link group's arc, or its cap on a yaw column,
-    less the rest of the chain), which no posture within the joint limits can
-    beat.
+    chain keeps moving. The start aimed by `_residual_bound` goes first (the
+    first link group's end on the nearest point of its arc or cap, the other
+    joints at 0), then the IK_POOL_STARTS postures of a fixed pool (the same
+    for every call with this D, so the solver stays a pure function of its
+    inputs) that land closest to the target. A start ends after
+    IK_START_ITERS iterations, on an accepted step that shortens the residual
+    by less than IK_MIN_DROP, or on a step shorter than IK_MIN_STEP; the
+    solve ends once the residual is within IK_TOL of `_residual_bound` (the
+    first link group's arc, or its cap on a yaw column, less the rest of the
+    chain), which no posture within the joint limits can beat.
     Unreachable targets are not an error: the best posture found is returned
     with converged=False so the position-error objective stays defined. The
     torque is taken once, at the returned posture, for uniform rods of
@@ -303,10 +322,11 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
     lengths = params.lengths
     limit = JOINT_ANGLE_LIMIT
     min_step_sq = IK_MIN_STEP**2
-    stop_at = _residual_bound(origin, codes, lengths, (tx, ty, tz)) + IK_TOL
+    bound, aimed = _residual_bound(origin, codes, lengths, (tx, ty, tz))
+    stop_at = bound + IK_TOL
 
     def starts():
-        yield [0.0] * d
+        yield aimed
         dist = [math.dist(reach, (tx, ty, tz)) for reach in _pool_reach(origin, codes, lengths)]
         for k in sorted(range(IK_START_POOL), key=dist.__getitem__)[:IK_POOL_STARTS]:
             yield list(_start_pool(d)[k])

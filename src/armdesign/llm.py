@@ -63,9 +63,9 @@ by link j along its local +z axis.
 The arm must reach the following target points (meters):
 $TARGET
 
-For every candidate design, inverse kinematics is solved from the zero posture
-for each target point independently. The design is scored by two values, both
-to be minimized:
+For every candidate design, inverse kinematics is solved for each target point
+independently, from a start posture aimed at the target and then from fixed
+start postures. The design is scored by two values, both to be minimized:
 - E_POS: sum over targets of the end-effector position error (m).
 - E_TORQUE: {alpha} * sum over targets of the gravity-compensation torque norm (N*m).
 Good designs trade these off; we are building the Pareto front over both.

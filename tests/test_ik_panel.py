@@ -47,7 +47,7 @@ def test_solve_ik_never_beats_the_oracle_or_the_bound():
         p = from_vector(design["vector"])
         codes = tuple(jt.value for jt in p.joints)
         for i, (target, residual) in enumerate(zip(PANEL["targets"], design["oracle"])):
-            bound = _residual_bound(p.origin, codes, p.lengths, target)
+            bound, _ = _residual_bound(p.origin, codes, p.lengths, target)
             got = solve_ik(p, target).residual
             if min(got, residual) < bound - MARGIN or got < residual - MARGIN:
                 below.append(f"design {k} target {i}: {got!r} (oracle {residual!r}, bound {bound!r})")
@@ -63,8 +63,9 @@ def test_solve_ik_never_beats_the_oracle_or_the_bound():
 
 @pytest.mark.parametrize("target_index", [0, 8])
 def test_solve_ik_leaves_the_wrong_joint_limit(target_index):
-    # design 15 (P-R-R-P): a descent from the zero posture alone ends with q0 pinned
-    # at -limit, 0.19-0.23 m above the oracle, which reaches these points at +limit
+    # design 15 (P-R-R-P): the oracle reaches these points with q0 at +limit, while a
+    # descent from the zero posture alone ends with q0 pinned at -limit, 0.19-0.23 m
+    # above it; the aimed start sets q0 = +limit, where link 1's arc passes nearest them
     design = PANEL["designs"][15]
     got = solve_ik(from_vector(design["vector"]), PANEL["targets"][target_index]).residual
     assert got - design["oracle"][target_index] <= 1e-6

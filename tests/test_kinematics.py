@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import armdesign
@@ -30,6 +30,7 @@ from armdesign.space import JOINT_ANGLE_LIMIT, JointType, SpaceConfig, make_para
 
 import kinematics_oracle as oracle
 from conftest import random_posture
+from test_ik_panel import MARGIN
 
 
 def fd_jacobian(params, q, eps=1e-6):
@@ -277,7 +278,7 @@ def triangle_floor(p, target) -> float:
 
 
 def residual_bound(p, target) -> float:
-    return _residual_bound(p.origin, tuple(jt.value for jt in p.joints), p.lengths, target)
+    return _residual_bound(p.origin, tuple(jt.value for jt in p.joints), p.lengths, target)[0]
 
 
 def arc_bound(p, target) -> float:
@@ -407,8 +408,8 @@ def test_ik_stops_on_the_arc_certificate():
     bound = residual_bound(p, target)
     assert triangle_floor(p, target) == 0.0 and bound > 0.08
     sol = solve_ik(p, target)
-    assert bound <= sol.residual <= bound + IK_TOL
-    assert sol.iterations < IK_START_ITERS  # the zero posture's start alone
+    assert bound - MARGIN <= sol.residual <= bound + IK_TOL  # the aimed start attains it, up to rounding
+    assert sol.iterations == 0  # certified at the aimed start
 
 
 def test_ik_stops_on_the_cap_certificate():
@@ -420,8 +421,60 @@ def test_ik_stops_on_the_cap_certificate():
     bound = residual_bound(p, target)
     assert triangle_floor(p, target) == arc_bound(p, target) == 0.0 and bound > 0.24
     sol = solve_ik(p, target)
-    assert bound <= sol.residual <= bound + IK_TOL
-    assert sol.iterations < IK_START_ITERS  # the zero posture's start alone
+    assert bound - MARGIN <= sol.residual <= bound + IK_TOL  # the aimed start attains it, up to rounding
+    assert sol.iterations == 0  # certified at the aimed start
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    st.one_of(designs_and_postures(), designs_and_postures(YAW_HEAVY)),
+    st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+    st.sampled_from(["anywhere", "plumb", "on the rod's line"]),
+    st.floats(-JOINT_ANGLE_LIMIT, JOINT_ANGLE_LIMIT),
+    st.floats(-math.pi, math.pi),
+    st.floats(1.0, 2.0),
+)
+# straight above and below the base, with signed zeros (atan2(-0.0, -0.0) is -pi)
+@example((make_params((0.0, 0.0, 0.0), "YR", [0.1, 0.2]), None), (-0.0, -0.0, 0.5), "anywhere", 0.0, 0.0, 1.0)
+@example((make_params((0.0, 0.0, 0.0), "YP", [0.1, 0.2]), None), (-0.0, -0.0, -0.5), "anywhere", 0.0, 0.0, 1.0)
+@example((make_params((0.0, 0.0, 0.0), "YYRP", [0.1] * 4), None), (0.0, -0.0, -0.5), "anywhere", 0.0, 0.0, 1.0)
+# azimuths past pi/2 take roll's quarter turn past +pi, and need the wrap; past pi - limit,
+# pitch needs the half turn back
+@example((make_params((0.0, 0.0, 0.0), "YR", [0.1, 0.2]), None), (-0.3, 0.05, 0.2), "anywhere", 0.0, 0.0, 1.0)
+@example((make_params((0.0, 0.0, 0.0), "YR", [0.1, 0.2]), None), (-0.3, -0.05, 0.2), "anywhere", 0.0, 0.0, 1.0)
+@example((make_params((0.0, 0.0, 0.0), "YYP", [0.1] * 3), None), (-0.3, 0.05, 0.2), "anywhere", 0.0, 0.0, 1.0)
+def test_aimed_start_lies_within_the_limits_and_attains_the_bound_where_it_is_exact(
+    case, target, place, polar, azimuth, stretch
+):
+    p, _ = case
+    codes = tuple(jt.value for jt in p.joints)
+    # the bound's rod is joints k..end-1: joint 1, or the first joint after the leading yaws
+    k = 0 if codes[0] != 2 else next((j for j, c in enumerate(codes) if c != 2), len(codes))
+    end = next((j for j in range(k + 1, len(codes)) if codes[j] != 2), len(codes))
+    if place == "plumb":  # straight above or below the base
+        target = (p.origin[0], p.origin[1], p.origin[2] + target[2])
+    elif place == "on the rod's line" and end < len(codes):
+        # from the rod's pivot at an unclamped angle, and past the rest of the chain:
+        # in joint 1's swing plane (roll or pitch first), or anywhere above the cap's rim (yaw first)
+        pivot = (p.origin[0], p.origin[1], p.origin[2] + math.fsum(p.lengths[:k]))
+        s, c = math.sin(polar), math.cos(polar)
+        if k > 0:
+            direction = (abs(s) * math.cos(azimuth), abs(s) * math.sin(azimuth), c)
+        else:
+            direction = (s, 0.0, c) if codes[0] == 1 else (0.0, -s, c)
+        reach = stretch * math.fsum(p.lengths[k:])
+        target = tuple(o + reach * u for o, u in zip(pivot, direction))
+    bound, aimed = _residual_bound(p.origin, codes, p.lengths, target)
+    assert len(aimed) == len(codes) and max(map(abs, aimed)) <= JOINT_ANGLE_LIMIT
+    residual = math.dist(_chain(p.origin, codes, p.lengths, aimed)[1], target)
+    assert residual >= bound - MARGIN
+    if end == len(codes) or place == "on the rod's line":  # the relaxation is exact
+        assert residual == pytest.approx(bound, abs=MARGIN)
+    if codes[0] == 2 and k < len(codes) and math.copysign(1.0, aimed[k]) < 0:
+        # the rod tips the other way only where no yaw within the limits turns it toward the target
+        turn = math.atan2(target[1] - p.origin[1], target[0] - p.origin[0])
+        turn += math.pi / 2 if codes[k] == 0 else 0.0  # roll tips the rod toward -y at yaw 0
+        assert abs(math.remainder(turn, 2 * math.pi)) > JOINT_ANGLE_LIMIT
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
