@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluation import evaluate
-from .experiment import ExperimentError, load_experiment, load_targets
+from .experiment import ExperimentError, json_numbers, load_experiment, load_targets
 from .ledger import (
     LedgerError,
     aggregate_csv,
@@ -52,7 +52,7 @@ def _load_params(args) -> DesignParams:
             raise InputError(str(exc)) from exc
     try:
         raw = json.loads(Path(args.params).read_text(encoding="utf-8"))
-        return make_params(raw["origin"], raw["joints"], raw["lengths"])
+        return make_params(json_numbers(raw["origin"]), raw["joints"], json_numbers(raw["lengths"]))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"params file: {exc}") from exc
 

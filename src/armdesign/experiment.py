@@ -119,7 +119,7 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _numbers(value) -> tuple[float, ...]:
+def json_numbers(value) -> tuple[float, ...]:
     """A JSON array of numbers; a string or a boolean is not one."""
     if not isinstance(value, list) or any(isinstance(x, (bool, str)) for x in value):
         raise ValueError(f"expected an array of numbers, got {value!r}")
@@ -131,7 +131,7 @@ _RUN_KEYS = {
     "n_init": _integer,
     "n_step": _integer,
     "n_total": _integer,
-    "ref_point": _numbers,
+    "ref_point": json_numbers,
 }
 _KNOWN_KEYS = {"name", "targets", "mode", "seeds", "backend", "out_dir", *_RUN_KEYS}
 

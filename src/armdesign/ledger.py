@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluation import TargetOutcome
+from .experiment import json_numbers
 from .orchestrator import RunResult
 from .pareto import DEFAULT_REF_POINT, ObjectiveValues
 from .space import from_vector, to_vector
@@ -137,7 +138,7 @@ def read_ref_point(run_dir: Path) -> tuple[float, float]:
     if not path.exists():
         return DEFAULT_REF_POINT
     try:
-        ref = tuple(float(v) for v in json.loads(path.read_text(encoding="utf-8"))["ref_point"])
+        ref = json_numbers(json.loads(path.read_text(encoding="utf-8"))["ref_point"])
         if len(ref) != 2 or not all(map(math.isfinite, ref)):
             raise ValueError(f"need two finite numbers, got {ref!r}")
         return ref

@@ -1,14 +1,15 @@
-"""Nondomination ranks, Pareto-front extraction, and 2-D hypervolume (minimization).
+"""Pareto-front extraction and 2-D hypervolume (minimization).
 
-The first front is one sort and a running minimum over arrays; full ranks, which
-only the TPE split needs, are one bisection sweep over the same sort order.
-Hypervolume is the area between the front and a fixed reference point; points
-at or beyond the reference in either coordinate contribute zero (they are
-clipped, not rejected, so early bad samples keep the curve defined).
+Every dominance decision is one running-minimum sweep over points sorted by
+(f1, f2), `sorted_front`. The first front is one sort and that sweep; the TPE
+split peels its later fronts with the same sweep over what is left, which
+stays sorted. Hypervolume is the area between the front and a fixed
+reference point; points at or beyond the reference in either coordinate
+contribute zero (they are clipped, not rejected, so early bad samples keep
+the curve defined).
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain
 from typing import NamedTuple, Sequence, TypeVar
 
@@ -31,44 +32,28 @@ def objective_array(points) -> np.ndarray:
     return np.fromiter(flat, dtype=float, count=2 * len(points)).reshape(-1, 2)
 
 
-def nondomination_ranks(values) -> np.ndarray:
-    """Rank 0 = nondominated; rank k = nondominated after removing ranks < k.
+def sorted_front(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Boolean mask of the nondominated points among points sorted by (f1, f2).
 
-    Rows of an (n, 2) array without NaN; equal pairs share a rank. Sort-and-sweep:
-    in (f1, f2) order every dominator of a point comes before it, and the last
-    member of each rank dominates the point iff that rank does, iff its (f2, f1)
-    sorts strictly below the point's. Those tails stay sorted, so a point's rank
-    is a bisection over them, and the point becomes its rank's new tail.
+    In that order a point is dominated iff some earlier point's (f2, f1) sorts
+    strictly below its own: the running minimum of f2 before it lies below its
+    f2, or equals it at a smaller f1. Of the earlier points at that minimum the
+    first has the smallest f1. Equal pairs stay on the front.
     """
-    vals = np.asarray(values, dtype=float).reshape(-1, 2)
-    order = np.lexsort((vals[:, 1], vals[:, 0]))
-    swept = []
-    tails: list[tuple[float, float]] = []  # (f2, f1) of the last member of each rank
-    for key in zip(vals[order, 1].tolist(), vals[order, 0].tolist()):
-        rank = bisect_left(tails, key)
-        tails[rank : rank + 1] = [key]
-        swept.append(rank)
-    ranks = np.zeros(len(vals), dtype=int)
-    ranks[order] = swept
-    return ranks
+    on_front = np.ones(len(f2), dtype=bool)
+    prev = np.minimum.accumulate(f2)[:-1]  # prev[k - 1]: least f2 of the points before k
+    starts = np.append(True, f2[1:] < prev)  # where the running minimum first takes its value
+    prev_first = np.maximum.accumulate(np.where(starts, np.arange(len(f2)), 0))[:-1]
+    on_front[1:] = ~((prev < f2[1:]) | ((prev == f2[1:]) & (f1[prev_first] < f1[1:])))
+    return on_front
 
 
 def first_front(values) -> np.ndarray:
-    """Boolean mask of rank 0 (nondominated rows) of an (n, 2) array without NaN.
-
-    In (f1, f2) order a point is dominated iff some earlier point's (f2, f1)
-    sorts strictly below its own: the running minimum of f2 before it lies
-    below its f2, or equals it at a smaller f1. Of the earlier points at that
-    minimum the first has the smallest f1. Equal pairs stay on the front.
-    """
+    """Boolean mask of the nondominated rows of an (n, 2) array without NaN."""
     vals = np.asarray(values, dtype=float).reshape(-1, 2)
-    on_front = np.ones(len(vals), dtype=bool)
     order = np.lexsort((vals[:, 1], vals[:, 0]))
-    f1, f2 = vals[order, 0], vals[order, 1]
-    prev = np.minimum.accumulate(f2)[:-1]  # prev[k - 1]: least f2 of sorted points before k
-    starts = np.append(True, f2[1:] < prev)  # where the running minimum first takes its value
-    prev_first = np.maximum.accumulate(np.where(starts, np.arange(len(f2)), 0))[:-1]
-    on_front[order[1:]] = ~((prev < f2[1:]) | ((prev == f2[1:]) & (f1[prev_first] < f1[1:])))
+    on_front = np.empty(len(vals), dtype=bool)
+    on_front[order] = sorted_front(vals[order, 0], vals[order, 1])
     return on_front
 
 
@@ -78,7 +63,7 @@ T = TypeVar("T")
 def pareto_front(points: Sequence[T]) -> list[T]:
     """Nondominated subset of objects carrying an .objectives pair, input order kept.
 
-    Duplicates of a nondominated pair are all kept (equal pairs share rank 0).
+    Duplicates of a nondominated pair are all kept.
     """
     return [p for p, keep in zip(points, first_front(objective_array(points)).tolist()) if keep]
 
@@ -110,7 +95,7 @@ def hypervolume_contributions(values, ref=DEFAULT_REF_POINT) -> np.ndarray:
     dominated points, equal pairs and points at or beyond ``ref`` get 0
     (Emmerich, Beume & Naujoks, EMO 2005). This equals the leave-one-out drop
     ``hv(all) - hv(all without i)`` only on a mutually nondominated set, which
-    is how ``tpe.split_observations`` calls it (on the boundary rank); with
+    is how ``tpe.split_observations`` calls it (on the boundary front); with
     dominated points inside a box, leave-one-out is smaller.
     """
     vals = np.asarray(values, dtype=float).reshape(-1, 2)

@@ -7,14 +7,15 @@ counts for joint types - and the suggestion is the candidate drawn from the
 good densities that maximizes the good/bad density ratio.
 
 The sampler is stateless: the trial history is owned by the caller. A call
-reads it once: the split ranks the objectives, one pass over the good and bad
-trials gives a matrix of continuous slots and one of joint codes, and each
-mixture is fitted once, with its kernels' CDFs at the bounds. The random draws
-are one block of uniform doubles: per continuous slot a kernel choice then a
-uniform, then per joint a type choice. A choice searches its doubles in the
-normalised CDF of its weights, as ``Generator.choice`` does, so the block
-yields what per-slot ``choice`` and ``uniform`` calls would. The candidates'
-densities under each mixture are one broadcast over all slots.
+reads it once: the split peels the objectives' fronts into a good mask, one
+pass over the trials in their order gives a matrix of continuous slots and one
+of joint codes, the mask picks each set's rows, and each mixture is fitted
+once, with its kernels' CDFs at the bounds. The random draws are one block of
+uniform doubles: per continuous slot a kernel choice then a uniform, then per
+joint a type choice. A choice searches its doubles in the normalised CDF of
+its weights, as ``Generator.choice`` does, so the block yields what per-slot
+``choice`` and ``uniform`` calls would. The candidates' densities under each
+mixture are one broadcast over all slots.
 
 scipy.special (the truncated Gaussians' ``ndtr`` and ``ndtri``) is imported
 at the first mixture fit, not with this module: it costs about 0.35 s and
@@ -33,7 +34,7 @@ import numpy as np
 
 from .evaluation import TargetOutcome
 from .pareto import DEFAULT_REF_POINT, ObjectiveValues, objective_array
-from .pareto import hypervolume_contributions, nondomination_ranks
+from .pareto import hypervolume_contributions, sorted_front
 from .space import DesignParams, SpaceConfig, make_params, random_sample
 
 
@@ -71,28 +72,35 @@ def split_observations(
     trials: list[TrialRecord],
     gamma: float,
     ref_point: tuple[float, float] = DEFAULT_REF_POINT,
-) -> tuple[list[TrialRecord], list[TrialRecord]]:
-    """Partition trials into (good, bad) with |good| = ceil(gamma * n), clipped to [0, n].
+) -> np.ndarray:
+    """Good-set mask, in trial order, of ceil(gamma * n) trials, clipped to [0, n].
 
-    Good trials are taken in ascending nondomination rank; within the boundary
-    rank the largest hypervolume contributors win, earlier trials on ties. Both
-    sets keep the trials' order.
+    Fronts are peeled in nondomination order, each by `sorted_front` over what
+    the earlier peels left of one (f1, f2) sort, which stays sorted. Each front
+    is good until one holds at least as many trials as the good set still
+    needs; within that boundary front the largest hypervolume contributors win,
+    earlier trials on ties.
     """
     if not trials:
         raise ValueError("split_observations needs at least one trial")
-    n_good = min(int(np.ceil(gamma * len(trials))), len(trials))
-    if n_good <= 0:
-        return [], list(trials)
+    need = min(int(np.ceil(gamma * len(trials))), len(trials))
+    good = np.zeros(len(trials), dtype=bool)
+    if need <= 0:
+        return good
     values = objective_array(trials)
-    ranks = nondomination_ranks(values)
-    boundary = np.sort(ranks)[n_good - 1]
-    is_good = ranks < boundary
-    members = np.flatnonzero(ranks == boundary)
+    order = np.lexsort((values[:, 1], values[:, 0]))
+    f1, f2 = values[order, 0], values[order, 1]
+    on_front = sorted_front(f1, f2)
+    while (size := np.count_nonzero(on_front)) < need:
+        good[order[on_front]] = True
+        need -= size
+        rest = ~on_front
+        order, f1, f2 = order[rest], f1[rest], f2[rest]
+        on_front = sorted_front(f1, f2)
+    members = np.sort(order[on_front])
     contrib = hypervolume_contributions(values[members], ref_point)
-    is_good[members[np.argsort(-contrib, kind="stable")[: n_good - is_good.sum()]]] = True
-    good = [t for t, g in zip(trials, is_good) if g]
-    bad = [t for t, g in zip(trials, is_good) if not g]
-    return good, bad
+    good[members[np.argsort(-contrib, kind="stable")[:need]]] = True
+    return good
 
 
 @dataclass(frozen=True)
@@ -194,16 +202,15 @@ def suggest(
                 f"trial {t.id} has {len(t.params.joints)} joints and {len(t.params.lengths)} lengths;"
                 f" the space has {d} joints"
             )
-    good, bad = split_observations(trials, cfg.gamma, ref_point)
+    good = split_observations(trials, cfg.gamma, ref_point)
     alphabet = space.joint_alphabet
-    slots, codes = _read_history(good + bad, alphabet, d)
-    n_good = len(good)
+    slots, codes = _read_history(trials, alphabet, d)
     low = np.array([space.origin_low] * 3 + [space.length_low] * d)
     high = np.array([space.origin_high] * 3 + [space.length_high] * d)
-    mix_good = _Mixtures.fit(slots[:n_good], low, high, cfg)
-    mix_bad = _Mixtures.fit(slots[n_good:], low, high, cfg)
-    p_good = _category_probs(_joint_counts(codes[:n_good], len(alphabet)), cfg.prior_weight)
-    p_bad = _category_probs(_joint_counts(codes[n_good:], len(alphabet)), cfg.prior_weight)
+    mix_good = _Mixtures.fit(slots[good], low, high, cfg)
+    mix_bad = _Mixtures.fit(slots[~good], low, high, cfg)
+    p_good = _category_probs(_joint_counts(codes[good], len(alphabet)), cfg.prior_weight)
+    p_bad = _category_probs(_joint_counts(codes[~good], len(alphabet)), cfg.prior_weight)
 
     n_cand, n_slots = cfg.n_candidates, len(low)
     draws = rng.random(n_cand * (2 * n_slots + d))

@@ -95,6 +95,25 @@ def test_urdf_writes_idempotent_file(capsys, params_file, tmp_path):
     assert b"revolute" in first
 
 
+@pytest.mark.parametrize(
+    "origin, lengths",
+    [
+        ([True, "0.1", 0], [0.25, 0.2, 0.2, 0.15]),
+        ([0, 0, 0], ["0.2", 0.2, 0.2, 0.15]),
+        ([True, 5, 0], [0.25, 0.2, 0.2, 0.15]),
+        (["5", "5", 0], [0.25, 0.2, 0.2, 0.15]),
+    ],
+    ids=["origin-bool-and-string", "length-string", "origin-bool", "origin-strings"],
+)
+def test_evaluate_rejects_params_that_are_not_numbers(capsys, tmp_path, origin, lengths):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"origin": origin, "joints": ["Y", "P", "R", "P"], "lengths": lengths}))
+    code, out, err = run_cli(capsys, "evaluate", "--params", str(bad), "--targets", TARGET1)
+    assert code == 1
+    assert out == ""
+    assert "params file: expected an array of numbers" in error_line(err)
+
+
 def test_urdf_rejects_out_of_range_origin(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -326,11 +345,12 @@ def test_report_uses_the_runs_ref_point(capsys, tmp_path):
     stored = (run_dir / "run.json").read_text()
     assert json.loads(stored) == {"ref_point": [50.0, 50.0]}
     for bad in ('{"ref_point": [50.0, Infinity]}', '{"ref_point": [50.0, NaN]}', '{"ref_point": [50.0]}',
-                '{"ref_point": [50.0, "x"]}', '{"ref": [50.0, 50.0]}', "[50.0, 50.0]", "not json"):
+                '{"ref_point": [50.0, "x"]}', '{"ref_point": [true, 5]}', '{"ref_point": ["5", "5"]}',
+                '{"ref": [50.0, 50.0]}', "[50.0, 50.0]", "not json"):
         (run_dir / "run.json").write_text(bad)
         code, _, err = run_cli(capsys, "report", ledger)
         assert code == 1
-        assert "run.json" in err
+        assert "run.json" in error_line(err)
     (run_dir / "run.json").write_text(stored)
     # a sweep at another point is not averaged in
     other = quick_experiment(tmp_path, seeds=[0], out_dir=str(tmp_path / "other"))

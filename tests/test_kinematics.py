@@ -204,7 +204,9 @@ def test_ik_residual_never_worse_than_start():
     for _ in range(50):
         p = random_sample(rng, cfg)
         target = rng.uniform(-1.0, 1.0, size=3)
-        start_residual = np.linalg.norm(forward_kinematics(p, np.zeros(4)) - target)
+        # the aimed start is the first one solve_ik runs
+        aimed = _residual_bound(p.origin, tuple(jt.value for jt in p.joints), p.lengths, target.tolist())[1]
+        start_residual = np.linalg.norm(forward_kinematics(p, aimed) - target)
         sol = solve_ik(p, target)
         assert sol.residual <= start_residual + 1e-12
 

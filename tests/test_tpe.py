@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from armdesign.pareto import ObjectiveValues, hypervolume_2d, pareto_front
+from armdesign.pareto import ObjectiveValues, first_front, hypervolume_2d, pareto_front
 from armdesign.space import SpaceConfig, make_params, random_sample, validate
 from armdesign.tpe import (
     SampleSource,
@@ -14,7 +14,6 @@ from armdesign.tpe import (
     _category_probs,
     _Mixtures,
     _read_history,
-    nondomination_ranks,
     split_observations,
     suggest,
 )
@@ -39,11 +38,10 @@ def random_trials(rng, space, objective_pairs):
 def test_split_size_is_ceiling_of_gamma_n(space):
     rng = np.random.default_rng(0)
     trials = random_trials(rng, space, rng.uniform(0, 4, size=(10, 2)))
-    good, bad = split_observations(trials, gamma=0.3, ref_point=REF)
-    assert len(good) == 3
-    assert len(bad) == 7
-    assert {t.id for t in good} | {t.id for t in bad} == {t.id for t in trials}
-    assert {t.id for t in good} & {t.id for t in bad} == set()
+    good = split_observations(trials, gamma=0.3, ref_point=REF)
+    assert good.dtype == bool
+    assert good.shape == (10,)
+    assert good.sum() == 3
 
 
 def test_dominating_trial_always_good(space):
@@ -51,8 +49,8 @@ def test_dominating_trial_always_good(space):
     pairs = rng.uniform(2, 4, size=(20, 2)).tolist()
     pairs[7] = (0.1, 0.1)  # dominates everything
     trials = random_trials(rng, space, pairs)
-    good, _ = split_observations(trials, gamma=0.05, ref_point=REF)
-    assert [t.id for t in good] == [7]
+    good = split_observations(trials, gamma=0.05, ref_point=REF)
+    assert np.flatnonzero(good).tolist() == [7]
 
 
 def test_boundary_rank_ties_broken_by_hv_contribution(space):
@@ -64,11 +62,11 @@ def test_boundary_rank_ties_broken_by_hv_contribution(space):
         f2 = np.sort(rng.uniform(0, 4, size=n))[::-1]
         pairs = list(zip(f1, f2))
         trials = random_trials(rng, space, pairs)
-        assert nondomination_ranks(np.array(pairs)).max() == 0
+        assert first_front(np.array(pairs)).all()
 
         k = int(rng.integers(1, n))
-        good, _ = split_observations(trials, gamma=(k - 0.5) / n, ref_point=REF)
-        assert len(good) == k
+        good = split_observations(trials, gamma=(k - 0.5) / n, ref_point=REF)
+        assert good.sum() == k
 
         # brute-force oracle: the k-subset keeping the largest leave-one-out drops
         total = hypervolume_2d(pairs, REF)
@@ -77,7 +75,22 @@ def test_boundary_rank_ties_broken_by_hv_contribution(space):
             for i in range(n)
         ]
         expected = set(sorted(range(n), key=lambda i: (-contrib[i], i))[:k])
-        assert {t.id for t in good} == expected
+        assert set(np.flatnonzero(good).tolist()) == expected
+
+
+def history_case(seed: int, n: int, d: int, ref: tuple[float, float], duplicates: bool):
+    """A seeded history of n trials over d joints. In a duplicate-heavy one every
+    design is one of three and the objectives sit on an integer grid."""
+    space = SpaceConfig(n_joints=d)
+    rng = np.random.default_rng(seed)
+    if duplicates:
+        pool = [random_sample(rng, space) for _ in range(3)]
+        designs = [pool[k] for k in rng.integers(3, size=n)]
+        pairs = rng.integers(0, 7, size=(n, 2))
+    else:
+        designs = [random_sample(rng, space) for _ in range(n)]
+        pairs = rng.uniform(0, 6, size=(n, 2))
+    return [make_trial(i, pair, p) for i, (pair, p) in enumerate(zip(pairs, designs))], space, ref, seed
 
 
 def oracle_split(values, gamma, ref):
@@ -111,12 +124,15 @@ def split_cases(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(split_cases())
+# a float history with no ties and many thin fronts, so the split peels several
+@example(([t.objectives for t in history_case(5, 120, 4, REF, duplicates=False)[0]], 0.25, REF))
 def test_split_matches_oracle(case):
     values, gamma, ref = case
     params = make_params((0.0, 0.0, 0.0), "YPRP", (0.1,) * 4)
     trials = [make_trial(i, pair, params) for i, pair in enumerate(values)]
-    good, bad = split_observations(trials, gamma, ref)
-    assert ([t.id for t in good], [t.id for t in bad]) == oracle_split(values, gamma, ref)
+    good = split_observations(trials, gamma, ref)
+    assert good.shape == (len(values),)
+    assert (np.flatnonzero(good).tolist(), np.flatnonzero(~good).tolist()) == oracle_split(values, gamma, ref)
 
 
 def test_category_prior_formula():
@@ -182,21 +198,6 @@ def test_golden_suggestions(space, n):
         assert p.lengths == pytest.approx(lengths, rel=1e-12)
 
 
-def history_case(seed: int, n: int, d: int, ref: tuple[float, float], duplicates: bool):
-    """A seeded history of n trials over d joints. In a duplicate-heavy one every
-    design is one of three and the objectives sit on an integer grid."""
-    space = SpaceConfig(n_joints=d)
-    rng = np.random.default_rng(seed)
-    if duplicates:
-        pool = [random_sample(rng, space) for _ in range(3)]
-        designs = [pool[k] for k in rng.integers(3, size=n)]
-        pairs = rng.integers(0, 7, size=(n, 2))
-    else:
-        designs = [random_sample(rng, space) for _ in range(n)]
-        pairs = rng.uniform(0, 6, size=(n, 2))
-    return [make_trial(i, pair, p) for i, (pair, p) in enumerate(zip(pairs, designs))], space, ref, seed
-
-
 @st.composite
 def suggest_cases(draw):
     """Seeded histories of 10-80 trials over 1-6 joints, with the reference points
@@ -228,11 +229,11 @@ def test_block_draw_matches_one_draw_at_a_time(case):
 def test_broadcast_log_pdf_matches_per_slot_formula(case):
     trials, space, ref, seed = case
     cfg = TpeConfig()
-    good, bad = split_observations(trials, cfg.gamma, ref)
-    slots, _ = _read_history(good + bad, space.joint_alphabet, space.n_joints)
+    good = split_observations(trials, cfg.gamma, ref)
+    slots, _ = _read_history(trials, space.joint_alphabet, space.n_joints)
     low = np.array([space.origin_low] * 3 + [space.length_low] * space.n_joints)
     high = np.array([space.origin_high] * 3 + [space.length_high] * space.n_joints)
-    mixtures = [_Mixtures.fit(part, low, high, cfg) for part in (slots[: len(good)], slots[len(good) :])]
+    mixtures = [_Mixtures.fit(part, low, high, cfg) for part in (slots[good], slots[~good])]
     rng = np.random.default_rng(seed)
     x = mixtures[0].sample(*rng.random((2, len(low), cfg.n_candidates)))
     for mix in mixtures:

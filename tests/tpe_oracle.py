@@ -60,7 +60,9 @@ def suggest_one_draw_at_a_time(
     if len(trials) < cfg.n_startup:
         return random_sample(rng, space)
 
-    good, bad = split_observations(trials, cfg.gamma, ref_point)
+    is_good = split_observations(trials, cfg.gamma, ref_point)
+    good = [t for t, g in zip(trials, is_good) if g]
+    bad = [t for t, g in zip(trials, is_good) if not g]
     alphabet = space.joint_alphabet
     slots, codes = read_history(good + bad, alphabet)
     n_good = len(good)
