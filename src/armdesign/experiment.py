@@ -25,7 +25,8 @@ number > 0 and finite for "timeout" (s) and an object for "decoding".
 BackendConfig.make reads the http token when a run builds the backend.
 
 Seeds and n_* keys must be integers (5.0 loads as 5; 2.5 or true is rejected,
-never truncated). Keys not named above, at the top level or inside "backend",
+never truncated), and each target point an array of JSON numbers ("0.1" or
+true is rejected). Keys not named above, at the top level or inside "backend",
 are rejected with ExperimentError, "alpha", "n_pareto", "n_random" and
 "n_joints" among them: the torque weight, the feedback sizes and D are the
 constants evaluation.ALPHA, llm.FEEDBACK_PARETO, llm.FEEDBACK_RANDOM and
@@ -83,7 +84,8 @@ def load_targets(source, base_dir: Path | None = None) -> TargetSet:
     if not isinstance(source, dict):
         raise ExperimentError(f"malformed target set: expected an object, got {type(source).__name__}")
     try:
-        return TargetSet(name=str(source.get("name", "targets")), points=source["points"])
+        points = [json_numbers(p) for p in source["points"]]
+        return TargetSet(name=str(source.get("name", "targets")), points=points)
     except (KeyError, TypeError, ValueError) as exc:
         raise ExperimentError(f"malformed target set: {exc}") from exc
 
@@ -112,7 +114,7 @@ def _load_backend(raw, base_dir: Path) -> BackendConfig:
     return BackendConfig(**raw)
 
 
-def _integer(value) -> int:
+def json_integer(value) -> int:
     """A JSON integer, or a float with no fractional part; a boolean is not one."""
     if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
@@ -128,9 +130,9 @@ def json_numbers(value) -> tuple[float, ...]:
 
 # optional top-level keys that go straight into RunConfig, with their converters
 _RUN_KEYS = {
-    "n_init": _integer,
-    "n_step": _integer,
-    "n_total": _integer,
+    "n_init": json_integer,
+    "n_step": json_integer,
+    "n_total": json_integer,
     "ref_point": json_numbers,
 }
 _KNOWN_KEYS = {"name", "targets", "mode", "seeds", "backend", "out_dir", *_RUN_KEYS}
@@ -162,7 +164,7 @@ def load_experiment(path) -> ExperimentSpec:
         if "backend" in raw:
             settings["backend"] = _load_backend(raw["backend"], path.parent)
         base = RunConfig(targets=targets, **settings)
-        seeds = tuple(map(_integer, raw.get("seeds", [0])))
+        seeds = tuple(map(json_integer, raw.get("seeds", [0])))
         out_dir = Path(raw.get("out_dir", f"runs/{raw.get('name', path.stem)}"))
     except (TypeError, ValueError) as exc:
         raise ExperimentError(f"invalid experiment settings: {exc}") from exc

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluation import TargetOutcome
-from .experiment import json_numbers
+from .experiment import json_integer, json_numbers
 from .orchestrator import RunResult
 from .pareto import DEFAULT_REF_POINT, ObjectiveValues
 from .space import from_vector, to_vector
@@ -49,15 +49,22 @@ def trial_to_json(trial: TrialRecord) -> str:
     return json.dumps(row, separators=(", ", ": "))
 
 
+def _boolean(value) -> bool:
+    """A JSON boolean; a string or a number is not one."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected a boolean, got {value!r}")
+    return value
+
+
 def _parse_outcome(row: dict) -> TargetOutcome:
     """One per_target object as an outcome; its residual key, a copy of e_pos, is not read."""
-    target, reached, torque = (tuple(float(v) for v in row[key]) for key in ("target", "reached", "torque"))
-    e_pos, e_torque = float(row["e_pos"]), float(row["e_torque"])
+    target, reached, torque = (json_numbers(row[key]) for key in ("target", "reached", "torque"))
+    e_pos, e_torque = json_numbers([row["e_pos"], row["e_torque"]])
     if len(target) != 3 or len(reached) != 3:
         raise ValueError("a target and a reached point need 3 values each")
     if not all(map(math.isfinite, (*target, *reached, *torque, e_pos, e_torque))):
         raise ValueError("non-finite per-target value")
-    converged, iterations = bool(row["converged"]), int(row["iterations"])
+    converged, iterations = _boolean(row["converged"]), json_integer(row["iterations"])
     return TargetOutcome(target, reached, torque, e_pos, e_torque, converged, iterations)
 
 
@@ -67,16 +74,18 @@ def parse_ledger_line(line: str, lineno: int) -> TrialRecord:
     JSON admits NaN and Infinity, so a non-finite value among the objectives,
     the vector or the outcomes is rejected here: the dominance sweep and the
     hypervolume assume finite pairs, and an evaluation writes finite outcomes.
+    Values keep their JSON types, as in an experiment file: "0.5", true, an id
+    of 2.7 or a "fallback" of "false" is rejected, never coerced.
     """
     try:
         row = json.loads(line)
         trial = TrialRecord(
-            id=int(row["id"]),
+            id=json_integer(row["id"]),
             source=SampleSource(row["source"]),
-            params=from_vector(row["vector"]),
-            objectives=ObjectiveValues(*(float(v) for v in row["objectives"])),
+            params=from_vector(json_numbers(row["vector"])),
+            objectives=ObjectiveValues(*json_numbers(row["objectives"])),
             per_target=tuple(map(_parse_outcome, row["per_target"])),
-            fallback=bool(row["fallback"]),
+            fallback=_boolean(row["fallback"]),
         )
         if not all(map(math.isfinite, (*trial.objectives, *to_vector(trial.params)))):
             raise ValueError("non-finite objective or vector value")

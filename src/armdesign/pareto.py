@@ -5,8 +5,8 @@ Every dominance decision is one running-minimum sweep over points sorted by
 split peels its later fronts with the same sweep over what is left, which
 stays sorted. Hypervolume is the area between the front and a fixed
 reference point; points at or beyond the reference in either coordinate
-contribute zero (they are clipped, not rejected, so early bad samples keep
-the curve defined).
+add no area (they are clipped, not rejected, so early bad samples keep the
+curve defined).
 """
 from __future__ import annotations
 
@@ -85,24 +85,3 @@ def hypervolume_2d(values, ref=DEFAULT_REF_POINT) -> float:
             area += (rx - f1) * (prev_f2 - f2)
             prev_f2 = f2
     return area
-
-
-def hypervolume_contributions(values, ref=DEFAULT_REF_POINT) -> np.ndarray:
-    """Exclusive hypervolume of each front point of a set; 0 for the rest.
-
-    Sorted by f1, a front point's exclusive area is the box spanned by its
-    front neighbours (the reference point stands in for a missing one), so
-    dominated points, equal pairs and points at or beyond ``ref`` get 0
-    (Emmerich, Beume & Naujoks, EMO 2005). This equals the leave-one-out drop
-    ``hv(all) - hv(all without i)`` only on a mutually nondominated set, which
-    is how ``tpe.split_observations`` calls it (on the boundary front); with
-    dominated points inside a box, leave-one-out is smaller.
-    """
-    vals = np.asarray(values, dtype=float).reshape(-1, 2)
-    rx, ry = float(ref[0]), float(ref[1])
-    front = np.flatnonzero(first_front(vals) & (vals[:, 0] < rx) & (vals[:, 1] < ry))
-    order = front[np.lexsort((vals[front, 1], vals[front, 0]))]
-    f1, f2 = vals[order, 0], vals[order, 1]
-    contrib = np.zeros(len(vals))
-    contrib[order] = (np.append(f1[1:], rx) - f1) * (np.insert(f2[:-1], 0, ry) - f2)
-    return contrib

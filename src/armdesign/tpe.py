@@ -1,7 +1,7 @@
 """Multi-objective tree-structured Parzen estimator over the mixed design space.
 
-Past trials are split into good/bad sets by nondomination rank (hypervolume
-contribution breaks ties in the boundary rank). Each dimension gets a pair of
+Past trials are split into good/bad sets by nondomination rank (exclusive
+hypervolume breaks ties in the boundary rank). Each dimension gets a pair of
 density estimators - truncated-Gaussian mixtures for continuous slots, weighted
 counts for joint types - and the suggestion is the candidate drawn from the
 good densities that maximizes the good/bad density ratio.
@@ -33,8 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from .evaluation import TargetOutcome
-from .pareto import DEFAULT_REF_POINT, ObjectiveValues, objective_array
-from .pareto import hypervolume_contributions, sorted_front
+from .pareto import DEFAULT_REF_POINT, ObjectiveValues, objective_array, sorted_front
 from .space import DesignParams, SpaceConfig, make_params, random_sample
 
 
@@ -78,8 +77,11 @@ def split_observations(
     Fronts are peeled in nondomination order, each by `sorted_front` over what
     the earlier peels left of one (f1, f2) sort, which stays sorted. Each front
     is good until one holds at least as many trials as the good set still
-    needs; within that boundary front the largest hypervolume contributors win,
-    earlier trials on ties.
+    needs. Within that boundary front, in its (f1, f2) order, a point strictly
+    inside ref_point scores its exclusive hypervolume: (the next inside
+    point's f1, or rx for the last) - f1, times (the previous one's f2, or ry
+    for the first) - f2. Points at or beyond the reference score 0, and so do
+    equal pairs. The largest scores win, earlier trials on ties.
     """
     if not trials:
         raise ValueError("split_observations needs at least one trial")
@@ -97,9 +99,15 @@ def split_observations(
         rest = ~on_front
         order, f1, f2 = order[rest], f1[rest], f2[rest]
         on_front = sorted_front(f1, f2)
-    members = np.sort(order[on_front])
-    contrib = hypervolume_contributions(values[members], ref_point)
-    good[members[np.argsort(-contrib, kind="stable")[:need]]] = True
+    members, f1, f2 = order[on_front], f1[on_front], f2[on_front]
+    rx, ry = ref_point
+    inside = (f1 < rx) & (f2 < ry)
+    f1, f2 = f1[inside], f2[inside]
+    # on a sorted 2-D front a point's exclusive hypervolume is the box its
+    # neighbours span (Emmerich, Beume & Naujoks, EMO 2005)
+    contrib = np.zeros(len(members))
+    contrib[inside] = (np.append(f1[1:], rx) - f1) * (np.insert(f2[:-1], 0, ry) - f2)
+    good[members[np.lexsort((members, -contrib))[:need]]] = True
     return good
 
 

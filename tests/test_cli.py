@@ -79,6 +79,16 @@ def test_evaluate_rejects_a_target_list(capsys, params_file, tmp_path):
     assert "malformed target set: expected an object, got list" in error_line(err)
 
 
+@pytest.mark.parametrize("points", [["123"], [["0.1", True, 0]]], ids=["point-string", "point-string-and-bool"])
+def test_evaluate_rejects_target_points_that_are_not_numbers(capsys, params_file, tmp_path, points):
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps({"name": "bad", "points": points}))
+    code, out, err = run_cli(capsys, "evaluate", "--params", params_file, "--targets", str(targets))
+    assert code == 1
+    assert out == ""
+    assert "malformed target set: expected an array of numbers" in error_line(err)
+
+
 def test_evaluate_deterministic_stdout(capsys, params_file):
     code1, out1, _ = run_cli(capsys, "evaluate", "--params", params_file, "--targets", TARGET1)
     code2, out2, _ = run_cli(capsys, "evaluate", "--params", params_file, "--targets", TARGET1)

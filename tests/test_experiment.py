@@ -77,6 +77,10 @@ def test_load_targets_rejects_garbage(tmp_path):
     for points in ([[0.1, 0.2]], [[0.1, 0.2, 0.3, 0.4]], [[0.1, 0.2, 0.3], []]):
         with pytest.raises(ExperimentError, match="target point must be 3 finite numbers"):
             load_targets({"points": points})
+    # a string is not a point, and strings and booleans are not coordinates
+    for points in (["123"], [["0.1", True, 0]]):
+        with pytest.raises(ExperimentError, match="malformed target set: expected an array of numbers"):
+            load_targets({"points": points})
 
 
 def test_experiment_error_cases(tmp_path):

@@ -75,6 +75,28 @@ def test_corrupt_line_reported_with_number(tmp_path, small_result):
         line.replace('"target": [', '"target": [0.5, ', 1),  # 4 values: not a point
         line.replace('"iterations": ', '"iters": ', 1),
     ]
+    # values of the wrong JSON type: never coerced, as in an experiment file
+    row = json.loads(line)
+    first = row["per_target"][0]
+
+    def with_outcome(**changes):
+        return json.dumps(dict(row, per_target=[dict(first, **changes), *row["per_target"][1:]]))
+
+    def string_and_bool(values):
+        return [str(values[0]), True, *values[2:]]
+
+    corrupt += [
+        json.dumps(dict(row, id=2.7)),
+        json.dumps(dict(row, fallback="false")),
+        json.dumps(dict(row, vector=string_and_bool(row["vector"]))),
+        json.dumps(dict(row, objectives=string_and_bool(row["objectives"]))),
+        with_outcome(iterations=3.9),
+        with_outcome(converged="no"),
+        with_outcome(target=string_and_bool(first["target"])),
+        with_outcome(reached=string_and_bool(first["reached"])),
+        with_outcome(torque=string_and_bool(first["torque"])),
+        with_outcome(e_pos=str(first["e_pos"])),
+    ]
     for bad in corrupt:
         lines[6] = bad
         path.write_text("\n".join(lines) + "\n")

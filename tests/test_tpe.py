@@ -18,6 +18,7 @@ from armdesign.tpe import (
     suggest,
 )
 from pareto_oracle import layered_ranks, leave_one_out_contributions
+from test_pareto import signed_zero_sets, uniform_sets
 from tpe_oracle import log_pdf_slot, suggest_one_draw_at_a_time
 
 REF = (5.0, 5.0)
@@ -110,9 +111,11 @@ def oracle_split(values, gamma, ref):
 
 @st.composite
 def split_cases(draw):
-    """Integer-grid histories (ties, equal pairs, points on or beyond ref) with
-    gammas at 0, at 1, above 1, on each rank boundary and in between."""
-    values = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=30))
+    """Integer-grid histories (ties, equal pairs, points on or beyond ref),
+    seeded uniform floats and signed-zero sets, with gammas at 0, at 1, above 1,
+    on each rank boundary and in between."""
+    grid = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=30)
+    values = draw(st.one_of(grid, uniform_sets, signed_zero_sets).filter(len))
     n = len(values)
     ranks = layered_ranks(values)
     # (k - 0.5) / n rounds up to exactly k trials: all of ranks < r for each r
@@ -122,7 +125,7 @@ def split_cases(draw):
     return values, gamma, ref
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=600, deadline=None, derandomize=True)
 @given(split_cases())
 # a float history with no ties and many thin fronts, so the split peels several
 @example(([t.objectives for t in history_case(5, 120, 4, REF, duplicates=False)[0]], 0.25, REF))
