@@ -331,7 +331,7 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
         for k in sorted(range(IK_START_POOL), key=dist.__getitem__)[:IK_POOL_STARTS]:
             yield list(_start_pool(d)[k])
 
-    best_q, best_residual = None, math.inf
+    best_q, best_residual, best_chain = None, math.inf, None
     iterations = 0
     for q in starts():
         joints, ee = _chain(origin, codes, lengths, q)
@@ -339,7 +339,9 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
         err_sq = ex * ex + ey * ey + ez * ez
         residual = math.sqrt(err_sq)
         if residual < best_residual:
-            best_q, best_residual = q, residual
+            best_q, best_residual, best_chain = q, residual, (joints, ee)
+        if best_residual <= stop_at:
+            break
         cols = _jacobian_columns(joints, ee)
         gram = _gram(cols)
         mu = max(IK_MU_FLOOR, IK_MU_INIT * max(gram[0], gram[3], gram[5]))
@@ -382,7 +384,7 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
             q, ex, ey, ez, err_sq = q_next, ex_next, ey_next, ez_next, err_sq_next
             residual, previous = math.sqrt(err_sq), residual
             if residual < best_residual:
-                best_q, best_residual = q, residual
+                best_q, best_residual, best_chain = q, residual, (joints, ee)
             if previous - residual < IK_MIN_DROP:  # a local minimum, or as good as one
                 break
             cols = _jacobian_columns(joints, ee)
@@ -390,12 +392,12 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
         if best_residual <= stop_at:
             break
 
-    joints, reached = _chain(origin, codes, lengths, best_q)
+    joints, reached = best_chain  # the FK pass that scored best_q
     return IKSolution(
         q=tuple(best_q),
         reached=reached,
         torque=tuple(_torques(joints, lengths)),
-        residual=best_residual,  # computed from this same FK pass when best_q was found
+        residual=best_residual,
         converged=best_residual <= IK_TOL,
         iterations=iterations,
     )

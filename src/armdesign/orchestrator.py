@@ -25,7 +25,7 @@ from .llm import (
 )
 from .pareto import DEFAULT_REF_POINT, hypervolume_2d, pareto_front
 from .space import SpaceConfig, random_sample
-from .tpe import SampleSource, TpeConfig, TrialRecord, suggest
+from .tpe import SampleSource, TpeConfig, TrialRecord, TrialTable, suggest
 
 SPACE = SpaceConfig()  # every run samples D = 4 designs; evaluate and urdf read D from the design
 
@@ -89,17 +89,18 @@ def run(config: RunConfig) -> RunResult:
     rng = np.random.default_rng(config.seed)
     backend: LLMBackend | None = config.backend.make(SPACE) if config.mode.uses_llm else None
 
-    ledger: list[TrialRecord] = []
+    table = TrialTable(SPACE.n_joints, config.n_init + config.n_total)
+    ledger = table.records
     transcripts: dict[int, tuple[TranscriptEntry, ...]] = {}
 
     def _record(params, source: SampleSource, fallback: bool = False) -> None:
         report = evaluate(params, config.targets)
-        ledger.append(
+        table.append(
             TrialRecord(len(ledger), source, params, report.objectives, report.per_target, fallback)
         )
 
     def _suggest():
-        return suggest(rng, ledger, TpeConfig(), SPACE, config.ref_point)
+        return suggest(rng, table, TpeConfig(), SPACE, config.ref_point)
 
     for _ in range(config.n_init):
         _record(random_sample(rng, SPACE), SampleSource.RANDOM)

@@ -6,11 +6,16 @@ density estimators - truncated-Gaussian mixtures for continuous slots, weighted
 counts for joint types - and the suggestion is the candidate drawn from the
 good densities that maximizes the good/bad density ratio.
 
-The sampler is stateless: the trial history is owned by the caller. A call
-reads it once: the split peels the objectives' fronts into a good mask, one
-pass over the trials in their order gives a matrix of continuous slots and one
-of joint codes, the mask picks each set's rows, and each mixture is fitted
-once, with its kernels' CDFs at the bounds. The random draws are one block of
+The trial history is a `TrialTable`: the records in trial order beside their
+objectives, continuous slots (origin then lengths) and joint codes as arrays
+with one row per trial. Rows are only appended, and each is written once, when
+its record is added; a record whose design has another joint count or whose
+objectives are not finite (the split's sweeps assume finite values) is
+refused. A run keeps one table for all its suggestions; a list of records
+given to `suggest` is read into a table of its own on each call. A call reads
+the table's rows: the split peels the objectives' fronts into a good mask, the
+mask picks each set's rows, and each mixture is fitted once, with its kernels'
+CDFs at the bounds. The random draws are one block of
 uniform doubles: per continuous slot a kernel choice then a uniform, then per
 joint a type choice. A choice searches its doubles in the normalised CDF of
 its weights, as ``Generator.choice`` does, so the block yields what per-slot
@@ -28,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -55,6 +60,59 @@ class TrialRecord:
     fallback: bool = False  # LLM slot that fell back to a BBO suggestion
 
 
+class TrialTable:
+    """An append-only trial history of designs with d joints, for at most capacity trials.
+
+    `records` is the trial list. `values` (objectives), `slots` (origin then
+    lengths) and `codes` (joint-type alphabet indices) are arrays with one row
+    per record, in the same order: views of buffers preallocated for capacity
+    rows, so a row is written once, when its record is added.
+    """
+
+    def __init__(self, d: int, capacity: int):
+        self.d = d
+        self.records: list[TrialRecord] = []
+        self._buffers = (np.empty((capacity, 2)), np.empty((capacity, 3 + d)), np.empty((capacity, d), dtype=int))
+        self.values, self.slots, self.codes = (buffer[:0] for buffer in self._buffers)
+
+    @classmethod
+    def of(cls, d: int, records: Sequence[TrialRecord]) -> "TrialTable":
+        table = cls(d, len(records))
+        table.extend(records)
+        return table
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def append(self, record: TrialRecord) -> None:
+        self.extend((record,))
+
+    def extend(self, records: Sequence[TrialRecord]) -> None:
+        """Add records as the next rows. A design of another joint count, an
+        objective that is not finite or a full table is a ValueError, and adds nothing."""
+        n, k, d = len(self.records), len(records), self.d
+        if n + k > len(self._buffers[0]):
+            raise ValueError(f"a table of {len(self._buffers[0])} trials cannot take {k} more after {n}")
+        for t in records:
+            if len(t.params.joints) != d or len(t.params.lengths) != d:
+                raise ValueError(
+                    f"trial {t.id} has {len(t.params.joints)} joints and {len(t.params.lengths)} lengths;"
+                    f" the space has {d} joints"
+                )
+        values = objective_array(records)
+        if not np.isfinite(values).all():
+            first = int(np.argmin(np.isfinite(values).all(axis=1)))
+            raise ValueError(f"trial {records[first].id} has a non-finite objective")
+        params = [t.params for t in records]
+        slots = np.fromiter(chain.from_iterable(p.origin + p.lengths for p in params), float, k * (3 + d))
+        joints = chain.from_iterable(p.joints for p in params)
+        codes = np.fromiter(map(SpaceConfig.joint_alphabet.index, joints), int, k * d)
+        for buffer, rows in zip(self._buffers, (values, slots.reshape(k, 3 + d), codes.reshape(k, d))):
+            buffer[n : n + k] = rows
+        self.values, self.slots, self.codes = (buffer[: n + k] for buffer in self._buffers)
+        self.records.extend(records)
+
+
 @dataclass(frozen=True)
 class TpeConfig:
     """The sampler's fixed settings, as class constants."""
@@ -68,11 +126,12 @@ class TpeConfig:
 
 
 def split_observations(
-    trials: list[TrialRecord],
+    values: np.ndarray,
     gamma: float,
     ref_point: tuple[float, float] = DEFAULT_REF_POINT,
 ) -> np.ndarray:
-    """Good-set mask, in trial order, of ceil(gamma * n) trials, clipped to [0, n].
+    """Good-set mask, in row order, of ceil(gamma * n) of the n rows of an (n, 2)
+    objective array, clipped to [0, n].
 
     Fronts are peeled in nondomination order, each by `sorted_front` over what
     the earlier peels left of one (f1, f2) sort, which stays sorted. Each front
@@ -83,13 +142,13 @@ def split_observations(
     for the first) - f2. Points at or beyond the reference score 0, and so do
     equal pairs. The largest scores win, earlier trials on ties.
     """
-    if not trials:
+    n = len(values)
+    if not n:
         raise ValueError("split_observations needs at least one trial")
-    need = min(int(np.ceil(gamma * len(trials))), len(trials))
-    good = np.zeros(len(trials), dtype=bool)
+    need = min(int(np.ceil(gamma * n)), n)
+    good = np.zeros(n, dtype=bool)
     if need <= 0:
         return good
-    values = objective_array(trials)
     order = np.lexsort((values[:, 1], values[:, 0]))
     f1, f2 = values[order, 0], values[order, 1]
     on_front = sorted_front(f1, f2)
@@ -191,12 +250,13 @@ def _category_probs(counts: np.ndarray, prior_weight: float) -> np.ndarray:
 
 def suggest(
     rng: np.random.Generator,
-    trials: list[TrialRecord],
+    trials: TrialTable | Sequence[TrialRecord],
     cfg: TpeConfig,
     space: SpaceConfig,
     ref_point: tuple[float, float] = DEFAULT_REF_POINT,
 ) -> DesignParams:
-    """Propose the next design; uniform random until the startup threshold.
+    """Propose the next design from a trial table or a sequence of trial records;
+    uniform random until the startup threshold.
 
     ref_point is the hypervolume reference that breaks ties in the good/bad split.
     """
@@ -204,15 +264,10 @@ def suggest(
         return random_sample(rng, space)
 
     d = space.n_joints
-    for t in trials:
-        if len(t.params.joints) != d or len(t.params.lengths) != d:
-            raise ValueError(
-                f"trial {t.id} has {len(t.params.joints)} joints and {len(t.params.lengths)} lengths;"
-                f" the space has {d} joints"
-            )
-    good = split_observations(trials, cfg.gamma, ref_point)
+    table = trials if isinstance(trials, TrialTable) else TrialTable.of(d, trials)
+    good = split_observations(table.values, cfg.gamma, ref_point)
     alphabet = space.joint_alphabet
-    slots, codes = _read_history(trials, alphabet, d)
+    slots, codes = table.slots, table.codes
     low = np.array([space.origin_low] * 3 + [space.length_low] * d)
     high = np.array([space.origin_high] * 3 + [space.length_high] * d)
     mix_good = _Mixtures.fit(slots[good], low, high, cfg)
@@ -235,16 +290,6 @@ def suggest(
     best = int(np.argmax(score))
     vec = cont_samples[:, best]
     return make_params(vec[:3], [alphabet[c] for c in cat_samples[:, best]], vec[3:])
-
-
-def _read_history(trials: list[TrialRecord], alphabet, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """One row per trial of d joints: its continuous slots (origin then lengths)
-    and its joint codes (alphabet indices)."""
-    n = len(trials)
-    params = [t.params for t in trials]
-    slots = np.fromiter(chain.from_iterable(p.origin + p.lengths for p in params), float, n * (3 + d))
-    codes = np.fromiter(map(alphabet.index, chain.from_iterable(p.joints for p in params)), int, n * d)
-    return slots.reshape(n, 3 + d), codes.reshape(n, d)
 
 
 def _joint_counts(codes: np.ndarray, k: int) -> np.ndarray:

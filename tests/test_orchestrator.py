@@ -176,9 +176,9 @@ def test_tpe_ranks_against_the_run_reference_point(monkeypatch):
     seen = []
     split = tpe.split_observations
 
-    def spy(trials, gamma, ref_point):
+    def spy(values, gamma, ref_point):
         seen.append(ref_point)
-        return split(trials, gamma, ref_point)
+        return split(values, gamma, ref_point)
 
     monkeypatch.setattr(tpe, "split_observations", spy)
     run(small_config(ref_point=(50.0, 50.0)))

@@ -5,21 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from armdesign.pareto import ObjectiveValues, first_front, hypervolume_2d, pareto_front
+from armdesign.pareto import ObjectiveValues, first_front, hypervolume_2d, objective_array, pareto_front
 from armdesign.space import SpaceConfig, make_params, random_sample, validate
 from armdesign.tpe import (
     SampleSource,
     TpeConfig,
     TrialRecord,
+    TrialTable,
     _category_probs,
     _Mixtures,
-    _read_history,
     split_observations,
     suggest,
 )
 from pareto_oracle import layered_ranks, leave_one_out_contributions
 from test_pareto import signed_zero_sets, uniform_sets
-from tpe_oracle import log_pdf_slot, suggest_one_draw_at_a_time
+from tpe_oracle import log_pdf_slot, read_history, suggest_one_draw_at_a_time
 
 REF = (5.0, 5.0)
 
@@ -39,7 +39,7 @@ def random_trials(rng, space, objective_pairs):
 def test_split_size_is_ceiling_of_gamma_n(space):
     rng = np.random.default_rng(0)
     trials = random_trials(rng, space, rng.uniform(0, 4, size=(10, 2)))
-    good = split_observations(trials, gamma=0.3, ref_point=REF)
+    good = split_observations(objective_array(trials), gamma=0.3, ref_point=REF)
     assert good.dtype == bool
     assert good.shape == (10,)
     assert good.sum() == 3
@@ -50,7 +50,7 @@ def test_dominating_trial_always_good(space):
     pairs = rng.uniform(2, 4, size=(20, 2)).tolist()
     pairs[7] = (0.1, 0.1)  # dominates everything
     trials = random_trials(rng, space, pairs)
-    good = split_observations(trials, gamma=0.05, ref_point=REF)
+    good = split_observations(objective_array(trials), gamma=0.05, ref_point=REF)
     assert np.flatnonzero(good).tolist() == [7]
 
 
@@ -66,7 +66,7 @@ def test_boundary_rank_ties_broken_by_hv_contribution(space):
         assert first_front(np.array(pairs)).all()
 
         k = int(rng.integers(1, n))
-        good = split_observations(trials, gamma=(k - 0.5) / n, ref_point=REF)
+        good = split_observations(objective_array(trials), gamma=(k - 0.5) / n, ref_point=REF)
         assert good.sum() == k
 
         # brute-force oracle: the k-subset keeping the largest leave-one-out drops
@@ -131,9 +131,7 @@ def split_cases(draw):
 @example(([t.objectives for t in history_case(5, 120, 4, REF, duplicates=False)[0]], 0.25, REF))
 def test_split_matches_oracle(case):
     values, gamma, ref = case
-    params = make_params((0.0, 0.0, 0.0), "YPRP", (0.1,) * 4)
-    trials = [make_trial(i, pair, params) for i, pair in enumerate(values)]
-    good = split_observations(trials, gamma, ref)
+    good = split_observations(np.array(values, dtype=float), gamma, ref)
     assert good.shape == (len(values),)
     assert (np.flatnonzero(good).tolist(), np.flatnonzero(~good).tolist()) == oracle_split(values, gamma, ref)
 
@@ -232,8 +230,9 @@ def test_block_draw_matches_one_draw_at_a_time(case):
 def test_broadcast_log_pdf_matches_per_slot_formula(case):
     trials, space, ref, seed = case
     cfg = TpeConfig()
-    good = split_observations(trials, cfg.gamma, ref)
-    slots, _ = _read_history(trials, space.joint_alphabet, space.n_joints)
+    table = TrialTable.of(space.n_joints, trials)
+    good = split_observations(table.values, cfg.gamma, ref)
+    slots = table.slots
     low = np.array([space.origin_low] * 3 + [space.length_low] * space.n_joints)
     high = np.array([space.origin_high] * 3 + [space.length_high] * space.n_joints)
     mixtures = [_Mixtures.fit(part, low, high, cfg) for part in (slots[good], slots[~good])]
@@ -242,6 +241,16 @@ def test_broadcast_log_pdf_matches_per_slot_formula(case):
     for mix in mixtures:
         expected = np.array([log_pdf_slot(mix, i, row) for i, row in enumerate(x)])
         assert mix.log_pdf(x).tobytes() == expected.tobytes()
+
+
+def feed_history(through, rng, trials, space):
+    """Give trials to suggest as a list, or append them to a table one at a time."""
+    if through == "suggest":
+        suggest(rng, trials, TpeConfig(), space)
+    else:
+        table = TrialTable(space.n_joints, len(trials))
+        for t in trials:
+            table.append(t)
 
 
 @pytest.mark.parametrize(
@@ -255,8 +264,72 @@ def test_suggest_rejects_designs_of_another_joint_count(space, joint_counts, fir
         make_trial(i, rng.uniform(0, 4, size=2), random_sample(rng, SpaceConfig(n_joints=d)))
         for i, d in enumerate(joint_counts)
     ]
-    with pytest.raises(ValueError, match=f"^trial {first_bad} has {joint_counts[first_bad]} joints"):
-        suggest(rng, trials, TpeConfig(), space)
+    for through in ("suggest", "append"):
+        with pytest.raises(ValueError, match=f"^trial {first_bad} has {joint_counts[first_bad]} joints"):
+            feed_history(through, rng, trials, space)
+
+
+@pytest.mark.parametrize("through", ["suggest", "append"])
+@pytest.mark.parametrize("column", [0, 1], ids=["f1", "f2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_objective_is_rejected(space, bad, column, through):
+    # a NaN would poison the split's running minimum and reshape the good set without an error
+    rng = np.random.default_rng(20)
+    pairs = rng.uniform(0, 4, size=(20, 2))
+    pairs[3, column] = bad
+    trials = random_trials(rng, space, pairs)
+    with pytest.raises(ValueError, match="^trial 3 has a non-finite objective$"):
+        feed_history(through, rng, trials, space)
+
+
+def test_a_rejected_record_adds_nothing(space):
+    rng = np.random.default_rng(21)
+    trials = random_trials(rng, space, [(1.0, 2.0), (np.nan, 1.0), (2.0, 1.0)])
+    table = TrialTable(space.n_joints, 2)
+    table.append(trials[0])
+    with pytest.raises(ValueError, match="^trial 1 has a non-finite objective$"):
+        table.append(trials[1])
+    with pytest.raises(ValueError, match="^a table of 2 trials cannot take 2 more after 1$"):
+        table.extend(trials[2:] * 2)
+    assert table.records == trials[:1] and table.values.tolist() == [[1.0, 2.0]]
+
+
+@st.composite
+def mixed_histories(draw):
+    """0-60 trials of D = 4 designs from every source, objectives uniform on [0, 6)."""
+    seed, n = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 60))
+    rng, space = np.random.default_rng(seed), SpaceConfig(n_joints=4)
+    sources = list(SampleSource)
+    return [
+        TrialRecord(
+            i,
+            sources[int(rng.integers(len(sources)))],
+            random_sample(rng, space),
+            ObjectiveValues(*rng.uniform(0, 6, size=2)),
+            fallback=bool(rng.integers(2)),
+        )
+        for i in range(n)
+    ], seed
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mixed_histories())
+def test_the_table_is_the_history(case):
+    trials, seed = case
+    space = SpaceConfig(n_joints=4)
+    appended = TrialTable(4, len(trials))
+    for t in trials:
+        appended.append(t)
+    slots, codes = read_history(trials, space.joint_alphabet)
+    for table in (appended, TrialTable.of(4, trials)):
+        assert table.records == trials and len(table) == len(trials)
+        assert table.slots.shape == (len(trials), 7) and table.codes.shape == (len(trials), 4)
+        assert table.values.tobytes() == objective_array(trials).tobytes()
+        assert table.slots.tobytes() == slots.tobytes()
+        assert table.codes.tobytes() == codes.tobytes()
+    rng, list_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert suggest(rng, appended, TpeConfig(), space) == suggest(list_rng, trials, TpeConfig(), space)
+    assert rng.bit_generator.state == list_rng.bit_generator.state
 
 
 def test_suggestions_always_inside_bounds(space):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-from armdesign.pareto import DEFAULT_REF_POINT
+from armdesign.pareto import DEFAULT_REF_POINT, objective_array
 from armdesign.space import DesignParams, SpaceConfig, make_params, random_sample
 from armdesign.tpe import (
     TpeConfig,
@@ -60,7 +60,7 @@ def suggest_one_draw_at_a_time(
     if len(trials) < cfg.n_startup:
         return random_sample(rng, space)
 
-    is_good = split_observations(trials, cfg.gamma, ref_point)
+    is_good = split_observations(objective_array(trials), cfg.gamma, ref_point)
     good = [t for t, g in zip(trials, is_good) if g]
     bad = [t for t, g in zip(trials, is_good) if not g]
     alphabet = space.joint_alphabet
