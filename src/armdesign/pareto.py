@@ -36,15 +36,15 @@ def sorted_front(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Boolean mask of the nondominated points among points sorted by (f1, f2).
 
     In that order a point is dominated iff some earlier point's (f2, f1) sorts
-    strictly below its own: the running minimum of f2 before it lies below its
-    f2, or equals it at a smaller f1. Of the earlier points at that minimum the
-    first has the smallest f1. Equal pairs stay on the front.
+    strictly below its own. So a point is on the front iff its f2 is the
+    running minimum of f2 through it and its f1 is that of the first point at
+    that minimum, the least f1 there. Equal pairs stay on the front.
     """
-    on_front = np.ones(len(f2), dtype=bool)
-    prev = np.minimum.accumulate(f2)[:-1]  # prev[k - 1]: least f2 of the points before k
-    starts = np.append(True, f2[1:] < prev)  # where the running minimum first takes its value
-    prev_first = np.maximum.accumulate(np.where(starts, np.arange(len(f2)), 0))[:-1]
-    on_front[1:] = ~((prev < f2[1:]) | ((prev == f2[1:]) & (f1[prev_first] < f1[1:])))
+    least = np.minimum.accumulate(f2)
+    starts = np.arange(len(f2))
+    starts[1:] *= f2[1:] < least[:-1]  # nonzero where the running minimum first takes its value
+    first = np.maximum.accumulate(starts)
+    on_front = (f2 == least) & (f1[first] == f1)
     return on_front
 
 

@@ -12,15 +12,18 @@ with one row per trial. Rows are only appended, and each is written once, when
 its record is added; a record whose design has another joint count or whose
 objectives are not finite (the split's sweeps assume finite values) is
 refused. A run keeps one table for all its suggestions; a list of records
-given to `suggest` is read into a table of its own on each call. A call reads
-the table's rows: the split peels the objectives' fronts into a good mask, the
-mask picks each set's rows, and each mixture is fitted once, with its kernels'
-CDFs at the bounds. The random draws are one block of
-uniform doubles: per continuous slot a kernel choice then a uniform, then per
-joint a type choice. A choice searches its doubles in the normalised CDF of
-its weights, as ``Generator.choice`` does, so the block yields what per-slot
-``choice`` and ``uniform`` calls would. The candidates' densities under each
-mixture are one broadcast over all slots.
+given to `suggest` is read into a table of its own on each call. A call peels
+the objectives' fronts into a good mask and fits one kernel table: per slot a
+row of the good kernels, the good prior kernel, the bad kernels and the bad
+prior kernel, as (slots, n + 2) centers, widths and CDFs at the bounds, beside
+one (n + 2) weight vector normalised per half; the type counts are one
+(2, D, k) array. The random draws are one block of uniform doubles: per slot a
+kernel choice then a uniform, then per joint a type choice, each the count of
+its weights' normalised CDF entries at or below its double, as
+``Generator.choice`` has it. Candidates come from the good half; their
+densities under both halves are one (slots, m, n + 2) buffer summed per half.
+Each element takes the per-slot formula's operations in its order, so every
+density is bit-equal to that of its half's mixture alone.
 
 scipy.special (the truncated Gaussians' ``ndtr`` and ``ndtri``) is imported
 at the first mixture fit, not with this module: it costs about 0.35 s and
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import chain
 from typing import ClassVar, Sequence
 
@@ -164,67 +168,68 @@ def split_observations(
     f1, f2 = f1[inside], f2[inside]
     # on a sorted 2-D front a point's exclusive hypervolume is the box its
     # neighbours span (Emmerich, Beume & Naujoks, EMO 2005)
+    dx, dy = rx - f1, ry - f2
+    np.subtract(f1[1:], f1[:-1], out=dx[:-1])
+    np.subtract(f2[:-1], f2[1:], out=dy[1:])
     contrib = np.zeros(len(members))
-    contrib[inside] = (np.append(f1[1:], rx) - f1) * (np.insert(f2[:-1], 0, ry) - f2)
+    contrib[inside] = dx * dy
     good[members[np.lexsort((members, -contrib))[:need]]] = True
     return good
 
 
+@cache
+def _bounds(space: SpaceConfig) -> np.ndarray:
+    """(2, 3 + D), read-only: each continuous slot's low then high bound, origin then lengths."""
+    corners = [[space.origin_low, space.length_low], [space.origin_high, space.length_high]]
+    bounds = np.repeat(corners, (3, space.n_joints), axis=1)
+    bounds.flags.writeable = False  # one array serves every call
+    return bounds
+
+
 @dataclass(frozen=True)
-class _Mixtures:
-    """One weighted truncated-Gaussian mixture per continuous slot; row i lives on [low_i, high_i].
+class _KernelTable:
+    """The good and the bad truncated-Gaussian mixture of each continuous slot; row i lives on [low_i, high_i].
 
-    Each slot has a kernel per observation plus one prior kernel spanning its
-    bounds, so all rows share one weight vector. Each kernel's CDF at the
-    bounds is taken once, at the fit.
-    """
+    The layout is the module docstring's: the first n_good_columns columns are the good mixture, the rest the bad one."""
 
-    low: np.ndarray  # (slots,)
-    high: np.ndarray
-    centers: np.ndarray  # (slots, n + 1)
+    bounds: np.ndarray  # (2, slots): low, high
+    n_good_columns: int  # the good trials' kernels and the good prior kernel
+    centers: np.ndarray  # (slots, n + 2)
     widths: np.ndarray
-    weights: np.ndarray  # (n + 1,), normalized
-    cdf_low: np.ndarray  # (slots, n + 1)
-    cdf_high: np.ndarray
+    weights: np.ndarray  # (n + 2,)
+    cdf: np.ndarray  # (2, slots, n + 2): at low, at high
 
     @classmethod
-    def fit(cls, observations: np.ndarray, low: np.ndarray, high: np.ndarray, cfg: TpeConfig) -> "_Mixtures":
-        """observations: (n, slots), one row per trial."""
-        span = high - low
-        n = len(observations)
-        width = span * max(cfg.bandwidth_scale * n ** (-0.2), cfg.bandwidth_floor) if n else span
-        # one prior kernel spanning the bounds keeps densities positive everywhere
-        centers = np.column_stack((observations.T, 0.5 * (low + high)))
-        widths = np.column_stack((np.repeat(width[:, None], n, axis=1), span))
-        weights = np.append(np.ones(n), cfg.prior_weight)
+    def fit(cls, slots: np.ndarray, good: np.ndarray, bounds: np.ndarray, cfg: TpeConfig) -> "_KernelTable":
+        """slots: (n, slots), one row per trial; good: the good set as a mask of the rows."""
+        span, mid = bounds[1] - bounds[0], 0.5 * (bounds[0] + bounds[1])
+        n, g = len(slots), int(np.count_nonzero(good))
+        # per half, TpeConfig's n^-1/5 widths and a prior kernel spanning the bounds, so densities stay positive
+        scale = [max(cfg.bandwidth_scale * k ** (-0.2), cfg.bandwidth_floor) if k else 1.0 for k in (g, n - g)]
+        halves = (g, 1, n - g, 1)
+        widths = np.repeat(span[:, None] * [scale[0], 1.0, scale[1], 1.0], halves, axis=1)
+        centers = np.concatenate((slots[good].T, mid[:, None], slots[~good].T, mid[:, None]), axis=1)
+        p = cfg.prior_weight  # kernels weigh 1 and the prior kernel p, over a half's total of k + p
+        weights = np.repeat([1.0 / (g + p), p / (g + p), 1.0 / (n - g + p), p / (n - g + p)], halves)
         from scipy.special import ndtr  # here, not at module import: see the module docstring
-
-        cdf_low = ndtr((low[:, None] - centers) / widths)
-        cdf_high = ndtr((high[:, None] - centers) / widths)
-        return cls(low, high, centers, widths, weights / weights.sum(), cdf_low, cdf_high)
+        return cls(bounds, g + 1, centers, widths, weights, ndtr((bounds[:, :, None] - centers) / widths))
 
     def sample(self, kernel_draws: np.ndarray, uniform_draws: np.ndarray) -> np.ndarray:
-        """(slots, m) samples from two (slots, m) blocks of uniform doubles.
-
-        A kernel draw picks the kernel by its weight; a uniform draw places the
-        sample at that quantile of the kernel truncated to the bounds.
-        """
+        """(slots, m) samples of the good mixtures from two (slots, m) blocks of uniform doubles: a kernel
+        draw picks a good kernel by its weight, a uniform draw the quantile within that truncated kernel."""
         from scipy.special import ndtri  # loaded by fit
-
-        ks = _cdf(self.weights).searchsorted(kernel_draws, side="right")
+        ks = _cdf(self.weights[: self.n_good_columns]).searchsorted(kernel_draws, side="right")
         rows = np.arange(len(ks))[:, None]
-        lo, hi = self.cdf_low[rows, ks], self.cdf_high[rows, ks]
+        lo, hi = self.cdf[:, rows, ks]
         x = self.centers[rows, ks] + self.widths[rows, ks] * ndtri(lo + (hi - lo) * uniform_draws)
-        return np.clip(x, self.low[:, None], self.high[:, None])  # guard round-off at the edges
+        return np.clip(x, *self.bounds[:, :, None])  # guard round-off at the edges
 
-    def log_pdf(self, x: np.ndarray) -> np.ndarray:
-        """(slots, m) log densities of a (slots, m) block of points, row i under row i's mixture.
+    def log_pdfs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The good and the bad log densities of a (slots, m) block of points, row i under row i's mixtures.
 
-        One (slots, m, n + 1) buffer is updated in place, in the operation order
-        of the per-slot formula: z = (x - center) / width, then
-        exp(-0.5 * z**2) / (sqrt(2 pi) * width) * weight / (cdf_high - cdf_low),
-        summed over the kernels. So every value is the one that formula gives.
-        """
+        One (slots, m, n + 2) buffer is updated in place in the per-slot formula's operation order,
+        z = (x - center) / width, then exp(-0.5 * z**2) / (sqrt(2 pi) * width) * weight / (cdf_high - cdf_low),
+        and summed per half."""
         t = x[:, :, None] - self.centers[:, None, :]
         t /= self.widths[:, None, :]
         t *= t
@@ -232,14 +237,14 @@ class _Mixtures:
         np.exp(t, out=t)
         t /= (np.sqrt(2.0 * np.pi) * self.widths)[:, None, :]
         t *= self.weights
-        t /= (self.cdf_high - self.cdf_low)[:, None, :]
-        return np.log(t.sum(axis=2))
+        t /= (self.cdf[1] - self.cdf[0])[:, None, :]
+        return np.log(t[:, :, : self.n_good_columns].sum(axis=2)), np.log(t[:, :, self.n_good_columns :].sum(axis=2))
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
-    """Cumulative probabilities, normalised as ``Generator.choice`` normalises them."""
-    cdf = p.cumsum()
-    return cdf / cdf[-1]
+    """Cumulative probabilities along the last axis, normalised as ``Generator.choice`` normalises them."""
+    cdf = p.cumsum(axis=-1)
+    return cdf / cdf[..., -1:]
 
 
 def _category_probs(counts: np.ndarray, prior_weight: float) -> np.ndarray:
@@ -259,40 +264,34 @@ def suggest(
     uniform random until the startup threshold.
 
     ref_point is the hypervolume reference that breaks ties in the good/bad split.
+    A table of designs of another joint count than the space's is a ValueError.
     """
+    d = space.n_joints
+    if isinstance(trials, TrialTable) and trials.d != d:
+        raise ValueError(f"the table holds designs of {trials.d} joints; the space has {d} joints")
     if len(trials) < cfg.n_startup:
         return random_sample(rng, space)
 
-    d = space.n_joints
     table = trials if isinstance(trials, TrialTable) else TrialTable.of(d, trials)
     good = split_observations(table.values, cfg.gamma, ref_point)
-    alphabet = space.joint_alphabet
-    slots, codes = table.slots, table.codes
-    low = np.array([space.origin_low] * 3 + [space.length_low] * d)
-    high = np.array([space.origin_high] * 3 + [space.length_high] * d)
-    mix_good = _Mixtures.fit(slots[good], low, high, cfg)
-    mix_bad = _Mixtures.fit(slots[~good], low, high, cfg)
-    p_good = _category_probs(_joint_counts(codes[good], len(alphabet)), cfg.prior_weight)
-    p_bad = _category_probs(_joint_counts(codes[~good], len(alphabet)), cfg.prior_weight)
+    kernels = _KernelTable.fit(table.slots, good, _bounds(space), cfg)
+    alphabet, k = space.joint_alphabet, len(space.joint_alphabet)
+    # how often each type sits at each joint, good trials then bad: (2, D, k)
+    cells = table.codes + k * np.arange(d) + d * k * ~good[:, None]
+    probs = _category_probs(np.bincount(cells.ravel(), minlength=2 * d * k).reshape(2, d, k), cfg.prior_weight)
 
-    n_cand, n_slots = cfg.n_candidates, len(low)
+    n_cand, n_slots = cfg.n_candidates, 3 + d
     draws = rng.random(n_cand * (2 * n_slots + d))
     per_slot = draws[: 2 * n_slots * n_cand].reshape(n_slots, 2, n_cand)
-    cont_samples = mix_good.sample(per_slot[:, 0], per_slot[:, 1])
-    score = np.zeros(n_cand)
-    for row in mix_good.log_pdf(cont_samples) - mix_bad.log_pdf(cont_samples):
-        score += row  # added in slot order, which fixes each score's rounding
+    cont_samples = kernels.sample(per_slot[:, 0], per_slot[:, 1])
     per_joint = draws[2 * n_slots * n_cand :].reshape(d, n_cand)
-    cat_samples = np.array([_cdf(p).searchsorted(u, side="right") for p, u in zip(p_good, per_joint)])
-    for j, c in enumerate(cat_samples):
-        score += np.log(p_good[j, c]) - np.log(p_bad[j, c])
+    # the count of CDF entries at or below each draw: searchsorted(side="right") in each joint's row
+    cat_samples = (per_joint[:, :, None] >= _cdf(probs[0])[:, None, :]).sum(axis=2)
+    log_good, log_bad = kernels.log_pdfs(cont_samples)
+    log_p = np.log(probs[:, np.arange(d)[:, None], cat_samples])
+    # rows added one at a time, slots then joints, which fixes each score's rounding
+    score = np.concatenate((log_good - log_bad, log_p[0] - log_p[1])).cumsum(axis=0)[-1]
 
     best = int(np.argmax(score))
-    vec = cont_samples[:, best]
-    return make_params(vec[:3], [alphabet[c] for c in cat_samples[:, best]], vec[3:])
-
-
-def _joint_counts(codes: np.ndarray, k: int) -> np.ndarray:
-    """(D, k): how often each of the k joint types sits at each joint position."""
-    d = codes.shape[1]
-    return np.bincount((codes + k * np.arange(d)).ravel(), minlength=k * d).reshape(d, k)
+    vec = cont_samples[:, best].tolist()
+    return make_params(vec[:3], [alphabet[c] for c in cat_samples[:, best].tolist()], vec[3:])

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from armdesign.experiment import load_experiment
+from armdesign.orchestrator import run
 from armdesign.pareto import ObjectiveValues, first_front, hypervolume_2d, objective_array, pareto_front
 from armdesign.space import SpaceConfig, make_params, random_sample, validate
 from armdesign.tpe import (
@@ -13,15 +17,16 @@ from armdesign.tpe import (
     TrialRecord,
     TrialTable,
     _category_probs,
-    _Mixtures,
+    _KernelTable,
     split_observations,
     suggest,
 )
 from pareto_oracle import layered_ranks, leave_one_out_contributions
 from test_pareto import signed_zero_sets, uniform_sets
-from tpe_oracle import log_pdf_slot, read_history, suggest_one_draw_at_a_time
+from tpe_oracle import Mixture, bounds, log_pdf_slot, read_history, suggest_one_draw_at_a_time
 
 REF = (5.0, 5.0)
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
 
 def make_trial(i, objectives, params):
@@ -232,15 +237,14 @@ def test_broadcast_log_pdf_matches_per_slot_formula(case):
     cfg = TpeConfig()
     table = TrialTable.of(space.n_joints, trials)
     good = split_observations(table.values, cfg.gamma, ref)
-    slots = table.slots
-    low = np.array([space.origin_low] * 3 + [space.length_low] * space.n_joints)
-    high = np.array([space.origin_high] * 3 + [space.length_high] * space.n_joints)
-    mixtures = [_Mixtures.fit(part, low, high, cfg) for part in (slots[good], slots[~good])]
+    low, high = bounds(space)
+    kernels = _KernelTable.fit(table.slots, good, np.stack((low, high)), cfg)
     rng = np.random.default_rng(seed)
-    x = mixtures[0].sample(*rng.random((2, len(low), cfg.n_candidates)))
-    for mix in mixtures:
+    x = kernels.sample(*rng.random((2, len(low), cfg.n_candidates)))
+    for half, log_pdf in zip((good, ~good), kernels.log_pdfs(x)):
+        mix = Mixture.fit(table.slots[half], low, high, cfg)
         expected = np.array([log_pdf_slot(mix, i, row) for i, row in enumerate(x)])
-        assert mix.log_pdf(x).tobytes() == expected.tobytes()
+        assert log_pdf.tobytes() == expected.tobytes()
 
 
 def feed_history(through, rng, trials, space):
@@ -267,6 +271,29 @@ def test_suggest_rejects_designs_of_another_joint_count(space, joint_counts, fir
     for through in ("suggest", "append"):
         with pytest.raises(ValueError, match=f"^trial {first_bad} has {joint_counts[first_bad]} joints"):
             feed_history(through, rng, trials, space)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_suggest_rejects_a_table_of_another_joint_count(space, d):
+    rng = np.random.default_rng(d)
+    trials = random_trials(rng, SpaceConfig(n_joints=d), rng.uniform(0, 4, size=(12, 2)))
+    with pytest.raises(ValueError, match=f"^the table holds designs of {d} joints; the space has 4 joints$"):
+        suggest(rng, TrialTable.of(d, trials), TpeConfig(), space)
+
+
+@pytest.mark.parametrize("experiment", ["target1_llm_plus_mock", "target3_mock"])
+def test_block_draw_matches_one_draw_at_a_time_at_run_sizes(space, experiment):
+    # the seed-1 run's ledger, fed to a table one trial at a time as a run feeds it
+    config = next(c for c in load_experiment(EXPERIMENTS / f"{experiment}.experiment").configs() if c.seed == 1)
+    ledger = run(config).ledger
+    table = TrialTable(space.n_joints, len(ledger))
+    rng, oracle_rng = np.random.default_rng(1), np.random.default_rng(1)
+    for n in (10, 50, 120, 209):
+        for trial in ledger[len(table) : n]:
+            table.append(trial)
+        expected = suggest_one_draw_at_a_time(oracle_rng, ledger[:n], TpeConfig(), space, config.ref_point)
+        assert suggest(rng, table, TpeConfig(), space, config.ref_point) == expected
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("through", ["suggest", "append"])

@@ -1,37 +1,86 @@
 """Reference suggestion for the tests: one random draw at a time.
 
-This is ``tpe.suggest`` as it was before its draws became one block: per
-continuous slot a ``Generator.choice`` of a kernel then a ``Generator.uniform``
-inside it, then per joint a ``Generator.choice`` of a type, and the history
-read row by row. It shares the split and the mixture fit with ``armdesign.tpe``,
-so a test that compares the two checks the draws and the history read. Its
-density is ``log_pdf_slot``, one slot at a time with a temporary per step.
+This is ``tpe.suggest`` as it was before its draws became one block and its
+two mixtures one kernel table: per continuous slot a ``Generator.choice`` of a
+kernel then a ``Generator.uniform`` inside it, then per joint a
+``Generator.choice`` of a type, and the history read row by row. It has its
+own fit of each mixture (``Mixture.fit``) and its own smoothed type counts
+(``category_probs``), and shares only the split with ``armdesign.tpe``, so a
+test that compares the two checks the fit, the draws and the history read.
+Its density is ``log_pdf_slot``, one slot at a time with a temporary per step.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from armdesign.pareto import DEFAULT_REF_POINT, objective_array
 from armdesign.space import DesignParams, SpaceConfig, make_params, random_sample
-from armdesign.tpe import (
-    TpeConfig,
-    TrialRecord,
-    _category_probs,
-    _joint_counts,
-    _Mixtures,
-    split_observations,
-)
+from armdesign.tpe import TpeConfig, TrialRecord, split_observations
 
 
-def sample_slot(mix: _Mixtures, rng: np.random.Generator, i: int, size: int) -> np.ndarray:
+@dataclass(frozen=True)
+class Mixture:
+    """One weighted truncated-Gaussian mixture per continuous slot; row i lives on [low_i, high_i].
+
+    Each slot has a kernel per observation plus one prior kernel spanning its
+    bounds, so all rows share one weight vector.
+    """
+
+    low: np.ndarray  # (slots,)
+    high: np.ndarray
+    centers: np.ndarray  # (slots, n + 1)
+    widths: np.ndarray
+    weights: np.ndarray  # (n + 1,), normalized
+    cdf_low: np.ndarray  # (slots, n + 1)
+    cdf_high: np.ndarray
+
+    @classmethod
+    def fit(cls, observations: np.ndarray, low: np.ndarray, high: np.ndarray, cfg: TpeConfig) -> "Mixture":
+        """observations: (n, slots), one row per trial."""
+        span = high - low
+        n = len(observations)
+        width = span * max(cfg.bandwidth_scale * n ** (-0.2), cfg.bandwidth_floor) if n else span
+        centers = np.column_stack((observations.T, 0.5 * (low + high)))
+        widths = np.column_stack((np.repeat(width[:, None], n, axis=1), span))
+        weights = np.append(np.ones(n), cfg.prior_weight)
+        cdf_low = ndtr((low[:, None] - centers) / widths)
+        cdf_high = ndtr((high[:, None] - centers) / widths)
+        return cls(low, high, centers, widths, weights / weights.sum(), cdf_low, cdf_high)
+
+
+def category_probs(counts: np.ndarray, prior_weight: float) -> np.ndarray:
+    """Smoothed category frequencies, one distribution per row of counts."""
+    k = counts.shape[-1]
+    return (counts + prior_weight / k) / (counts.sum(axis=-1, keepdims=True) + prior_weight)
+
+
+def joint_counts(codes: np.ndarray, d: int, k: int) -> np.ndarray:
+    """(d, k): how often each of the k joint types sits at each of the d joint positions."""
+    counts = np.zeros((d, k), dtype=int)
+    for row in codes:
+        for j, c in enumerate(row):
+            counts[j, c] += 1
+    return counts
+
+
+def bounds(space: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Each continuous slot's low and high bound, origin then lengths."""
+    low = np.array([space.origin_low] * 3 + [space.length_low] * space.n_joints)
+    high = np.array([space.origin_high] * 3 + [space.length_high] * space.n_joints)
+    return low, high
+
+
+def sample_slot(mix: Mixture, rng: np.random.Generator, i: int, size: int) -> np.ndarray:
     ks = rng.choice(len(mix.weights), size=size, p=mix.weights)
     u = rng.uniform(mix.cdf_low[i, ks], mix.cdf_high[i, ks])
     x = mix.centers[i, ks] + mix.widths[i, ks] * ndtri(u)
     return np.clip(x, mix.low[i], mix.high[i])  # guard round-off at the edges
 
 
-def log_pdf_slot(mix: _Mixtures, i: int, x: np.ndarray) -> np.ndarray:
+def log_pdf_slot(mix: Mixture, i: int, x: np.ndarray) -> np.ndarray:
     """Row i's log density at x, with one (len(x), n + 1) temporary per step."""
     widths = mix.widths[i]
     z = (x[:, None] - mix.centers[i]) / widths
@@ -65,13 +114,12 @@ def suggest_one_draw_at_a_time(
     bad = [t for t, g in zip(trials, is_good) if not g]
     alphabet = space.joint_alphabet
     slots, codes = read_history(good + bad, alphabet)
-    n_good = len(good)
-    low = np.array([space.origin_low] * 3 + [space.length_low] * space.n_joints)
-    high = np.array([space.origin_high] * 3 + [space.length_high] * space.n_joints)
-    mix_good = _Mixtures.fit(slots[:n_good], low, high, cfg)
-    mix_bad = _Mixtures.fit(slots[n_good:], low, high, cfg)
-    p_good = _category_probs(_joint_counts(codes[:n_good], len(alphabet)), cfg.prior_weight)
-    p_bad = _category_probs(_joint_counts(codes[n_good:], len(alphabet)), cfg.prior_weight)
+    n_good, d, k = len(good), space.n_joints, len(alphabet)
+    low, high = bounds(space)
+    mix_good = Mixture.fit(slots[:n_good], low, high, cfg)
+    mix_bad = Mixture.fit(slots[n_good:], low, high, cfg)
+    p_good = category_probs(joint_counts(codes[:n_good], d, k), cfg.prior_weight)
+    p_bad = category_probs(joint_counts(codes[n_good:], d, k), cfg.prior_weight)
 
     n_cand = cfg.n_candidates
     score = np.zeros(n_cand)
