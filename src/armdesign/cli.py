@@ -212,10 +212,7 @@ def main(argv=None) -> int:
     except (InputError, ExperimentError, LedgerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except BackendError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (BackendError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

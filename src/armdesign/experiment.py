@@ -99,6 +99,9 @@ def _load_backend(raw, base_dir: Path) -> BackendConfig:
         raise ExperimentError(f"unknown backend keys: {sorted(unknown)}")
     if "kind" not in raw:
         raise ExperimentError(f"backend needs a kind, got {raw!r}")
+    for key in ("script", "base_url", "model", "token_env"):
+        if key in raw and not isinstance(raw[key], str):
+            raise ExperimentError(f"backend {key} must be a string, got {raw[key]!r}")
     script = raw.pop("script", None)
     if script is not None:
         raw["script_path"] = str(base_dir / script)  # an absolute script path stays as it is

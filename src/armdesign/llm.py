@@ -38,8 +38,8 @@ def format_point(point) -> str:
     return "[" + ", ".join(repr(float(v)) for v in point) + "]"
 
 
-def _format_seq(values, fmt: str = "{:.4f}") -> str:
-    return "[" + ", ".join(fmt.format(float(v)) for v in values) + "]"
+def _format_seq(values) -> str:
+    return "[" + ", ".join(f"{float(v):.4f}" for v in values) + "]"
 
 
 def _format_joints(joints) -> str:
@@ -258,6 +258,9 @@ class BackendConfig:
             raise ValueError("http backend needs base_url and model")
         if not 0.0 < self.timeout < math.inf:
             raise ValueError(f"backend timeout must be a finite number > 0, got {self.timeout!r}")
+        clash = sorted({key for key, _ in self.decoding} & {"model", "messages"})
+        if clash:
+            raise ValueError(f"backend decoding cannot set {clash}: the request builds them")
 
     def make(self, space: SpaceConfig) -> LLMBackend:
         if self.kind == "mock-heuristic":

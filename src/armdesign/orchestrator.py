@@ -89,15 +89,13 @@ def run(config: RunConfig) -> RunResult:
     rng = np.random.default_rng(config.seed)
     backend: LLMBackend | None = config.backend.make(SPACE) if config.mode.uses_llm else None
 
-    table = TrialTable(SPACE.n_joints, config.n_init + config.n_total)
+    table = TrialTable(SPACE.n_joints)
     ledger = table.records
     transcripts: dict[int, tuple[TranscriptEntry, ...]] = {}
 
     def _record(params, source: SampleSource, fallback: bool = False) -> None:
         report = evaluate(params, config.targets)
-        table.append(
-            TrialRecord(len(ledger), source, params, report.objectives, report.per_target, fallback)
-        )
+        table.extend((TrialRecord(len(ledger), source, params, report.objectives, report.per_target, fallback),))
 
     def _suggest():
         return suggest(rng, table, TpeConfig(), SPACE, config.ref_point)

@@ -8,11 +8,12 @@ good densities that maximizes the good/bad density ratio.
 
 The trial history is a `TrialTable`: the records in trial order beside their
 objectives, continuous slots (origin then lengths) and joint codes as arrays
-with one row per trial. Rows are only appended, and each is written once, when
-its record is added; a record whose design has another joint count or whose
-objectives are not finite (the split's sweeps assume finite values) is
-refused. A run keeps one table for all its suggestions; a list of records
-given to `suggest` is read into a table of its own on each call. A call peels
+with one row per trial. A table starts from the records it is given and grows
+by `extend`, which reads the new records' rows and concatenates them onto the
+arrays; a record whose design has another joint count or whose objectives are
+not finite (the split's sweeps assume finite values) is refused. A run keeps
+one table for all its suggestions; a list of records given to `suggest` is
+read into a table of its own on each call. A call peels
 the objectives' fronts into a good mask and fits one kernel table: per slot a
 row of the good kernels, the good prior kernel, the bad kernels and the bad
 prior kernel, as (slots, n + 2) centers, widths and CDFs at the bounds, beside
@@ -65,38 +66,26 @@ class TrialRecord:
 
 
 class TrialTable:
-    """An append-only trial history of designs with d joints, for at most capacity trials.
+    """An append-only trial history of designs with d joints, starting from records.
 
     `records` is the trial list. `values` (objectives), `slots` (origin then
     lengths) and `codes` (joint-type alphabet indices) are arrays with one row
-    per record, in the same order: views of buffers preallocated for capacity
-    rows, so a row is written once, when its record is added.
+    per record, in the same order.
     """
 
-    def __init__(self, d: int, capacity: int):
+    def __init__(self, d: int, records: Sequence[TrialRecord] = ()):
         self.d = d
         self.records: list[TrialRecord] = []
-        self._buffers = (np.empty((capacity, 2)), np.empty((capacity, 3 + d)), np.empty((capacity, d), dtype=int))
-        self.values, self.slots, self.codes = (buffer[:0] for buffer in self._buffers)
-
-    @classmethod
-    def of(cls, d: int, records: Sequence[TrialRecord]) -> "TrialTable":
-        table = cls(d, len(records))
-        table.extend(records)
-        return table
+        self.values, self.slots, self.codes = np.empty((0, 2)), np.empty((0, 3 + d)), np.empty((0, d), dtype=int)
+        self.extend(records)
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def append(self, record: TrialRecord) -> None:
-        self.extend((record,))
-
     def extend(self, records: Sequence[TrialRecord]) -> None:
-        """Add records as the next rows. A design of another joint count, an
-        objective that is not finite or a full table is a ValueError, and adds nothing."""
-        n, k, d = len(self.records), len(records), self.d
-        if n + k > len(self._buffers[0]):
-            raise ValueError(f"a table of {len(self._buffers[0])} trials cannot take {k} more after {n}")
+        """Add records as the next rows. A design of another joint count or an
+        objective that is not finite is a ValueError, and adds nothing."""
+        k, d = len(records), self.d
         for t in records:
             if len(t.params.joints) != d or len(t.params.lengths) != d:
                 raise ValueError(
@@ -111,9 +100,9 @@ class TrialTable:
         slots = np.fromiter(chain.from_iterable(p.origin + p.lengths for p in params), float, k * (3 + d))
         joints = chain.from_iterable(p.joints for p in params)
         codes = np.fromiter(map(SpaceConfig.joint_alphabet.index, joints), int, k * d)
-        for buffer, rows in zip(self._buffers, (values, slots.reshape(k, 3 + d), codes.reshape(k, d))):
-            buffer[n : n + k] = rows
-        self.values, self.slots, self.codes = (buffer[: n + k] for buffer in self._buffers)
+        self.values = np.concatenate((self.values, values))
+        self.slots = np.concatenate((self.slots, slots.reshape(k, 3 + d)))
+        self.codes = np.concatenate((self.codes, codes.reshape(k, d)))
         self.records.extend(records)
 
 
@@ -272,7 +261,7 @@ def suggest(
     if len(trials) < cfg.n_startup:
         return random_sample(rng, space)
 
-    table = trials if isinstance(trials, TrialTable) else TrialTable.of(d, trials)
+    table = trials if isinstance(trials, TrialTable) else TrialTable(d, trials)
     good = split_observations(table.values, cfg.gamma, ref_point)
     kernels = _KernelTable.fit(table.slots, good, _bounds(space), cfg)
     alphabet, k = space.joint_alphabet, len(space.joint_alphabet)

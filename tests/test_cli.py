@@ -245,9 +245,11 @@ def error_line(err: str) -> str:
         ({"timeout": 30}, 1, "backend needs a kind"),
         ({"kind": "mock-heuristic", "timeout": True}, 1, "backend timeout must be a number, got True"),
         ({"kind": "mock-heuristic", "timeout": "45"}, 1, "backend timeout must be a number, got '45'"),
+        ({"kind": "http", "base_url": "http://h", "model": "m", "token_env": 5}, 1,
+         "backend token_env must be a string, got 5"),
     ],
     ids=["kind", "no-script", "no-url", "decoding", "timeout", "script-not-json", "script-no-responses",
-         "no-kind", "timeout-no-kind", "timeout-bool", "timeout-string"],
+         "no-kind", "timeout-no-kind", "timeout-bool", "timeout-string", "token-env-number"],
 )
 def test_run_rejects_bad_backend(capsys, tmp_path, backend, code, message):
     (tmp_path / "not-json.json").write_text("responses: none")

@@ -67,6 +67,16 @@ def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
     assert spec.seeds == (0,)
 
 
+@pytest.mark.parametrize("mode", ["bbo", "bbo-llm-plus"])
+@pytest.mark.parametrize("bad", [5, None, ["m"]], ids=["number", "null", "list"])
+@pytest.mark.parametrize("key", ["script", "base_url", "model", "token_env"])
+def test_backend_string_fields_must_be_strings(tmp_path, key, bad, mode):
+    # checked at load, in every mode, before os.environ or the URL join meets a number
+    backend = {"kind": "http", "base_url": "http://h", "model": "m", key: bad}
+    with pytest.raises(ExperimentError, match=re.escape(f"backend {key} must be a string, got {bad!r}")):
+        load_experiment(write(tmp_path, dict(BASE, mode=mode, backend=backend)))
+
+
 def test_load_targets_rejects_garbage(tmp_path):
     with pytest.raises(ExperimentError):
         load_targets(tmp_path / "missing.json")
@@ -120,6 +130,9 @@ def test_experiment_error_cases(tmp_path):
             ({"kind": "http", "base_url": "http://h"}, "http backend needs base_url and model"),
             ({"kind": "mock-heuristic", "decoding": [1, 2]}, "backend decoding must be an object"),
             ({"kind": "mock-heuristic", "decoding": None}, "backend decoding must be an object"),
+            # decoding adds sampling settings; the request builds the model and the prompt
+            ({"kind": "mock-heuristic", "decoding": {"model": "x"}}, r"decoding cannot set \['model'\]"),
+            ({"kind": "mock-heuristic", "decoding": {"messages": []}}, r"decoding cannot set \['messages'\]"),
             *(
                 ({"kind": "mock-heuristic", "timeout": t}, "timeout must be a finite number > 0")
                 for t in (-1, 0, float("inf"), float("nan"))

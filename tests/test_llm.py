@@ -321,6 +321,10 @@ def test_backend_config_factory(monkeypatch, space, tmp_path):
     ):
         with pytest.raises(ValueError):  # the settings are checked when the config is built
             BackendConfig(**bad)
+    # decoding adds sampling settings; it cannot replace the model or the prompt
+    for decoding, clash in (((("messages", []),), "messages"), ((("model", "x"), ("top_p", 0.9)), "model")):
+        with pytest.raises(ValueError, match=re.escape(f"backend decoding cannot set ['{clash}']")):
+            BackendConfig(kind="http", base_url="http://h", model="m", decoding=decoding)
     # the script is opened by make(), not by the config
     BackendConfig(kind="mock-script", script_path=str(tmp_path / "absent.json"))
 

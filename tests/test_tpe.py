@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -235,7 +236,7 @@ def test_block_draw_matches_one_draw_at_a_time(case):
 def test_broadcast_log_pdf_matches_per_slot_formula(case):
     trials, space, ref, seed = case
     cfg = TpeConfig()
-    table = TrialTable.of(space.n_joints, trials)
+    table = TrialTable(space.n_joints, trials)
     good = split_observations(table.values, cfg.gamma, ref)
     low, high = bounds(space)
     kernels = _KernelTable.fit(table.slots, good, np.stack((low, high)), cfg)
@@ -252,9 +253,9 @@ def feed_history(through, rng, trials, space):
     if through == "suggest":
         suggest(rng, trials, TpeConfig(), space)
     else:
-        table = TrialTable(space.n_joints, len(trials))
+        table = TrialTable(space.n_joints)
         for t in trials:
-            table.append(t)
+            table.extend((t,))
 
 
 @pytest.mark.parametrize(
@@ -278,7 +279,7 @@ def test_suggest_rejects_a_table_of_another_joint_count(space, d):
     rng = np.random.default_rng(d)
     trials = random_trials(rng, SpaceConfig(n_joints=d), rng.uniform(0, 4, size=(12, 2)))
     with pytest.raises(ValueError, match=f"^the table holds designs of {d} joints; the space has 4 joints$"):
-        suggest(rng, TrialTable.of(d, trials), TpeConfig(), space)
+        suggest(rng, TrialTable(d, trials), TpeConfig(), space)
 
 
 @pytest.mark.parametrize("experiment", ["target1_llm_plus_mock", "target3_mock"])
@@ -286,11 +287,11 @@ def test_block_draw_matches_one_draw_at_a_time_at_run_sizes(space, experiment):
     # the seed-1 run's ledger, fed to a table one trial at a time as a run feeds it
     config = next(c for c in load_experiment(EXPERIMENTS / f"{experiment}.experiment").configs() if c.seed == 1)
     ledger = run(config).ledger
-    table = TrialTable(space.n_joints, len(ledger))
+    table = TrialTable(space.n_joints)
     rng, oracle_rng = np.random.default_rng(1), np.random.default_rng(1)
     for n in (10, 50, 120, 209):
         for trial in ledger[len(table) : n]:
-            table.append(trial)
+            table.extend((trial,))
         expected = suggest_one_draw_at_a_time(oracle_rng, ledger[:n], TpeConfig(), space, config.ref_point)
         assert suggest(rng, table, TpeConfig(), space, config.ref_point) == expected
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -312,12 +313,9 @@ def test_non_finite_objective_is_rejected(space, bad, column, through):
 def test_a_rejected_record_adds_nothing(space):
     rng = np.random.default_rng(21)
     trials = random_trials(rng, space, [(1.0, 2.0), (np.nan, 1.0), (2.0, 1.0)])
-    table = TrialTable(space.n_joints, 2)
-    table.append(trials[0])
+    table = TrialTable(space.n_joints, trials[:1])
     with pytest.raises(ValueError, match="^trial 1 has a non-finite objective$"):
-        table.append(trials[1])
-    with pytest.raises(ValueError, match="^a table of 2 trials cannot take 2 more after 1$"):
-        table.extend(trials[2:] * 2)
+        table.extend(trials[1:])
     assert table.records == trials[:1] and table.values.tolist() == [[1.0, 2.0]]
 
 
@@ -344,11 +342,17 @@ def mixed_histories(draw):
 def test_the_table_is_the_history(case):
     trials, seed = case
     space = SpaceConfig(n_joints=4)
-    appended = TrialTable(4, len(trials))
+    empty = TrialTable(4)
+    assert [a.shape for a in (empty.values, empty.slots, empty.codes)] == [(0, 2), (0, 7), (0, 4)]
+    appended = TrialTable(4)
     for t in trials:
-        appended.append(t)
+        appended.extend((t,))
+    # chunks between sorted random cuts: the first is empty, and a repeated cut gives another
+    chunked, cuts = TrialTable(4), np.random.default_rng(seed).integers(0, len(trials) + 1, size=8)
+    for start, end in pairwise((0, 0, *sorted(cuts), len(trials))):
+        chunked.extend(trials[start:end])
     slots, codes = read_history(trials, space.joint_alphabet)
-    for table in (appended, TrialTable.of(4, trials)):
+    for table in (appended, chunked, TrialTable(4, trials)):
         assert table.records == trials and len(table) == len(trials)
         assert table.slots.shape == (len(trials), 7) and table.codes.shape == (len(trials), 4)
         assert table.values.tobytes() == objective_array(trials).tobytes()

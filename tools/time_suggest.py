@@ -81,7 +81,7 @@ def main(argv=None) -> int:
     print(f"us per call, median of {args.repeats} repeats x {args.calls} calls")
     print(f"{'history':<24} {'n':>5} {'suggest':>10} {'split':>10}")
     for name, trials in histories:
-        table = TrialTable.of(SPACE.n_joints, trials)
+        table = TrialTable(SPACE.n_joints, trials)
         rng = np.random.default_rng(0)
         suggest_us = per_call_us(lambda: suggest(rng, table, cfg, SPACE), args.repeats, args.calls)
         split_us = per_call_us(lambda: split_observations(table.values, cfg.gamma), args.repeats, args.calls)
