@@ -58,21 +58,20 @@ class EvaluationReport:
 def evaluate(params: DesignParams, targets: TargetSet) -> EvaluationReport:
     """Score a design: e_pos = sum of IK residuals, e_torque = ALPHA * sum of torque norms."""
     outcomes = []
+    # folded left to right: builtin sum() of floats rounds differently from Python 3.12 on
+    e_pos = e_torque = 0.0
     for point in targets.points:
         sol = solve_ik(params, point)
-        outcomes.append(
-            TargetOutcome(
-                target=point,
-                reached=sol.reached,
-                torque=sol.torque,
-                e_pos=sol.residual,
-                e_torque=ALPHA * float(np.linalg.norm(sol.torque)),
-                converged=sol.converged,
-                iterations=sol.iterations,
-            )
+        outcome = TargetOutcome(
+            target=point,
+            reached=sol.reached,
+            torque=sol.torque,
+            e_pos=sol.residual,
+            e_torque=ALPHA * float(np.linalg.norm(sol.torque)),
+            converged=sol.converged,
+            iterations=sol.iterations,
         )
-    objectives = ObjectiveValues(
-        e_pos=float(sum(o.e_pos for o in outcomes)),
-        e_torque=float(sum(o.e_torque for o in outcomes)),
-    )
-    return EvaluationReport(objectives=objectives, per_target=tuple(outcomes))
+        outcomes.append(outcome)
+        e_pos += outcome.e_pos
+        e_torque += outcome.e_torque
+    return EvaluationReport(ObjectiveValues(e_pos, e_torque), tuple(outcomes))

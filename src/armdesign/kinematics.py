@@ -347,8 +347,6 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
         mu = max(IK_MU_FLOOR, IK_MU_INIT * max(gram[0], gram[3], gram[5]))
         nu = 2.0
         for _ in range(IK_START_ITERS):
-            if best_residual <= stop_at:
-                break
             iterations += 1
             dq = _dls_step(gram, cols, ex, ey, ez, mu)
             if limit in q or -limit in q:  # |q| <= limit, so only a joint at a limit can be pinned
@@ -385,7 +383,7 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
             residual, previous = math.sqrt(err_sq), residual
             if residual < best_residual:
                 best_q, best_residual, best_chain = q, residual, (joints, ee)
-            if previous - residual < IK_MIN_DROP:  # a local minimum, or as good as one
+            if best_residual <= stop_at or previous - residual < IK_MIN_DROP:  # certified, or a local minimum
                 break
             cols = _jacobian_columns(joints, ee)
             gram = _gram(cols)

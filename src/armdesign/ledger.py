@@ -178,8 +178,10 @@ def write_run_artifacts(run_dir: Path, result: RunResult) -> None:
         json.dumps({"front": front}, indent=2) + "\n", encoding="utf-8"
     )
 
+    tdir = run_dir / "transcripts"
+    for stale in tdir.glob("iter_*.json"):  # a rerun into this directory replaces the last run's
+        stale.unlink()
     if result.transcripts:
-        tdir = run_dir / "transcripts"
         tdir.mkdir(exist_ok=True)
         for iteration, entries in sorted(result.transcripts.items()):
             payload = [
@@ -188,3 +190,5 @@ def write_run_artifacts(run_dir: Path, result: RunResult) -> None:
             (tdir / f"iter_{iteration:05d}.json").write_text(
                 json.dumps(payload, indent=2) + "\n", encoding="utf-8"
             )
+    elif tdir.is_dir() and not any(tdir.iterdir()):
+        tdir.rmdir()

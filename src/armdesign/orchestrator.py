@@ -1,10 +1,12 @@
 """Hybrid sampling schedule: random warmup, then an LLM proposal at the head of
 each block of n_step iterations with TPE suggestions filling the rest.
 
-Warmup trials enter the archive and feedback pools but the iteration axis (and
-the hypervolume curve) starts after them. A failed LLM slot falls back to a TPE
-suggestion, recorded as BBO with the fallback flag so scheduled slots stay
-accountable. Runs are deterministic given the seed and an offline backend.
+`run` is one loop over t = 1 - n_init .. n_total (t < 1 is warmup): each pass
+draws from the slot's source, evaluates once and appends one record. Warmup
+trials enter the archive and feedback pools, but the iteration axis (and the
+hypervolume curve) starts after them. A failed LLM slot falls back to a TPE
+suggestion, recorded as BBO with the fallback flag. Runs are deterministic
+given the seed and an offline backend.
 """
 from __future__ import annotations
 
@@ -90,23 +92,14 @@ def run(config: RunConfig) -> RunResult:
     backend: LLMBackend | None = config.backend.make(SPACE) if config.mode.uses_llm else None
 
     table = TrialTable(SPACE.n_joints)
-    ledger = table.records
     transcripts: dict[int, tuple[TranscriptEntry, ...]] = {}
-
-    def _record(params, source: SampleSource, fallback: bool = False) -> None:
-        report = evaluate(params, config.targets)
-        table.extend((TrialRecord(len(ledger), source, params, report.objectives, report.per_target, fallback),))
-
-    def _suggest():
-        return suggest(rng, table, TpeConfig(), SPACE, config.ref_point)
-
-    for _ in range(config.n_init):
-        _record(random_sample(rng, SPACE), SampleSource.RANDOM)
-
-    for t in range(1, config.n_total + 1):
-        source = source_for_iteration(t, config.mode, config.n_step)
-        if source is SampleSource.LLM:
-            pareto_fb, random_fb = select_feedback(ledger, pareto_front(ledger), rng)
+    for t in range(1 - config.n_init, config.n_total + 1):  # t < 1 is warmup
+        source = SampleSource.RANDOM if t < 1 else source_for_iteration(t, config.mode, config.n_step)
+        params, fallback = None, False
+        if source is SampleSource.RANDOM:
+            params = random_sample(rng, SPACE)
+        elif source is SampleSource.LLM:
+            pareto_fb, random_fb = select_feedback(table.records, pareto_front(table.records), rng)
             ctx = PromptContext(
                 targets=config.targets,
                 space=SPACE,
@@ -116,18 +109,17 @@ def run(config: RunConfig) -> RunResult:
             )
             outcome = propose(backend, ctx)
             transcripts[t] = outcome.transcript
-            if outcome.ok:
-                _record(outcome.params, SampleSource.LLM)
-            else:
-                _record(_suggest(), SampleSource.BBO, fallback=True)
-        else:
-            _record(_suggest(), SampleSource.BBO)
+            params, fallback = outcome.params, not outcome.ok
+        if params is None:  # a BBO slot, or an LLM slot that fell back
+            params, source = suggest(rng, table, TpeConfig(), SPACE, config.ref_point), SampleSource.BBO
+        report = evaluate(params, config.targets)
+        table.extend((TrialRecord(len(table), source, params, report.objectives, report.per_target, fallback),))
 
     return RunResult(
         config=config,
-        ledger=ledger,
-        hv_curve=hypervolume_curve(ledger, config.ref_point),
-        archive=pareto_front(ledger),
+        ledger=table.records,
+        hv_curve=hypervolume_curve(table.records, config.ref_point),
+        archive=pareto_front(table.records),
         transcripts=transcripts,
     )
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from armdesign import evaluation
 from armdesign.evaluation import ALPHA, TargetSet, evaluate
 from armdesign.experiment import load_targets
 from armdesign.kinematics import forward_kinematics, solve_ik
@@ -50,6 +53,34 @@ def test_totals_are_sums_of_per_target_terms():
     assert report.objectives.e_torque == pytest.approx(
         sum(o.e_torque for o in report.per_target), abs=0
     )
+
+
+def neumaier_sum(terms, start=0):
+    """The compensated sum that builtin sum() of floats computes from Python 3.12 on."""
+    total, carry = float(start), 0.0
+    for x in terms:
+        t = total + x
+        carry += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + carry
+
+
+def test_totals_are_folded_left_to_right_on_every_python(monkeypatch):
+    # warmup trials 1-5 of the target3_mock seed-0 run: their per-target terms
+    # give a left-to-right fold that differs from the exactly rounded sum
+    rng = np.random.default_rng(0)
+    designs = [random_sample(rng, SpaceConfig()) for _ in range(6)][1:]
+    targets = load_targets(REPO / "targets" / "target3.json")
+    monkeypatch.setattr(evaluation, "sum", neumaier_sum, raising=False)
+    differs = {"e_pos": False, "e_torque": False}
+    for p in designs:
+        report = evaluate(p, targets)
+        for name in differs:
+            terms = [getattr(o, name) for o in report.per_target]
+            fold = reduce(lambda a, b: a + b, terms, 0.0)
+            assert getattr(report.objectives, name) == fold
+            differs[name] |= fold != math.fsum(terms)
+    assert differs == {"e_pos": True, "e_torque": True}
 
 
 def test_evaluate_is_deterministic():

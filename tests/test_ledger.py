@@ -137,3 +137,15 @@ def test_run_artifacts_layout(tmp_path, small_result):
     transcripts = sorted(p.name for p in (run_dir / "transcripts").iterdir())
     assert transcripts == [f"iter_{t:05d}.json" for t in sorted(small_result.transcripts)]
 
+
+def test_a_rerun_replaces_the_transcripts(tmp_path, small_result):
+    bbo = run(RunConfig(targets=TARGETS, n_init=5, n_step=5, n_total=15, seed=3))
+    run_dir = tmp_path / "seed_3"
+    write_run_artifacts(run_dir, small_result)
+    write_run_artifacts(run_dir, bbo)
+    assert not (run_dir / "transcripts").exists()
+    # only the iteration files are the run's: anything else in the directory stays
+    write_run_artifacts(run_dir, small_result)
+    (run_dir / "transcripts" / "notes.txt").write_text("kept\n")
+    write_run_artifacts(run_dir, bbo)
+    assert [p.name for p in (run_dir / "transcripts").iterdir()] == ["notes.txt"]

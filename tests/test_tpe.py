@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from armdesign.experiment import load_experiment
 from armdesign.orchestrator import run
 from armdesign.pareto import ObjectiveValues, first_front, hypervolume_2d, objective_array, pareto_front
-from armdesign.space import SpaceConfig, make_params, random_sample, validate
+from armdesign.space import JointType, SpaceConfig, make_params, random_sample, validate
 from armdesign.tpe import (
     SampleSource,
     TpeConfig,
@@ -24,7 +24,15 @@ from armdesign.tpe import (
 )
 from pareto_oracle import layered_ranks, leave_one_out_contributions
 from test_pareto import signed_zero_sets, uniform_sets
-from tpe_oracle import Mixture, bounds, log_pdf_slot, read_history, suggest_one_draw_at_a_time
+from tpe_oracle import (
+    Mixture,
+    bounds,
+    category_probs,
+    joint_counts,
+    log_pdf_slot,
+    read_history,
+    suggest_one_draw_at_a_time,
+)
 
 REF = (5.0, 5.0)
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
@@ -387,6 +395,32 @@ def test_suggest_concentrates_on_good_category(space):
         suggest(rng, trials, TpeConfig(), space).joints[0] is JointType.YAW for _ in range(100)
     )
     assert hits > 60  # far above the 1/3 uniform rate
+
+
+class TieDraws:
+    """A generator stub for `suggest`: every continuous draw is 0.5 and the
+    type draws are the given ones, joint by joint."""
+
+    def __init__(self, type_draws: np.ndarray):
+        self.type_draws = type_draws
+
+    def random(self, size):
+        return np.concatenate((np.full(size - self.type_draws.size, 0.5), self.type_draws))
+
+
+def test_a_type_draw_on_a_cdf_entry_takes_the_next_type(space):
+    # Generator.choice is searchsorted(side="right") on the normalised CDF: a
+    # draw equal to the first entry is past it, so it picks the second type
+    rng = np.random.default_rng(6)
+    trials = random_trials(rng, space, rng.uniform(0, 4, size=(40, 2)))
+    cfg = TpeConfig()
+    good = split_observations(objective_array(trials), cfg.gamma, REF)
+    _, codes = read_history([t for t, g in zip(trials, good) if g], space.joint_alphabet)
+    probs = category_probs(joint_counts(codes, space.n_joints, len(space.joint_alphabet)), cfg.prior_weight)
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    params = suggest(TieDraws(np.repeat(cdf[:, 0], cfg.n_candidates)), trials, cfg, space, REF)
+    assert params.joints == (JointType.PITCH,) * space.n_joints
 
 
 TOY_CENTER = np.array([0.5, 0.5, 0.5, 0.2, 0.2, 0.2, 0.2])
