@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -103,6 +104,14 @@ def cmd_run(args) -> int:
         spec = _apply_overrides(load_experiment(args.experiment), args)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    # the summary describes the seed list alone, so a directory holding other seeds' runs would mix sweeps
+    held = {p.name for p in spec.out_dir.glob("seed_*") if p.is_dir() and re.fullmatch(r"seed_[0-9]+", p.name)}
+    foreign = sorted(held - {f"seed_{s}" for s in spec.seeds})
+    if foreign:
+        raise InputError(
+            f"{spec.out_dir} holds {', '.join(foreign)}, outside the seed list {list(spec.seeds)};"
+            " remove them or choose another --out"
+        )
 
     curves = []
     for config in spec.configs():

@@ -184,6 +184,21 @@ def test_run_seed_and_out_overrides(capsys, tmp_path):
     assert (alt / "seed_7" / "ledger.jsonl").exists()
 
 
+def test_run_refuses_a_directory_holding_other_seeds(capsys, tmp_path):
+    exp = quick_experiment(tmp_path)
+    out_dir = tmp_path / "out"
+    assert run_cli(capsys, "run", "--experiment", exp)[0] == 0
+    before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    code, out, err = run_cli(capsys, "run", "--experiment", exp, "--seed", "0", "--mode", "bbo")
+    assert code == 1
+    assert out == ""
+    assert "holds seed_1, outside the seed list [0]" in error_line(err)
+    assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before  # nothing written
+    # the same seed list, or a superset of the directory's seeds, may rerun into it
+    assert run_cli(capsys, "run", "--experiment", exp, "--mode", "bbo")[0] == 0
+    assert run_cli(capsys, "run", "--experiment", exp, "--seed", "0", "1", "2", "--mode", "bbo")[0] == 0
+
+
 def test_run_scheduled_slot_count(capsys, tmp_path):
     exp = quick_experiment(tmp_path, n_total=12, n_step=4)
     code, out, _ = run_cli(capsys, "run", "--experiment", exp, "--seed", "0")

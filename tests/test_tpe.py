@@ -228,6 +228,9 @@ def suggest_cases(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(suggest_cases())
+# the longest mixtures the strategy misses, where the density sums have the most terms
+@example(history_case(seed=5, n=600, d=4, ref=(5.0, 5.0), duplicates=False))
+@example(history_case(seed=5, n=600, d=4, ref=(5.0, 5.0), duplicates=True))
 def test_block_draw_matches_one_draw_at_a_time(case):
     trials, space, ref, seed = case
     rng, oracle_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
@@ -250,10 +253,13 @@ def test_broadcast_log_pdf_matches_per_slot_formula(case):
     kernels = _KernelTable.fit(table.slots, good, np.stack((low, high)), cfg)
     rng = np.random.default_rng(seed)
     x = kernels.sample(*rng.random((2, len(low), cfg.n_candidates)))
+    # a sum of k positive terms is off by at most (k - 1) eps relative, in either formula,
+    # and the per-term roundings at most double that
+    tolerance = 4 * (len(table) + 2) * np.finfo(float).eps
     for half, log_pdf in zip((good, ~good), kernels.log_pdfs(x)):
         mix = Mixture.fit(table.slots[half], low, high, cfg)
         expected = np.array([log_pdf_slot(mix, i, row) for i, row in enumerate(x)])
-        assert log_pdf.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(log_pdf, expected, rtol=0, atol=tolerance)
 
 
 def feed_history(through, rng, trials, space):
