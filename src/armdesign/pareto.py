@@ -10,7 +10,7 @@ curve defined).
 """
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from typing import NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -65,7 +65,7 @@ def pareto_front(points: Sequence[T]) -> list[T]:
 
     Duplicates of a nondominated pair are all kept.
     """
-    return [p for p, keep in zip(points, first_front(objective_array(points)).tolist()) if keep]
+    return list(compress(points, first_front(objective_array(points)).tolist()))
 
 
 def hypervolume_2d(values, ref=DEFAULT_REF_POINT) -> float:

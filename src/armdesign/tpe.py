@@ -8,12 +8,14 @@ good densities that maximizes the good/bad density ratio.
 
 The trial history is a `TrialTable`: the records in trial order beside their
 objectives, continuous slots (origin then lengths) and joint codes as arrays
-with one row per trial. A table starts from the records it is given and grows
-by `extend`, which reads the new records' rows and concatenates them onto the
-arrays; a record whose design has another joint count or whose objectives are
-not finite (the split's sweeps assume finite values) is refused. A run keeps
-one table for all its suggestions; a list of records given to `suggest` is
-read into a table of its own on each call. A call peels
+with one row per trial. Each record packs its row as float64 bytes at its first
+read and keeps it (`TrialRecord.table_row`). A table starts from the records it
+is given and grows by `extend`, which joins the new records' rows into one
+block and concatenates its columns onto the arrays; a record whose design has
+another joint count or whose objectives are not finite (the split's sweeps
+assume finite values) is refused. A run keeps one table for all its
+suggestions; a list of records given to `suggest` is read into a table of its
+own on each call, one join over the rows cached on its records. A call peels
 the objectives' fronts into a good mask and fits one kernel table: per slot a
 row of the good kernels, the good prior kernel, the bad kernels and the bad
 prior kernel, as (slots, n + 2) centers, widths and CDFs at the bounds, beside
@@ -35,16 +37,16 @@ start in about 0.3 s. A run pays it once, at its first suggestion from
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
-from itertools import chain
+from functools import cache, cached_property
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .evaluation import TargetOutcome
-from .pareto import DEFAULT_REF_POINT, ObjectiveValues, objective_array, sorted_front
+from .pareto import DEFAULT_REF_POINT, ObjectiveValues, sorted_front
 from .space import DesignParams, SpaceConfig, make_params, random_sample
 
 
@@ -65,6 +67,16 @@ class TrialRecord:
     per_target: tuple[TargetOutcome, ...] = ()
     fallback: bool = False  # LLM slot that fell back to a BBO suggestion
 
+    @cached_property
+    def table_row(self) -> bytes:
+        """This record's `TrialTable` row as float64 bytes: objectives, origin, lengths, joint-alphabet codes
+        (whole numbers, so a cast to int is exact), then the joint and length counts. Built at the first
+        read and kept; the record is frozen, so its row never goes stale."""
+        p = self.params
+        codes = map(SpaceConfig.joint_alphabet.index, p.joints)
+        row = (*self.objectives, *p.origin, *p.lengths, *codes, len(p.joints), len(p.lengths))
+        return struct.pack(f"{len(row)}d", *row)
+
 
 class TrialTable:
     """An append-only trial history of designs with d joints, starting from records.
@@ -84,26 +96,26 @@ class TrialTable:
         return len(self.records)
 
     def extend(self, records: Sequence[TrialRecord]) -> None:
-        """Add records as the next rows. A design of another joint count or an
-        objective that is not finite is a ValueError, and adds nothing."""
+        """Add records as the next rows: one join of their `table_row`s, cut into columns. A design of
+        another joint count or an objective that is not finite is a ValueError, and adds nothing."""
         k, d = len(records), self.d
-        for t in records:
-            if len(t.params.joints) != d or len(t.params.lengths) != d:
-                raise ValueError(
-                    f"trial {t.id} has {len(t.params.joints)} joints and {len(t.params.lengths)} lengths;"
-                    f" the space has {d} joints"
-                )
-        values = objective_array(records)
+        rows = [t.table_row for t in records]
+        width = 7 + 2 * d  # doubles in a d-joint row
+        block = np.frombuffer(b"".join(rows)).reshape(k, width) if set(map(len, rows)) <= {8 * width} else None
+        if block is None or block[:, -2:].tobytes() != struct.pack("2d", d, d) * k:  # rows end in (d, d)
+            for t, row in zip(records, rows):  # name the first trial of another joint count
+                if len(row) != 8 * width or len(t.params.joints) != d or len(t.params.lengths) != d:
+                    raise ValueError(
+                        f"trial {t.id} has {len(t.params.joints)} joints and {len(t.params.lengths)} lengths;"
+                        f" the space has {d} joints"
+                    )
+        values = block[:, :2]
         if not np.isfinite(values).all():
             first = int(np.argmin(np.isfinite(values).all(axis=1)))
             raise ValueError(f"trial {records[first].id} has a non-finite objective")
-        params = [t.params for t in records]
-        slots = np.fromiter(chain.from_iterable(p.origin + p.lengths for p in params), float, k * (3 + d))
-        joints = chain.from_iterable(p.joints for p in params)
-        codes = np.fromiter(map(SpaceConfig.joint_alphabet.index, joints), int, k * d)
         self.values = np.concatenate((self.values, values))
-        self.slots = np.concatenate((self.slots, slots.reshape(k, 3 + d)))
-        self.codes = np.concatenate((self.codes, codes.reshape(k, d)))
+        self.slots = np.concatenate((self.slots, block[:, 2 : 5 + d]))
+        self.codes = np.concatenate((self.codes, block[:, 5 + d : -2]), dtype=int, casting="unsafe")
         self.records.extend(records)
 
 

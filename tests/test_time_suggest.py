@@ -22,4 +22,5 @@ def test_time_suggest_prints_a_row_per_history_size():
         ("target1_llm_plus_mock", 210),
         ("toy", 600),
     ]
-    assert all(float(us) > 0 for *_, suggest_us, split_us in rows for us in (suggest_us, split_us))
+    assert lines[1].split() == ["history", "n", "read", "suggest", "split"]
+    assert all(float(us) > 0 for _, _, *times in rows for us in times) and {len(row) for row in rows} == {5}

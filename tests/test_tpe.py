@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
 from itertools import pairwise
 from pathlib import Path
 
@@ -288,6 +290,23 @@ def test_suggest_rejects_designs_of_another_joint_count(space, joint_counts, fir
             feed_history(through, rng, trials, space)
 
 
+@pytest.mark.parametrize("joints, lengths", [(3, 5), (5, 3)])
+def test_a_design_whose_row_is_as_long_as_a_valid_one_is_rejected(space, joints, lengths):
+    # 3 + 5 and 5 + 3 pack as many doubles as 4 + 4: only the counts at the end of the row tell them apart
+    rng = np.random.default_rng(joints)
+    trials = random_trials(rng, space, rng.uniform(0, 4, size=(12, 2)))
+    trials[7] = make_trial(7, (1.0, 1.0), make_params((0.0, 0.0, 0.0), "P" * joints, [0.1] * lengths))
+    assert len(trials[7].table_row) == len(trials[0].table_row)
+    message = f"^trial 7 has {joints} joints and {lengths} lengths; the space has 4 joints$"
+    table = TrialTable(space.n_joints, trials[:2])
+    arrays = [a.tobytes() for a in (table.values, table.slots, table.codes)]
+    with pytest.raises(ValueError, match=message):
+        table.extend(trials[2:])
+    assert table.records == trials[:2] and [a.tobytes() for a in (table.values, table.slots, table.codes)] == arrays
+    with pytest.raises(ValueError, match=message):
+        suggest(rng, trials, TpeConfig(), space)
+
+
 @pytest.mark.parametrize("d", [3, 5])
 def test_suggest_rejects_a_table_of_another_joint_count(space, d):
     rng = np.random.default_rng(d)
@@ -376,6 +395,31 @@ def test_the_table_is_the_history(case):
     assert suggest(rng, appended, TpeConfig(), space) == suggest(list_rng, trials, TpeConfig(), space)
     assert rng.bit_generator.state == list_rng.bit_generator.state
 
+
+
+def test_cached_rows_read_the_benchmarks_history_size(space):
+    # 600 trials, as the long-history benchmark holds: appended one at a time as a run appends them,
+    # which packs each record's row, then read again from those cached rows and from uncached copies
+    rng = np.random.default_rng(600)
+    trials = random_trials(rng, space, rng.uniform(0, 4, size=(600, 2)))
+    uncached = [replace(t) for t in trials]
+    appended = TrialTable(space.n_joints)
+    for t in trials:
+        appended.extend((t,))
+    assert all("table_row" in vars(t) for t in trials) and not any("table_row" in vars(t) for t in uncached)
+    slots, codes = read_history(trials, space.joint_alphabet)
+    for table in (appended, TrialTable(space.n_joints, trials), TrialTable(space.n_joints, uncached)):
+        assert table.records == trials
+        assert table.values.tobytes() == objective_array(trials).tobytes()
+        assert table.slots.tobytes() == slots.tobytes()
+        assert table.codes.tobytes() == codes.tobytes()
+    rng, list_rng = np.random.default_rng(7), np.random.default_rng(7)
+    assert suggest(rng, appended, TpeConfig(), space) == suggest(list_rng, trials, TpeConfig(), space)
+    assert rng.bit_generator.state == list_rng.bit_generator.state
+    for record in (trials[0], replace(trials[0])):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and vars(copy).keys() == vars(record).keys()
+        assert copy.table_row == trials[0].table_row
 
 def test_suggestions_always_inside_bounds(space):
     rng = np.random.default_rng(4)

@@ -1,16 +1,19 @@
-"""Time tpe.suggest and tpe.split_observations against history size.
+"""Time a TrialTable read, tpe.suggest and tpe.split_observations against history size.
 
 Usage: python3 tools/time_suggest.py [--repeats R] [--calls C]
 
 The histories are the first n = 10, 30, 100 and 210 trials of the seed-1 run
 of experiments/target1_llm_plus_mock.experiment, and a toy history of 600
 seeded random designs scored by a closed-form objective (no kinematics). Each
-is held in a TrialTable, as a run holds its history. A row gives, for
-`suggest` (one generator, advanced by every call) and for `split_observations`
-on the table's objectives, the median over R repeats of the mean microseconds
-per call over C calls. One untimed call of each comes first, so scipy's import
-is not timed. The package is imported from the src/ beside this file's
-directory, so a copy of this file in another checkout times that checkout.
+is held in a TrialTable, as a run holds its history. A row gives, for `read`
+(`TrialTable(d, trials)` from the history's records, the read that `suggest`
+does when given a list), for `suggest` (one generator, advanced by every call)
+and for `split_observations` on the table's objectives, the median over R
+repeats of the mean microseconds per call over C calls. One untimed call of
+each comes first, so the records' rows are cached, as they are after their
+first read, and scipy's import is not timed. The package is imported from the
+src/ beside this file's directory, so a copy of this file in another checkout
+times that checkout.
 """
 from __future__ import annotations
 
@@ -79,13 +82,14 @@ def main(argv=None) -> int:
     histories = [(EXPERIMENT.stem, ledger[:n]) for n in PREFIXES] + [("toy", toy_history(TOY_TRIALS))]
     cfg = TpeConfig()
     print(f"us per call, median of {args.repeats} repeats x {args.calls} calls")
-    print(f"{'history':<24} {'n':>5} {'suggest':>10} {'split':>10}")
+    print(f"{'history':<24} {'n':>5} {'read':>10} {'suggest':>10} {'split':>10}")
     for name, trials in histories:
+        read_us = per_call_us(lambda: TrialTable(SPACE.n_joints, trials), args.repeats, args.calls)
         table = TrialTable(SPACE.n_joints, trials)
         rng = np.random.default_rng(0)
         suggest_us = per_call_us(lambda: suggest(rng, table, cfg, SPACE), args.repeats, args.calls)
         split_us = per_call_us(lambda: split_observations(table.values, cfg.gamma), args.repeats, args.calls)
-        print(f"{name:<24} {len(trials):>5} {suggest_us:>10.1f} {split_us:>10.1f}")
+        print(f"{name:<24} {len(trials):>5} {read_us:>10.1f} {suggest_us:>10.1f} {split_us:>10.1f}")
     return 0
 
 
