@@ -4,14 +4,22 @@ Conventions: joint j rotates about its local axis (roll = x, pitch = y, yaw = z)
 and is followed by a link of length L_j along the rotated local +z. With all
 angles zero the chain is a vertical line above the base origin.
 
-Everything runs on one pure-Python kernel over floats (`_chain`, one FK pass
-per posture, giving joint positions, axes and link vectors) and one Jacobian
-routine; link COMs are formed only in the torque pass. One IK iteration is a
-3x3 solve, one pass over the joints and one FK pass. At 3x3 sizes numpy's
-per-call overhead would dominate, and scalar arithmetic keeps results
-independent of the host's BLAS. numpy draws the fixed IK start postures, once
-per D, sums the start pool's reach over all 64 postures at once (the same
-floats as `_chain`), and wraps the public functions' inputs and outputs.
+FK, the Jacobian and the torque run on plain floats: `_chain`, one FK pass per
+posture, giving joint positions, axes and link vectors, one Jacobian routine,
+and link COMs formed only in the torque pass. The IK iterations run on one
+generated kernel per joint count D (`_lm_kernel`): Python source written from
+one template with the joints unrolled, so each angle, axis, Jacobian column,
+Gram entry and step component is a named local, and each joint's FK update
+branches on its type code. A kernel is compiled on the first solve with D
+joints that its aimed start does not certify, never at import. It performs
+the float operations of the plain loop it replaced, kept as the test oracle
+`tests/kinematics_oracle.solve_ik_reference`, in the same order, so every
+solution is the same to the bit. One iteration is a 3x3 solve, the projected
+step and one FK pass. At 3x3 sizes numpy's per-call overhead would dominate,
+and scalar arithmetic keeps results independent of the host's BLAS. numpy
+draws the fixed IK start postures, once per D, sums the start pool's reach
+over all 64 postures at once (the same floats as `_chain`), and wraps the
+public functions' inputs and outputs.
 
 A solve stops once its residual is within IK_TOL of a closed-form lower bound
 (`_residual_bound`). A yaw joint turns a link about its own axis, so the chain
@@ -27,7 +35,9 @@ on the arc's or cap's nearest point, with the rest of the chain straight on.
 from __future__ import annotations
 
 import functools
+import linecache
 import math
+import textwrap
 from dataclasses import dataclass
 from math import cos, sin
 
@@ -155,32 +165,6 @@ def gravity_torque(params: DesignParams, q) -> np.ndarray:
     return np.array(_torques(joints, params.lengths))
 
 
-def _gram(cols) -> tuple[float, ...]:
-    """The six distinct entries (00, 01, 02, 11, 12, 22) of J J^T, J given by its columns."""
-    a00 = a01 = a02 = a11 = a12 = a22 = 0.0
-    for jx, jy, jz in cols:
-        a00 += jx * jx; a01 += jx * jy; a02 += jx * jz
-        a11 += jy * jy; a12 += jy * jz; a22 += jz * jz
-    return a00, a01, a02, a11, a12, a22
-
-
-def _dls_step(gram, cols, ex: float, ey: float, ez: float, mu: float) -> list[float]:
-    """dq = J^T (J J^T + mu I)^-1 err, from the Gram entries of J; 3x3 solve by cofactors."""
-    a00, a01, a02, a11, a12, a22 = gram
-    a00 += mu; a11 += mu; a22 += mu
-    c00 = a11 * a22 - a12 * a12  # cofactors of the symmetric matrix
-    c01 = a12 * a02 - a01 * a22
-    c02 = a01 * a12 - a11 * a02
-    c11 = a00 * a22 - a02 * a02
-    c12 = a01 * a02 - a00 * a12
-    c22 = a00 * a11 - a01 * a01
-    det = a00 * c00 + a01 * c01 + a02 * c02
-    x = (c00 * ex + c01 * ey + c02 * ez) / det
-    y = (c01 * ex + c11 * ey + c12 * ez) / det
-    z = (c02 * ex + c12 * ey + c22 * ez) / det
-    return [jx * x + jy * y + jz * z for jx, jy, jz in cols]
-
-
 @functools.lru_cache(maxsize=None)
 def _start_pool(d: int) -> tuple[tuple[float, ...], ...]:
     """The IK_START_POOL start postures for D joints, the same on every call."""
@@ -280,6 +264,199 @@ def _residual_bound(origin, codes, lengths, t) -> tuple[float, list[float]]:
     return max(0.0, gap - math.fsum(lengths[end:])), aimed
 
 
+# The D-joint kernel: one Levenberg-Marquardt start, unrolled over the joints so
+# that every angle, axis, Jacobian column, Gram entry and step is a named local.
+# Its float operations are those of `_chain`, `_jacobian_columns` and the loop in
+# `tests/kinematics_oracle.solve_ik_reference`, in the same order: sums start
+# from 0.0 and run over the joints in turn, a pinned joint's column is zeroed,
+# not dropped, and the IK constants are written in as their float reprs.
+_KERNEL = '''\
+def _lm{d}(codes, origin, lengths, q, tx, ty, tz, stop_at, best):
+    """Score start q, then iterate from it: (iterations, best posture or None, best residual)."""
+    {codes}, = codes
+    ox, oy, oz = origin
+    {lengths}, = lengths
+    {q}, = q
+    best_q = None
+    ux, uy, uz, vx, vy, vz, wx, wy, wz = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+{fk_q}
+    ex, ey, ez = tx - fx, ty - fy, tz - fz
+    err_sq = ex * ex + ey * ey + ez * ez
+    residual = sqrt(err_sq)
+    if residual < best:
+        best, best_q = residual, ({q},)
+    if best <= stop_at:
+        return 0, best_q, best
+{jacobian}
+{gram}
+    mu = max({IK_MU_FLOOR!r}, {IK_MU_INIT!r} * max(g00, g11, g22))
+    nu = 2.0
+    iterations = 0
+    while iterations < {IK_START_ITERS}:
+        iterations += 1
+{step}
+        if {any_pinned}:
+{masked}
+{step_masked}
+        # the projected step h, its squared length and the linear model's J h
+{project}
+        step_sq = {step_sq}
+        if step_sq < {min_step_sq!r}:
+            break
+        hx = {hx}
+        hy = {hy}
+        hz = {hz}
+        ux, uy, uz, vx, vy, vz, wx, wy, wz = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+{fk_n}
+        ex1, ey1, ez1 = tx - fx, ty - fy, tz - fz
+        err1 = ex1 * ex1 + ey1 * ey1 + ez1 * ez1
+        gain = err_sq - err1
+        if gain <= 0.0:  # rejected: damp harder
+            mu *= nu
+            nu *= 2.0
+            continue
+        predicted = hx * (2.0 * ex - hx) + hy * (2.0 * ey - hy) + hz * (2.0 * ez - hz)
+        rho = gain / predicted if predicted > 0.0 else 0.0
+        scale = 1.0 - (2.0 * rho - 1.0) ** 3
+        mu *= scale if scale > {third!r} else {third!r}
+        mu = mu if mu > {IK_MU_FLOOR!r} else {IK_MU_FLOOR!r}
+        nu = 2.0
+        {q} = {n}
+        ex, ey, ez, err_sq = ex1, ey1, ez1, err1
+        residual, previous = sqrt(err_sq), residual
+        if residual < best:
+            best, best_q = residual, ({q},)
+        if best <= stop_at or previous - residual < {IK_MIN_DROP!r}:
+            break
+{jacobian2}
+{gram2}
+    return iterations, best_q, best
+'''
+
+# joint j's FK update at angle {angle}{j}: its axis a{j}, and the link from position {p} to {n}, as in `_chain`
+_KERNEL_FK_JOINT = '''\
+c, s = cos({angle}{j}), sin({angle}{j})
+if code{j} == 0:  # roll, about u: v and w turn
+    vx, wx = vx * c + wx * s, wx * c - vx * s
+    vy, wy = vy * c + wy * s, wy * c - vy * s
+    vz, wz = vz * c + wz * s, wz * c - vz * s
+    a{j}x, a{j}y, a{j}z = ux, uy, uz
+elif code{j} == 1:  # pitch, about v: w and u turn
+    ux, wx = ux * c - wx * s, ux * s + wx * c
+    uy, wy = uy * c - wy * s, uy * s + wy * c
+    uz, wz = uz * c - wz * s, uz * s + wz * c
+    a{j}x, a{j}y, a{j}z = vx, vy, vz
+else:  # yaw, about w: u and v turn
+    ux, vx = ux * c + vx * s, vx * c - ux * s
+    uy, vy = uy * c + vy * s, vy * c - uy * s
+    uz, vz = uz * c + vz * s, vz * c - uz * s
+    a{j}x, a{j}y, a{j}z = wx, wy, wz
+{n}x, {n}y, {n}z = {p}x + l{j} * wx, {p}y + l{j} * wy, {p}z + l{j} * wz
+'''
+
+_KERNEL_COLUMN = '''\
+j{j}x = a{j}y * (fz - {p}z) - a{j}z * (fy - {p}y)
+j{j}y = a{j}z * (fx - {p}x) - a{j}x * (fz - {p}z)
+j{j}z = a{j}x * (fy - {p}y) - a{j}y * (fx - {p}x)
+'''
+
+# dq = J^T (J J^T + mu I)^-1 e from the Gram entries {g}.. of the columns {c}..
+_KERNEL_DLS = '''\
+b00, b11, b22 = {g}00 + mu, {g}11 + mu, {g}22 + mu
+c00 = b11 * b22 - {g}12 * {g}12
+c01 = {g}12 * {g}02 - {g}01 * b22
+c02 = {g}01 * {g}12 - b11 * {g}02
+c11 = b00 * b22 - {g}02 * {g}02
+c12 = {g}01 * {g}02 - b00 * {g}12
+c22 = b00 * b11 - {g}01 * {g}01
+det = b00 * c00 + {g}01 * c01 + {g}02 * c02
+y0 = (c00 * ex + c01 * ey + c02 * ez) / det
+y1 = (c01 * ex + c11 * ey + c12 * ez) / det
+y2 = (c02 * ex + c12 * ey + c22 * ez) / det
+'''
+
+_KERNEL_PROJECT = '''\
+n{j} = q{j} + d{j}
+n{j} = {limit!r} if n{j} > {limit!r} else {low!r} if n{j} < {low!r} else n{j}
+h{j} = n{j} - q{j}
+'''
+
+
+def _kernel_source(d: int) -> str:
+    """The source of `_lm{d}`, the Levenberg-Marquardt kernel for D = d joints."""
+    joints = range(d)
+
+    def names(pattern, sep=", "):
+        return sep.join(pattern.format(j=j) for j in joints)
+
+    def total(pattern):  # a running sum from 0.0, joint by joint
+        return "0.0 + " + names(pattern, " + ")
+
+    def point(j):  # the names of joint j's position: the origin, ..., the end effector at j = d
+        return "o" if j == 0 else "f" if j == d else f"p{j}"
+
+    def per_joint(snippet, indent, **fields):
+        text = "".join(snippet.format(j=j, p=point(j), n=point(j + 1), **fields) for j in joints)
+        return textwrap.indent(text, " " * indent).rstrip("\n")
+
+    def gram(g, c, indent):  # the six distinct entries 00, 01, 02, 11, 12, 22 of J J^T
+        pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+        lines = [f"{g}{u}{v} = " + total(f"{c}{{j}}{'xyz'[u]} * {c}{{j}}{'xyz'[v]}") for u, v in pairs]
+        return textwrap.indent("\n".join(lines), " " * indent)
+
+    def dls(g, c, indent):
+        step = _KERNEL_DLS.format(g=g) + names(f"d{{j}} = {c}{{j}}x * y0 + {c}{{j}}y * y1 + {c}{{j}}z * y2", "\n")
+        return textwrap.indent(step, " " * indent)
+
+    limit = JOINT_ANGLE_LIMIT
+    # joint j at a limit with its step pushing past it: its column is zeroed for the second solve
+    pinned = f"(q{{j}} >= {limit!r} and d{{j}} > 0.0) or (q{{j}} <= {-limit!r} and d{{j}} < 0.0)"
+    masked = names(f"z{{j}}x, z{{j}}y, z{{j}}z = (0.0, 0.0, 0.0) if {pinned} else (j{{j}}x, j{{j}}y, j{{j}}z)", "\n")
+    return _KERNEL.format(
+        d=d,
+        codes=names("code{j}"),
+        lengths=names("l{j}"),
+        q=names("q{j}"),
+        n=names("n{j}"),
+        fk_q=per_joint(_KERNEL_FK_JOINT, 4, angle="q"),
+        fk_n=per_joint(_KERNEL_FK_JOINT, 8, angle="n"),
+        jacobian=per_joint(_KERNEL_COLUMN, 4),
+        gram=gram("g", "j", 4),
+        jacobian2=per_joint(_KERNEL_COLUMN, 8),
+        gram2=gram("g", "j", 8),
+        step=dls("g", "j", 8),
+        any_pinned=" or ".join(f"({pinned.format(j=j)})" for j in joints),
+        masked=textwrap.indent(masked, " " * 12) + "\n" + gram("m", "z", 12),
+        step_masked=dls("m", "z", 12),
+        project=per_joint(_KERNEL_PROJECT, 8, limit=limit, low=-limit),
+        step_sq=total("h{j} * h{j}"),
+        hx=total("j{j}x * h{j}"),
+        hy=total("j{j}y * h{j}"),
+        hz=total("j{j}z * h{j}"),
+        IK_MU_FLOOR=IK_MU_FLOOR,
+        IK_MU_INIT=IK_MU_INIT,
+        IK_START_ITERS=IK_START_ITERS,
+        IK_MIN_DROP=IK_MIN_DROP,
+        min_step_sq=IK_MIN_STEP**2,
+        third=1.0 / 3.0,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _lm_kernel(d: int):
+    """The kernel for D = d joints, compiled on the first solve with d joints.
+
+    Its source is kept in `linecache` under the kernel's file name, so
+    tracebacks and profiles show the generated lines.
+    """
+    source = _kernel_source(d)
+    filename = f"<armdesign.kinematics._lm{d}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"cos": cos, "sin": sin, "sqrt": math.sqrt}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[f"_lm{d}"]
+
+
 def solve_ik(params: DesignParams, target) -> IKSolution:
     """Levenberg-Marquardt IK from a fixed set of start postures, tracking the best iterate.
 
@@ -292,105 +469,64 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
     stay bounded (Sugihara 2011).
     One iteration solves the 3x3 system from the entries of J J^T (summed once
     per accepted step; a rejected step changes only mu), takes the projected
-    step h, its squared length and J h in one pass over the joints, and runs
-    one FK pass at the new posture. Joints pinned against a limit get their
-    Jacobian column masked, and the system solved again, so the rest of the
-    chain keeps moving. The start aimed by `_residual_bound` goes first (the
-    first link group's end on the nearest point of its arc or cap, the other
-    joints at 0), then the IK_POOL_STARTS postures of a fixed pool (the same
-    for every call with this D, so the solver stays a pure function of its
-    inputs) that land closest to the target. A start ends after
-    IK_START_ITERS iterations, on an accepted step that shortens the residual
-    by less than IK_MIN_DROP, or on a step shorter than IK_MIN_STEP; the
-    solve ends once the residual is within IK_TOL of `_residual_bound` (the
-    first link group's arc, or its cap on a yaw column, less the rest of the
-    chain), which no posture within the joint limits can beat.
+    step h, its squared length and J h, and runs one FK pass at the new
+    posture. Joints pinned against a limit get their Jacobian column masked,
+    and the system solved again, so the rest of the chain keeps moving. The
+    start aimed by `_residual_bound` goes first (the first link group's end on
+    the nearest point of its arc or cap, the other joints at 0), then the
+    IK_POOL_STARTS postures of a fixed pool (the same for every call with this
+    D, so the solver stays a pure function of its inputs) that land closest to
+    the target. A start ends after IK_START_ITERS iterations, on an accepted
+    step that shortens the residual by less than IK_MIN_DROP, or on a step
+    shorter than IK_MIN_STEP; the solve ends once the residual is within
+    IK_TOL of `_residual_bound` (the first link group's arc, or its cap on a
+    yaw column, less the rest of the chain), which no posture within the joint
+    limits can beat. The aimed start is scored by `_chain`; a solve it does
+    not certify runs its starts on the D-joint kernel `_lm_kernel(D)`.
     Unreachable targets are not an error: the best posture found is returned
     with converged=False so the position-error objective stays defined. The
     torque is taken once, at the returned posture, for uniform rods of
-    LINEAR_DENSITY under GRAVITY. A target that is not finite is an error.
+    LINEAR_DENSITY under GRAVITY. A target, origin or link length that is not
+    finite is an error.
     """
     target = np.asarray(target, dtype=float).ravel()
     if target.size != 3:
         raise ValueError(f"target must be a 3-vector, got length {target.size}")
     if not np.isfinite(target).all():
         raise ValueError(f"target must be finite, got {target.tolist()}")
+    origin, lengths = params.origin, params.lengths
+    for field, values in (("origin", origin), ("lengths", lengths)):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{field} must be finite, got {list(values)}")
     tx, ty, tz = target.tolist()
     d = params.n_joints
-    origin = params.origin
     codes = tuple(jt.value for jt in params.joints)
-    lengths = params.lengths
-    limit = JOINT_ANGLE_LIMIT
-    min_step_sq = IK_MIN_STEP**2
     bound, aimed = _residual_bound(origin, codes, lengths, (tx, ty, tz))
     stop_at = bound + IK_TOL
 
-    def starts():
-        yield aimed
-        dist = [math.dist(reach, (tx, ty, tz)) for reach in _pool_reach(origin, codes, lengths)]
-        for k in sorted(range(IK_START_POOL), key=dist.__getitem__)[:IK_POOL_STARTS]:
-            yield list(_start_pool(d)[k])
-
-    best_q, best_residual, best_chain = None, math.inf, None
+    # most solves are certified here, and this FK pass gives their torque
+    joints, ee = _chain(origin, codes, lengths, aimed)
+    ex, ey, ez = tx - ee[0], ty - ee[1], tz - ee[2]
+    best_q, best_residual, best_chain = aimed, math.sqrt(ex * ex + ey * ey + ez * ez), (joints, ee)
     iterations = 0
-    for q in starts():
-        joints, ee = _chain(origin, codes, lengths, q)
-        ex, ey, ez = tx - ee[0], ty - ee[1], tz - ee[2]
-        err_sq = ex * ex + ey * ey + ez * ez
-        residual = math.sqrt(err_sq)
-        if residual < best_residual:
-            best_q, best_residual, best_chain = q, residual, (joints, ee)
-        if best_residual <= stop_at:
-            break
-        cols = _jacobian_columns(joints, ee)
-        gram = _gram(cols)
-        mu = max(IK_MU_FLOOR, IK_MU_INIT * max(gram[0], gram[3], gram[5]))
-        nu = 2.0
-        for _ in range(IK_START_ITERS):
-            iterations += 1
-            dq = _dls_step(gram, cols, ex, ey, ez, mu)
-            if limit in q or -limit in q:  # |q| <= limit, so only a joint at a limit can be pinned
-                pinned = [(qj >= limit and s > 0.0) or (qj <= -limit and s < 0.0) for qj, s in zip(q, dq)]
-                if True in pinned:
-                    masked = [(0.0, 0.0, 0.0) if p else col for p, col in zip(pinned, cols)]
-                    dq = _dls_step(_gram(masked), masked, ex, ey, ez, mu)
-            # the projected step h, its squared length and the linear model's J h
-            q_next = []
-            step_sq = hx = hy = hz = 0.0
-            for qj, s, (jx, jy, jz) in zip(q, dq, cols):
-                a = qj + s
-                a = limit if a > limit else -limit if a < -limit else a
-                q_next.append(a)
-                h = a - qj
-                step_sq += h * h
-                hx += jx * h; hy += jy * h; hz += jz * h
-            if step_sq < min_step_sq:
-                break
-            joints, ee = _chain(origin, codes, lengths, q_next)
-            ex_next, ey_next, ez_next = tx - ee[0], ty - ee[1], tz - ee[2]
-            err_sq_next = ex_next * ex_next + ey_next * ey_next + ez_next * ez_next
-            gain = err_sq - err_sq_next
-            if gain <= 0.0:  # rejected: damp harder
-                mu *= nu
-                nu *= 2.0
-                continue
-            # the linear model's gain |e|^2 - |e - J h|^2; a model that predicts no gain counts as rho = 0
-            predicted = hx * (2.0 * ex - hx) + hy * (2.0 * ey - hy) + hz * (2.0 * ez - hz)
-            rho = gain / predicted if predicted > 0.0 else 0.0
-            mu = max(IK_MU_FLOOR, mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3))
-            nu = 2.0
-            q, ex, ey, ez, err_sq = q_next, ex_next, ey_next, ez_next, err_sq_next
-            residual, previous = math.sqrt(err_sq), residual
-            if residual < best_residual:
-                best_q, best_residual, best_chain = q, residual, (joints, ee)
-            if best_residual <= stop_at or previous - residual < IK_MIN_DROP:  # certified, or a local minimum
-                break
-            cols = _jacobian_columns(joints, ee)
-            gram = _gram(cols)
-        if best_residual <= stop_at:
-            break
+    if best_residual > stop_at:
 
-    joints, reached = best_chain  # the FK pass that scored best_q
+        def starts():
+            yield aimed
+            dist = [math.dist(reach, (tx, ty, tz)) for reach in _pool_reach(origin, codes, lengths)]
+            for k in sorted(range(IK_START_POOL), key=dist.__getitem__)[:IK_POOL_STARTS]:
+                yield _start_pool(d)[k]
+
+        kernel = _lm_kernel(d)
+        for q in starts():
+            n, found, best_residual = kernel(codes, origin, lengths, q, tx, ty, tz, stop_at, best_residual)
+            iterations += n
+            if found is not None:  # this start, or an iterate from it, beat the best so far
+                best_q, best_chain = found, None
+            if best_residual <= stop_at:
+                break
+
+    joints, reached = best_chain or _chain(origin, codes, lengths, best_q)  # the FK pass that scores best_q
     return IKSolution(
         q=tuple(best_q),
         reached=reached,

@@ -102,6 +102,16 @@ def test_target_permutation_leaves_totals_unchanged():
     assert [o.target for o in rev.per_target] == [o.target for o in fwd.per_target][::-1]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field, index", [("origin", k) for k in range(3)] + [("lengths", k) for k in range(4)])
+def test_a_non_finite_origin_or_length_is_rejected(field, index, bad):
+    design = {"origin": [0.1, -0.2, 0.05], "lengths": [0.2, 0.15, 0.1, 0.12]}
+    design[field][index] = bad
+    p = make_params(design["origin"], "PYRP", design["lengths"])
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+        evaluate(p, load_targets(REPO / "targets" / "target1.json"))
+
+
 def test_empty_or_bad_inputs_rejected():
     with pytest.raises(ValueError):
         TargetSet("bad", ())

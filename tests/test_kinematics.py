@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import linecache
 import math
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,9 @@ from armdesign.kinematics import (
     IK_POOL_STARTS,
     IK_START_ITERS,
     IK_TOL,
+    IKSolution,
     _chain,
+    _lm_kernel,
     _pool_reach,
     _residual_bound,
     _start_pool,
@@ -26,11 +30,11 @@ from armdesign.kinematics import (
     position_jacobian,
     solve_ik,
 )
-from armdesign.space import JOINT_ANGLE_LIMIT, JointType, SpaceConfig, make_params, random_sample
+from armdesign.space import JOINT_ANGLE_LIMIT, JointType, SpaceConfig, from_vector, make_params, random_sample
 
 import kinematics_oracle as oracle
 from conftest import random_posture
-from test_ik_panel import MARGIN
+from test_ik_panel import MARGIN, PANEL
 
 
 def fd_jacobian(params, q, eps=1e-6):
@@ -196,6 +200,19 @@ def test_ik_rejects_non_finite_target(bad):
     p = make_params((0, 0, 0), "YPRP", [0.1, 0.1, 0.1, 0.1])
     with pytest.raises(ValueError, match="finite"):
         solve_ik(p, [0.1, bad, 0.2])
+
+
+NON_FINITE_FIELDS = [("origin", k) for k in range(3)] + [("lengths", k) for k in range(4)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field, index", NON_FINITE_FIELDS)
+def test_ik_rejects_a_non_finite_origin_or_length(field, index, bad):
+    design = {"origin": [0.1, -0.2, 0.05], "lengths": [0.2, 0.15, 0.1, 0.12]}
+    design[field][index] = bad
+    p = make_params(design["origin"], "PYRP", design["lengths"])
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+        solve_ik(p, [0.3, 0.1, 0.4])
 
 
 def test_ik_residual_never_worse_than_start():
@@ -516,3 +533,98 @@ def test_base_yaw_invariance():
         q[0] = angle
         np.testing.assert_allclose(forward_kinematics(p, q), base, atol=1e-12)
 
+
+def same_solution(p, target) -> IKSolution:
+    """solve_ik's solution, after checking that every field equals the reference loop's, signed zeros and all."""
+    got = solve_ik(p, target)
+    assert repr(got) == repr(oracle.solve_ik_reference(p, target))
+    return got
+
+
+def place_target(p, q, offset, place):
+    """A target for design p: reached at posture q, the point `offset`, far off, or below the base.
+
+    Below the base, a roll or pitch joint 1 swings its rod past the limit toward
+    the target, so the aimed start has joint 1 pinned at the limit.
+    """
+    origin = np.asarray(p.origin)
+    offset = np.asarray(offset)
+    if place == "reached":
+        return tuple(forward_kinematics(p, q))
+    if place == "far":
+        return tuple(origin + offset * (2 * sum(p.lengths) / max(np.linalg.norm(offset), 1e-3)))
+    if place == "below":
+        return tuple(origin + (0.1 * offset[0], 0.1 * offset[1], -0.05 - abs(offset[2])))
+    return tuple(offset)
+
+
+def panel_case(design: int, target: int):
+    return (from_vector(PANEL["designs"][design]["vector"]), None), tuple(PANEL["targets"][target]), "anywhere"
+
+
+@settings(deadline=None, derandomize=True)  # max_examples from the profile: 500 under HYPOTHESIS_PROFILE=ci
+@given(
+    st.one_of(designs_and_postures(), designs_and_postures(YAW_HEAVY)),
+    st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+    st.sampled_from(["reached", "anywhere", "far", "below"]),
+)
+# the limit-pinned local minima of the IK panel: design 5 on targets 11 and 3, design 20 on target 0
+@example(*panel_case(5, 11))
+@example(*panel_case(5, 3))
+@example(*panel_case(20, 0))
+def test_kernel_matches_the_reference_loop(case, offset, place):
+    p, q = case
+    same_solution(p, place_target(p, q, offset, place))
+
+
+def test_kernel_matches_the_reference_loop_on_every_joint_sequence():
+    # one design per sequence of D = 1-6 joints; the below-the-base targets pin the aimed
+    # start of every roll- or pitch-first chain at a limit, which the masked re-solve serves
+    rng = np.random.default_rng(31)
+    pinned_and_iterated = 0
+    for d in range(1, 7):
+        for joints in itertools.product("RPY", repeat=d):
+            p = make_params(rng.uniform(-1.0, 1.0, 3), joints, rng.uniform(0.03, 0.3, d))
+            q = rng.uniform(-JOINT_ANGLE_LIMIT, JOINT_ANGLE_LIMIT, d)
+            for place in ("reached", "far", "below"):
+                target = place_target(p, q, rng.uniform(-1.5, 1.5, 3), place)
+                sol = same_solution(p, target)
+                aimed = _residual_bound(p.origin, tuple(jt.value for jt in p.joints), p.lengths, target)[1]
+                pinned_and_iterated += abs(aimed[0]) == JOINT_ANGLE_LIMIT and sol.iterations > 0
+    assert pinned_and_iterated > 100
+
+
+@pytest.mark.parametrize("d", [1, 8])
+def test_generated_kernel_compiles_and_solves(d):
+    rng = np.random.default_rng(d)
+    p = make_params(rng.uniform(-0.5, 0.5, 3), rng.choice(list("RPY"), d), rng.uniform(0.03, 0.3, d))
+    below = np.asarray(p.origin) + (0.2, -0.1, -0.3)
+    for target in (forward_kinematics(p, rng.uniform(-2.0, 2.0, d)), below, (3.0, 0.0, 0.0)):
+        same_solution(p, target)
+    kernel = _lm_kernel(d)
+    # the generated lines are registered, so a traceback through the kernel shows them
+    filename = kernel.__code__.co_filename
+    assert linecache.getline(filename, 1).startswith(f"def _lm{d}(codes, origin, lengths, q, ")
+    with pytest.raises(TypeError) as raised:
+        kernel((0,) * d, (0.0, 0.0, 0.0), (0.1,) * d, ("x",) * d, 0.0, 0.0, 1.0, 0.0, math.inf)
+    frame = traceback.extract_tb(raised.value.__traceback__)[-1]
+    assert frame.filename == filename and frame.line == "c, s = cos(q0), sin(q0)"
+
+
+def test_kernels_are_compiled_on_the_first_solve_that_needs_one():
+    # nothing at import, nothing for a solve certified at the aimed start (0 iterations),
+    # then one kernel for two iterated solves of different D = 4 sequences
+    code = (
+        "from armdesign.kinematics import _lm_kernel, solve_ik\n"
+        "from armdesign.space import make_params\n"
+        "out = [_lm_kernel.cache_info().currsize]\n"
+        "for joints, target in [('YPRP', (0.0, 0.0, 0.4)), ('YPRP', (0.2, 0.1, 0.15)), ('PRPY', (0.1, 0.2, 0.2))]:\n"
+        "    sol = solve_ik(make_params((0, 0, 0), joints, [0.1] * 4), target)\n"
+        "    out += [sol.iterations > 0, _lm_kernel.cache_info().currsize]\n"
+        "print(out)"
+    )
+    src = str(Path(armdesign.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
+    ).stdout.strip()
+    assert out == "[0, False, 0, True, 1, True, 1]"
