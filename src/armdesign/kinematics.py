@@ -4,22 +4,23 @@ Conventions: joint j rotates about its local axis (roll = x, pitch = y, yaw = z)
 and is followed by a link of length L_j along the rotated local +z. With all
 angles zero the chain is a vertical line above the base origin.
 
-FK, the Jacobian and the torque run on plain floats: `_chain`, one FK pass per
-posture, giving joint positions, axes and link vectors, one Jacobian routine,
-and link COMs formed only in the torque pass. The IK iterations run on one
-generated kernel per joint count D (`_lm_kernel`): Python source written from
-one template with the joints unrolled, so each angle, axis, Jacobian column,
-Gram entry and step component is a named local, and each joint's FK update
-branches on its type code. A kernel is compiled on the first solve with D
-joints that its aimed start does not certify, never at import. It performs
-the float operations of the plain loop it replaced, kept as the test oracle
-`tests/kinematics_oracle.solve_ik_reference`, in the same order, so every
-solution is the same to the bit. One iteration is a 3x3 solve, the projected
-step and one FK pass. At 3x3 sizes numpy's per-call overhead would dominate,
-and scalar arithmetic keeps results independent of the host's BLAS. numpy
-draws the fixed IK start postures, once per D, sums the start pool's reach
-over all 64 postures at once (the same floats as `_chain`), and wraps the
-public functions' inputs and outputs.
+FK, the Jacobian and the IK iterations run on plain floats, in code generated
+once per joint count D (`_kernels`) with the joints unrolled, so each angle,
+axis, link vector, Jacobian column, Gram entry and step component is a named
+local, and each joint's FK update branches on its type code. There are three
+functions per D: `_chain{D}`, one FK pass giving joint positions, axes and
+link vectors; `_columns{D}`, the position Jacobian; and `_lm{D}`, one
+Levenberg-Marquardt start. Their templates share one per-joint FK snippet and
+one Jacobian column snippet, so the FK float order is written down once. They
+are compiled on the first call with D joints, never at import. They perform
+the float operations of the plain loops they replaced, kept as the test oracle
+in `tests/kinematics_oracle.py`, in the same order, so every solution is the
+same to the bit. One iteration is a 3x3 solve, the projected step and one FK
+pass. At 3x3 sizes numpy's per-call overhead would dominate, and scalar
+arithmetic keeps results independent of the host's BLAS. Link COMs are formed
+only in the torque pass. numpy draws the fixed IK start postures, once per D,
+sums the start pool's reach over all 64 postures at once (the same floats as
+`_chain{D}`), and wraps the public functions' inputs and outputs.
 
 A solve stops once its residual is within IK_TOL of a closed-form lower bound
 (`_residual_bound`). A yaw joint turns a link about its own axis, so the chain
@@ -40,6 +41,7 @@ import math
 import textwrap
 from dataclasses import dataclass
 from math import cos, sin
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,53 +81,6 @@ def _check_q(params: DesignParams, q) -> list[float]:
     return q.tolist()
 
 
-def _chain(origin, codes, lengths, q):
-    """One FK pass on floats: ([(px, py, pz, ax, ay, az, sx, sy, sz) per joint], ee).
-
-    Per joint: its position p, its world axis a and the vector s of the link
-    after it; ee is (x, y, z). The frame's rotation is carried as its three
-    world-frame columns u, v, w (images of local x, y, z); joint j
-    post-multiplies it by its own rotation, which leaves its own axis fixed.
-    """
-    ux, uy, uz, vx, vy, vz, wx, wy, wz = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
-    x, y, z = origin
-    joints = []
-    for code, length, angle in zip(codes, lengths, q):
-        c, s = cos(angle), sin(angle)
-        if code == 0:  # roll, about u: v and w turn
-            vx, wx = vx * c + wx * s, wx * c - vx * s
-            vy, wy = vy * c + wy * s, wy * c - vy * s
-            vz, wz = vz * c + wz * s, wz * c - vz * s
-            ax, ay, az = ux, uy, uz
-        elif code == 1:  # pitch, about v: w and u turn
-            ux, wx = ux * c - wx * s, ux * s + wx * c
-            uy, wy = uy * c - wy * s, uy * s + wy * c
-            uz, wz = uz * c - wz * s, uz * s + wz * c
-            ax, ay, az = vx, vy, vz
-        else:  # yaw, about w: u and v turn
-            ux, vx = ux * c + vx * s, vx * c - ux * s
-            uy, vy = uy * c + vy * s, vy * c - uy * s
-            uz, vz = uz * c + vz * s, vz * c - uz * s
-            ax, ay, az = wx, wy, wz
-        sx, sy, sz = length * wx, length * wy, length * wz  # the link runs along local z
-        joints.append((x, y, z, ax, ay, az, sx, sy, sz))
-        x, y, z = x + sx, y + sy, z + sz
-    return joints, (x, y, z)
-
-
-def _jacobian_columns(joints, ee) -> list[tuple[float, float, float]]:
-    """Column j of the position Jacobian: axis_j x (ee - p_j)."""
-    ex, ey, ez = ee
-    return [
-        (
-            ay * (ez - pz) - az * (ey - py),
-            az * (ex - px) - ax * (ez - pz),
-            ax * (ey - py) - ay * (ex - px),
-        )
-        for px, py, pz, ax, ay, az, _, _, _ in joints
-    ]
-
-
 def _torques(joints, lengths) -> list[float]:
     """tau_j = sum over links i >= j of weight_i * (axis_j x (com_i - p_j))_z."""
     weights = [LINEAR_DENSITY * length * GRAVITY for length in lengths]
@@ -142,7 +97,7 @@ def _torques(joints, lengths) -> list[float]:
 
 def _state(params: DesignParams, q):
     codes = [jt.value for jt in params.joints]
-    return _chain(params.origin, codes, params.lengths, _check_q(params, q))
+    return _kernels(len(codes)).chain(params.origin, codes, params.lengths, _check_q(params, q))
 
 
 def forward_kinematics(params: DesignParams, q) -> np.ndarray:
@@ -152,7 +107,7 @@ def forward_kinematics(params: DesignParams, q) -> np.ndarray:
 
 def position_jacobian(params: DesignParams, q) -> np.ndarray:
     """3xD position Jacobian; column j = axis_j x (p_ee - p_j)."""
-    return np.array(_jacobian_columns(*_state(params, q))).T
+    return np.array(_kernels(params.n_joints).columns(*_state(params, q))).T
 
 
 def gravity_torque(params: DesignParams, q) -> np.ndarray:
@@ -178,11 +133,12 @@ def _start_pool(d: int) -> tuple[tuple[float, ...], ...]:
 def _pool_directions(codes) -> np.ndarray:
     """(3, D, IK_START_POOL): the world direction of each link over the start pool.
 
-    Taken from `_chain` at unit lengths, so length * direction is the same float
-    as `_chain`'s link vector for any length.
+    Taken from `_chain{D}` at unit lengths, so length * direction is the same
+    float as its link vector for any length.
     """
     ones = (1.0,) * len(codes)
-    chains = [_chain((0.0, 0.0, 0.0), codes, ones, q)[0] for q in _start_pool(len(codes))]
+    chain = _kernels(len(codes)).chain
+    chains = [chain((0.0, 0.0, 0.0), codes, ones, q)[0] for q in _start_pool(len(codes))]
     return np.array([[joint[6:] for joint in joints] for joints in chains]).transpose(2, 1, 0)
 
 
@@ -191,7 +147,7 @@ def _pool_directions(codes) -> np.ndarray:
 def _pool_reach(origin, codes, lengths) -> tuple[tuple[float, float, float], ...]:
     """End-effector positions of a design's start pool, kept while its targets are solved.
 
-    Sums the links in `_chain`'s order, so each position is `_chain`'s, bit for bit.
+    Sums the links in `_chain{D}`'s order, so each position is its end effector, bit for bit.
     """
     ends = []
     for axis, start in zip(_pool_directions(codes), origin):
@@ -264,13 +220,36 @@ def _residual_bound(origin, codes, lengths, t) -> tuple[float, list[float]]:
     return max(0.0, gap - math.fsum(lengths[end:])), aimed
 
 
-# The D-joint kernel: one Levenberg-Marquardt start, unrolled over the joints so
-# that every angle, axis, Jacobian column, Gram entry and step is a named local.
-# Its float operations are those of `_chain`, `_jacobian_columns` and the loop in
-# `tests/kinematics_oracle.solve_ik_reference`, in the same order: sums start
-# from 0.0 and run over the joints in turn, a pinned joint's column is zeroed,
-# not dropped, and the IK constants are written in as their float reprs.
-_KERNEL = '''\
+# The D-joint kernels: one FK pass, the position Jacobian and one
+# Levenberg-Marquardt start, unrolled over the joints so that every angle, axis,
+# link vector, Jacobian column, Gram entry and step is a named local. Every FK
+# pass is written from `_KERNEL_FK_JOINT` and every column from
+# `_KERNEL_COLUMN`. Their float operations are those of the loops in
+# `tests/kinematics_oracle.py`, in the same order: sums start from 0.0 and run
+# over the joints in turn, a pinned joint's column is zeroed, not dropped, and
+# the IK constants are written in as their float reprs.
+_CHAIN = '''\
+def _chain{d}(origin, codes, lengths, q):
+    """One FK pass at q: ([(px, py, pz, ax, ay, az, sx, sy, sz) per joint], end effector)."""
+    {codes}, = codes
+    ox, oy, oz = origin
+    {lengths}, = lengths
+    {q}, = q
+    ux, uy, uz, vx, vy, vz, wx, wy, wz = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+{fk_q}
+    return [{joints}], (fx, fy, fz)
+'''
+
+_COLUMNS = '''\
+def _columns{d}(joints, ee):
+    """Column j of the position Jacobian: axis_j x (ee - p_j)."""
+    {unpack}, = joints
+    fx, fy, fz = ee
+{jacobian}
+    return [{columns}]
+'''
+
+_LM = '''\
 def _lm{d}(codes, origin, lengths, q, tx, ty, tz, stop_at, best):
     """Score start q, then iterate from it: (iterations, best posture or None, best residual)."""
     {codes}, = codes
@@ -333,7 +312,9 @@ def _lm{d}(codes, origin, lengths, q, tx, ty, tz, stop_at, best):
     return iterations, best_q, best
 '''
 
-# joint j's FK update at angle {angle}{j}: its axis a{j}, and the link from position {p} to {n}, as in `_chain`
+# joint j's FK update at angle {angle}{j}: its axis a{j}, its link vector s{j} and the position {n} after it.
+# The frame's rotation is carried as its three world-frame columns u, v, w (images of local x, y, z);
+# joint j post-multiplies it by its own rotation, which leaves its own axis fixed.
 _KERNEL_FK_JOINT = '''\
 c, s = cos({angle}{j}), sin({angle}{j})
 if code{j} == 0:  # roll, about u: v and w turn
@@ -351,7 +332,8 @@ else:  # yaw, about w: u and v turn
     uy, vy = uy * c + vy * s, vy * c - uy * s
     uz, vz = uz * c + vz * s, vz * c - uz * s
     a{j}x, a{j}y, a{j}z = wx, wy, wz
-{n}x, {n}y, {n}z = {p}x + l{j} * wx, {p}y + l{j} * wy, {p}z + l{j} * wz
+s{j}x, s{j}y, s{j}z = l{j} * wx, l{j} * wy, l{j} * wz  # the link runs along local z
+{n}x, {n}y, {n}z = {p}x + s{j}x, {p}y + s{j}y, {p}z + s{j}z
 '''
 
 _KERNEL_COLUMN = '''\
@@ -382,18 +364,21 @@ h{j} = n{j} - q{j}
 '''
 
 
-def _kernel_source(d: int) -> str:
-    """The source of `_lm{d}`, the Levenberg-Marquardt kernel for D = d joints."""
+_TEMPLATES = (("_chain", _CHAIN), ("_columns", _COLUMNS), ("_lm", _LM))  # in `_Kernels` order
+
+
+def _kernel_sources(d: int) -> dict[str, str]:
+    """{name: source} of `_chain{d}`, `_columns{d}` and `_lm{d}`, the kernels for D = d joints."""
     joints = range(d)
-
-    def names(pattern, sep=", "):
-        return sep.join(pattern.format(j=j) for j in joints)
-
-    def total(pattern):  # a running sum from 0.0, joint by joint
-        return "0.0 + " + names(pattern, " + ")
 
     def point(j):  # the names of joint j's position: the origin, ..., the end effector at j = d
         return "o" if j == 0 else "f" if j == d else f"p{j}"
+
+    def names(pattern, sep=", "):  # pattern for each joint {j}, at position {p}
+        return sep.join(pattern.format(j=j, p=point(j)) for j in joints)
+
+    def total(pattern):  # a running sum from 0.0, joint by joint
+        return "0.0 + " + names(pattern, " + ")
 
     def per_joint(snippet, indent, **fields):
         text = "".join(snippet.format(j=j, p=point(j), n=point(j + 1), **fields) for j in joints)
@@ -412,8 +397,11 @@ def _kernel_source(d: int) -> str:
     # joint j at a limit with its step pushing past it: its column is zeroed for the second solve
     pinned = f"(q{{j}} >= {limit!r} and d{{j}} > 0.0) or (q{{j}} <= {-limit!r} and d{{j}} < 0.0)"
     masked = names(f"z{{j}}x, z{{j}}y, z{{j}}z = (0.0, 0.0, 0.0) if {pinned} else (j{{j}}x, j{{j}}y, j{{j}}z)", "\n")
-    return _KERNEL.format(
+    fields = dict(
         d=d,
+        joints=names("({p}x, {p}y, {p}z, a{j}x, a{j}y, a{j}z, s{j}x, s{j}y, s{j}z)"),
+        unpack=names("({p}x, {p}y, {p}z, a{j}x, a{j}y, a{j}z, _, _, _)"),
+        columns=names("(j{j}x, j{j}y, j{j}z)"),
         codes=names("code{j}"),
         lengths=names("l{j}"),
         q=names("q{j}"),
@@ -440,21 +428,31 @@ def _kernel_source(d: int) -> str:
         min_step_sq=IK_MIN_STEP**2,
         third=1.0 / 3.0,
     )
+    return {f"{name}{d}": template.format(**fields) for name, template in _TEMPLATES}
+
+
+class _Kernels(NamedTuple):
+    chain: Callable  # _chain{D}
+    columns: Callable  # _columns{D}
+    lm: Callable  # _lm{D}
 
 
 @functools.lru_cache(maxsize=None)
-def _lm_kernel(d: int):
-    """The kernel for D = d joints, compiled on the first solve with d joints.
+def _kernels(d: int) -> _Kernels:
+    """The kernels for D = d joints, compiled on the first call with d joints.
 
-    Its source is kept in `linecache` under the kernel's file name, so
-    tracebacks and profiles show the generated lines.
+    Each is compiled on its own, which keeps the compiler's peak memory to
+    that of the largest, `_lm{d}`, and its source is kept in `linecache` under
+    its own file name, so tracebacks and profiles show the generated lines.
     """
-    source = _kernel_source(d)
-    filename = f"<armdesign.kinematics._lm{d}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"cos": cos, "sin": sin, "sqrt": math.sqrt}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace[f"_lm{d}"]
+    kernels = []
+    for name, source in _kernel_sources(d).items():
+        filename = f"<armdesign.kinematics.{name}>"
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        namespace = {"cos": cos, "sin": sin, "sqrt": math.sqrt}
+        exec(compile(source, filename, "exec"), namespace)
+        kernels.append(namespace[name])
+    return _Kernels(*kernels)
 
 
 def solve_ik(params: DesignParams, target) -> IKSolution:
@@ -481,8 +479,8 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
     shorter than IK_MIN_STEP; the solve ends once the residual is within
     IK_TOL of `_residual_bound` (the first link group's arc, or its cap on a
     yaw column, less the rest of the chain), which no posture within the joint
-    limits can beat. The aimed start is scored by `_chain`; a solve it does
-    not certify runs its starts on the D-joint kernel `_lm_kernel(D)`.
+    limits can beat. The aimed start is scored by one FK pass; a solve it
+    does not certify runs each start as one call of the D-joint kernel `_lm{D}`.
     Unreachable targets are not an error: the best posture found is returned
     with converged=False so the position-error objective stays defined. The
     torque is taken once, at the returned posture, for uniform rods of
@@ -503,9 +501,10 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
     codes = tuple(jt.value for jt in params.joints)
     bound, aimed = _residual_bound(origin, codes, lengths, (tx, ty, tz))
     stop_at = bound + IK_TOL
+    kernels = _kernels(d)
 
     # most solves are certified here, and this FK pass gives their torque
-    joints, ee = _chain(origin, codes, lengths, aimed)
+    joints, ee = kernels.chain(origin, codes, lengths, aimed)
     ex, ey, ez = tx - ee[0], ty - ee[1], tz - ee[2]
     best_q, best_residual, best_chain = aimed, math.sqrt(ex * ex + ey * ey + ez * ez), (joints, ee)
     iterations = 0
@@ -517,16 +516,15 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
             for k in sorted(range(IK_START_POOL), key=dist.__getitem__)[:IK_POOL_STARTS]:
                 yield _start_pool(d)[k]
 
-        kernel = _lm_kernel(d)
         for q in starts():
-            n, found, best_residual = kernel(codes, origin, lengths, q, tx, ty, tz, stop_at, best_residual)
+            n, found, best_residual = kernels.lm(codes, origin, lengths, q, tx, ty, tz, stop_at, best_residual)
             iterations += n
             if found is not None:  # this start, or an iterate from it, beat the best so far
                 best_q, best_chain = found, None
             if best_residual <= stop_at:
                 break
 
-    joints, reached = best_chain or _chain(origin, codes, lengths, best_q)  # the FK pass that scores best_q
+    joints, reached = best_chain or kernels.chain(origin, codes, lengths, best_q)  # the FK pass that scored best_q
     return IKSolution(
         q=tuple(best_q),
         reached=reached,

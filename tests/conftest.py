@@ -1,17 +1,9 @@
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from armdesign.space import SpaceConfig, random_sample
-
-# HYPOTHESIS_PROFILE=ci searches deeper, and reproducibly, in every property test
-# that does not fix its own example count (the IK kernel against its reference loop)
-settings.register_profile("ci", max_examples=500, derandomize=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE") or "default")
 
 
 @pytest.fixture

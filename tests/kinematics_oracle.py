@@ -5,13 +5,15 @@ An independent implementation of the conventions in `armdesign.kinematics`
 column updates), so the finite-difference torque oracle and the property tests
 do not share their forward kinematics with the code they check.
 
-`solve_ik_reference` is the Levenberg-Marquardt loop that `solve_ik` ran
-before its iterations moved into one generated kernel per joint count; the
-kernels must reproduce it bit for bit.
+`chain`, `jacobian_columns` and `solve_ik_reference` are the FK pass, the
+Jacobian and the Levenberg-Marquardt loop that the package ran as plain loops
+before they moved into kernels generated once per joint count; the kernels
+must reproduce them bit for bit.
 """
 from __future__ import annotations
 
 import math
+from math import cos, sin
 
 import numpy as np
 
@@ -28,8 +30,6 @@ from armdesign.kinematics import (
     IK_TOL,
     LINEAR_DENSITY,
     IKSolution,
-    _chain,
-    _jacobian_columns,
     _pool_reach,
     _residual_bound,
     _start_pool,
@@ -94,6 +94,53 @@ def potential_energy(params, q) -> float:
     return float(np.sum(masses * GRAVITY * coms[:, 2]))
 
 
+def chain(origin, codes, lengths, q):
+    """One FK pass on floats: ([(px, py, pz, ax, ay, az, sx, sy, sz) per joint], ee).
+
+    Per joint: its position p, its world axis a and the vector s of the link
+    after it; ee is (x, y, z). The frame's rotation is carried as its three
+    world-frame columns u, v, w (images of local x, y, z); joint j
+    post-multiplies it by its own rotation, which leaves its own axis fixed.
+    """
+    ux, uy, uz, vx, vy, vz, wx, wy, wz = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    x, y, z = origin
+    joints = []
+    for code, length, angle in zip(codes, lengths, q):
+        c, s = cos(angle), sin(angle)
+        if code == 0:  # roll, about u: v and w turn
+            vx, wx = vx * c + wx * s, wx * c - vx * s
+            vy, wy = vy * c + wy * s, wy * c - vy * s
+            vz, wz = vz * c + wz * s, wz * c - vz * s
+            ax, ay, az = ux, uy, uz
+        elif code == 1:  # pitch, about v: w and u turn
+            ux, wx = ux * c - wx * s, ux * s + wx * c
+            uy, wy = uy * c - wy * s, uy * s + wy * c
+            uz, wz = uz * c - wz * s, uz * s + wz * c
+            ax, ay, az = vx, vy, vz
+        else:  # yaw, about w: u and v turn
+            ux, vx = ux * c + vx * s, vx * c - ux * s
+            uy, vy = uy * c + vy * s, vy * c - uy * s
+            uz, vz = uz * c + vz * s, vz * c - uz * s
+            ax, ay, az = wx, wy, wz
+        sx, sy, sz = length * wx, length * wy, length * wz  # the link runs along local z
+        joints.append((x, y, z, ax, ay, az, sx, sy, sz))
+        x, y, z = x + sx, y + sy, z + sz
+    return joints, (x, y, z)
+
+
+def jacobian_columns(joints, ee) -> list[tuple[float, float, float]]:
+    """Column j of the position Jacobian: axis_j x (ee - p_j)."""
+    ex, ey, ez = ee
+    return [
+        (
+            ay * (ez - pz) - az * (ey - py),
+            az * (ex - px) - ax * (ez - pz),
+            ax * (ey - py) - ay * (ex - px),
+        )
+        for px, py, pz, ax, ay, az, _, _, _ in joints
+    ]
+
+
 def _gram(cols) -> tuple[float, ...]:
     """The six distinct entries (00, 01, 02, 11, 12, 22) of J J^T, J given by its columns."""
     a00 = a01 = a02 = a11 = a12 = a22 = 0.0
@@ -125,9 +172,9 @@ def solve_ik_reference(params, target) -> IKSolution:
 
     The generated kernels of `solve_ik` must perform these float operations in
     this order, so every field of their solution equals this one's bit for bit.
-    It shares with the package only what the kernels do not replace: `_chain`,
-    `_jacobian_columns` and `_torques`, the bound and its aimed start, and the
-    start pool. It does not validate its inputs.
+    It runs on `chain` and `jacobian_columns` above, and shares with the
+    package only what the kernels do not replace: `_torques`, the bound and its
+    aimed start, and the start pool. It does not validate its inputs.
     """
     target = np.asarray(target, dtype=float).ravel()
     tx, ty, tz = target.tolist()
@@ -149,7 +196,7 @@ def solve_ik_reference(params, target) -> IKSolution:
     best_q, best_residual, best_chain = None, math.inf, None
     iterations = 0
     for q in starts():
-        joints, ee = _chain(origin, codes, lengths, q)
+        joints, ee = chain(origin, codes, lengths, q)
         ex, ey, ez = tx - ee[0], ty - ee[1], tz - ee[2]
         err_sq = ex * ex + ey * ey + ez * ez
         residual = math.sqrt(err_sq)
@@ -157,7 +204,7 @@ def solve_ik_reference(params, target) -> IKSolution:
             best_q, best_residual, best_chain = q, residual, (joints, ee)
         if best_residual <= stop_at:
             break
-        cols = _jacobian_columns(joints, ee)
+        cols = jacobian_columns(joints, ee)
         gram = _gram(cols)
         mu = max(IK_MU_FLOOR, IK_MU_INIT * max(gram[0], gram[3], gram[5]))
         nu = 2.0
@@ -181,7 +228,7 @@ def solve_ik_reference(params, target) -> IKSolution:
                 hx += jx * h; hy += jy * h; hz += jz * h
             if step_sq < min_step_sq:
                 break
-            joints, ee = _chain(origin, codes, lengths, q_next)
+            joints, ee = chain(origin, codes, lengths, q_next)
             ex_next, ey_next, ez_next = tx - ee[0], ty - ee[1], tz - ee[2]
             err_sq_next = ex_next * ex_next + ey_next * ey_next + ez_next * ez_next
             gain = err_sq - err_sq_next
@@ -200,7 +247,7 @@ def solve_ik_reference(params, target) -> IKSolution:
                 best_q, best_residual, best_chain = q, residual, (joints, ee)
             if best_residual <= stop_at or previous - residual < IK_MIN_DROP:  # certified, or a local minimum
                 break
-            cols = _jacobian_columns(joints, ee)
+            cols = jacobian_columns(joints, ee)
             gram = _gram(cols)
         if best_residual <= stop_at:
             break

@@ -20,8 +20,7 @@ from armdesign.kinematics import (
     IK_START_ITERS,
     IK_TOL,
     IKSolution,
-    _chain,
-    _lm_kernel,
+    _kernels,
     _pool_reach,
     _residual_bound,
     _start_pool,
@@ -176,6 +175,20 @@ def test_kernel_matches_numpy_frame_oracle(case):
     np.testing.assert_allclose(forward_kinematics(p, q), oracle.forward_kinematics(p, q), **close)
     np.testing.assert_allclose(position_jacobian(p, q), oracle.position_jacobian(p, q), **close)
     np.testing.assert_allclose(gravity_torque(p, q), oracle.gravity_torque(p, q), **close)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(designs_and_postures())
+def test_generated_fk_and_jacobian_match_the_reference_loops(case):
+    # bit for bit, signed zeros and all: the generated FK pass is the one that scores every IK iterate
+    p, q = case
+    codes = tuple(jt.value for jt in p.joints)
+    joints, ee = _kernels(len(codes)).chain(p.origin, codes, p.lengths, q.tolist())
+    expected = oracle.chain(p.origin, codes, p.lengths, q.tolist())
+    assert repr((joints, ee)) == repr(expected)
+    columns = _kernels(len(codes)).columns(joints, ee)
+    assert repr(columns) == repr(oracle.jacobian_columns(*expected))
+    assert repr(position_jacobian(p, q).T.tolist()) == repr(list(map(list, columns)))
 
 
 def test_ik_already_solved_target():
@@ -493,7 +506,7 @@ def test_aimed_start_lies_within_the_limits_and_attains_the_bound_where_it_is_ex
         target = tuple(o + reach * u for o, u in zip(pivot, direction))
     bound, aimed = _residual_bound(p.origin, codes, p.lengths, target)
     assert len(aimed) == len(codes) and max(map(abs, aimed)) <= JOINT_ANGLE_LIMIT
-    residual = math.dist(_chain(p.origin, codes, p.lengths, aimed)[1], target)
+    residual = math.dist(_kernels(len(codes)).chain(p.origin, codes, p.lengths, aimed)[1], target)
     assert residual >= bound - MARGIN
     if end == len(codes) or place == "on the rod's line":  # the relaxation is exact
         assert residual == pytest.approx(bound, abs=MARGIN)
@@ -509,7 +522,7 @@ def test_aimed_start_lies_within_the_limits_and_attains_the_bound_where_it_is_ex
 def test_pool_reach_is_the_chain_reach(case):
     p, _ = case
     codes = tuple(jt.value for jt in p.joints)
-    expected = tuple(_chain(p.origin, codes, p.lengths, q)[1] for q in _start_pool(len(codes)))
+    expected = tuple(oracle.chain(p.origin, codes, p.lengths, q)[1] for q in _start_pool(len(codes)))
     assert _pool_reach(p.origin, codes, p.lengths) == expected
 
 
@@ -562,7 +575,7 @@ def panel_case(design: int, target: int):
     return (from_vector(PANEL["designs"][design]["vector"]), None), tuple(PANEL["targets"][target]), "anywhere"
 
 
-@settings(deadline=None, derandomize=True)  # max_examples from the profile: 500 under HYPOTHESIS_PROFILE=ci
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(
     st.one_of(designs_and_postures(), designs_and_postures(YAW_HEAVY)),
     st.tuples(*[st.floats(-1.5, 1.5)] * 3),
@@ -601,30 +614,36 @@ def test_generated_kernel_compiles_and_solves(d):
     below = np.asarray(p.origin) + (0.2, -0.1, -0.3)
     for target in (forward_kinematics(p, rng.uniform(-2.0, 2.0, d)), below, (3.0, 0.0, 0.0)):
         same_solution(p, target)
-    kernel = _lm_kernel(d)
-    # the generated lines are registered, so a traceback through the kernel shows them
-    filename = kernel.__code__.co_filename
-    assert linecache.getline(filename, 1).startswith(f"def _lm{d}(codes, origin, lengths, q, ")
-    with pytest.raises(TypeError) as raised:
-        kernel((0,) * d, (0.0, 0.0, 0.0), (0.1,) * d, ("x",) * d, 0.0, 0.0, 1.0, 0.0, math.inf)
-    frame = traceback.extract_tb(raised.value.__traceback__)[-1]
-    assert frame.filename == filename and frame.line == "c, s = cos(q0), sin(q0)"
+    kernels = _kernels(d)
+    # the generated lines are registered, so a traceback through a kernel shows them
+    for kernel in kernels:
+        assert linecache.getline(kernel.__code__.co_filename, 1).startswith(f"def {kernel.__name__}(")
+    assert [kernel.__name__ for kernel in kernels] == [f"_chain{d}", f"_columns{d}", f"_lm{d}"]
+    for kernel, args in [
+        (kernels.chain, ((0.0, 0.0, 0.0), (0,) * d, (0.1,) * d, ("x",) * d)),
+        (kernels.lm, ((0,) * d, (0.0, 0.0, 0.0), (0.1,) * d, ("x",) * d, 0.0, 0.0, 1.0, 0.0, math.inf)),
+    ]:
+        with pytest.raises(TypeError) as raised:
+            kernel(*args)
+        frame = traceback.extract_tb(raised.value.__traceback__)[-1]
+        assert frame.filename == kernel.__code__.co_filename and frame.line == "c, s = cos(q0), sin(q0)"
 
 
-def test_kernels_are_compiled_on_the_first_solve_that_needs_one():
-    # nothing at import, nothing for a solve certified at the aimed start (0 iterations),
-    # then one kernel for two iterated solves of different D = 4 sequences
+def test_kernels_are_compiled_on_the_first_solve_with_d_joints():
+    # nothing at import, then one set of kernels per D: the first D = 4 solve (certified at the
+    # aimed start, 0 iterations) compiles it, iterated solves of other D = 4 sequences reuse it
     code = (
-        "from armdesign.kinematics import _lm_kernel, solve_ik\n"
+        "from armdesign.kinematics import _kernels, solve_ik\n"
         "from armdesign.space import make_params\n"
-        "out = [_lm_kernel.cache_info().currsize]\n"
-        "for joints, target in [('YPRP', (0.0, 0.0, 0.4)), ('YPRP', (0.2, 0.1, 0.15)), ('PRPY', (0.1, 0.2, 0.2))]:\n"
-        "    sol = solve_ik(make_params((0, 0, 0), joints, [0.1] * 4), target)\n"
-        "    out += [sol.iterations > 0, _lm_kernel.cache_info().currsize]\n"
+        "out = [_kernels.cache_info().currsize]\n"
+        "for joints, target in [('YPRP', (0.0, 0.0, 0.4)), ('YPRP', (0.2, 0.1, 0.15)), ('PRPY', (0.1, 0.2, 0.2)),\n"
+        "                       ('PRP', (0.1, 0.2, 0.2))]:\n"
+        "    sol = solve_ik(make_params((0, 0, 0), joints, [0.1] * len(joints)), target)\n"
+        "    out += [sol.iterations > 0, _kernels.cache_info().currsize]\n"
         "print(out)"
     )
     src = str(Path(armdesign.__file__).resolve().parent.parent)
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
     ).stdout.strip()
-    assert out == "[0, False, 0, True, 1, True, 1]"
+    assert out == "[0, False, 1, True, 1, True, 1, True, 2]"

@@ -31,10 +31,10 @@ def test_time_ik_prints_a_row_per_design_set():
 
 
 def test_time_ik_against_a_checkout_prints_ratios():
-    proc = run_tool("--repeats", "1", "--rounds", "1", "--against", str(REPO))
+    proc = run_tool("--repeats", "1", "--against", str(REPO))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].startswith("us per call, median over 1 rounds (alternating order) of 1 repeats")
+    assert lines[0].startswith("us per call, median over 4 rounds (alternating order) of 1 repeats")
     assert lines[1].split() == ["set", "metric", "this", "against", "ratio"]
     rows = [line.split() for line in lines[2:-1]]
     metrics = ["solve_us", "certified_us", "iterated_us", "evaluate_us"]

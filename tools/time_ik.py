@@ -1,27 +1,29 @@
 """Time kinematics.solve_ik and evaluation.evaluate on the IK panel and on seeded reachable designs.
 
-Usage: python3 tools/time_ik.py [--repeats R] [--seed S] [--against DIR] [--rounds N]
+Usage: python3 tools/time_ik.py [--repeats R] [--against DIR]
 
 Two sets of designs. `ik-panel` is the 25 designs of tests/ik_panel.json on
-its 15 targets. `target3-reachable` is 81 seeded designs, one per D = 4 joint
-sequence, with the origin within 0.1 m of the centroid of targets/target3.json
-on each axis and links of 0.2-0.3 m, so the arm outreaches every target3
-point; they are solved on target3's 5 points. Each set is solved design by
-design, its targets in order, as `evaluate` solves them.
+its 15 targets. `target3-reachable` is 81 designs drawn from SEED, one per
+D = 4 joint sequence, with the origin within 0.1 m of the centroid of
+targets/target3.json on each axis and links of 0.2-0.3 m, so the arm
+outreaches every target3 point; they are solved on target3's 5 points. Each
+set is solved design by design, its targets in order, as `evaluate` solves
+them.
 
 A row gives the solves, the microseconds per `solve_ik` call and the
 Levenberg-Marquardt iterations per call: over all solves, over the solves
 certified at the aimed start (no iteration) and over the solves that iterate;
 then the microseconds per design of `evaluate` on the set's targets. A call's
 time is the median of its R timed repeats, after one untimed pass, so the
-IK kernel is compiled and the start pool drawn before timing.
+IK kernels are compiled and the start pool drawn before timing.
 
 With `--against DIR` the same rows are timed for the package in DIR/src too,
-in N rounds of one subprocess per checkout, alternating which runs first, and
-each figure is printed as the median over the rounds for both checkouts and
-their ratio (this checkout over DIR). It also says whether both checkouts
-gave the same solutions, compared by the repr of every `IKSolution`. The
-inputs come from this file's checkout in both runs; DIR needs only its src/.
+in ROUNDS rounds of one subprocess per checkout, alternating which runs
+first, and each figure is printed as the median over the rounds for both
+checkouts and their ratio (this checkout over DIR). It also says whether
+both checkouts gave the same solutions, compared by the repr of every
+`IKSolution`. The inputs come from this file's checkout in both runs; DIR
+needs only its src/.
 """
 from __future__ import annotations
 
@@ -39,9 +41,11 @@ REPO = Path(__file__).resolve().parent.parent
 PANEL = REPO / "tests" / "ik_panel.json"
 TARGET3 = REPO / "targets" / "target3.json"
 METRICS = ("solve_us", "certified_us", "iterated_us", "evaluate_us")
+SEED = 1  # of the target3-reachable designs
+ROUNDS = 4  # subprocess rounds per checkout with --against, two in each order
 
 
-def design_sets(seed: int):
+def design_sets():
     """[(name, [(design, targets)])] for the panel and the seeded reachable designs."""
     import numpy as np
 
@@ -55,7 +59,7 @@ def design_sets(seed: int):
     centroid = np.mean(target3.points, axis=0)
     reachable = []
     for k, joints in enumerate(itertools.product(SpaceConfig.joint_alphabet, repeat=4)):
-        rng = np.random.default_rng([seed, k])
+        rng = np.random.default_rng([SEED, k])
         reachable.append(
             make_params(centroid + rng.uniform(-0.1, 0.1, size=3), joints, rng.uniform(0.2, 0.3, size=4))
         )
@@ -71,13 +75,13 @@ def seconds(call) -> float:
     return time.perf_counter() - start
 
 
-def measure(repeats: int, seed: int) -> dict:
+def measure(repeats: int) -> dict:
     """{"rows": one dict per set, "digest": sha256 of every solution's repr}."""
     from armdesign.evaluation import evaluate
     from armdesign.kinematics import solve_ik
 
     rows, digest = [], hashlib.sha256()
-    for name, designs in design_sets(seed):
+    for name, designs in design_sets():
         solves = [(p, t) for p, targets in designs for t in targets.points]
         solutions = [solve_ik(p, t) for p, t in solves]  # the untimed pass
         for p, targets in designs:
@@ -130,23 +134,23 @@ def print_rows(rows, repeats: int) -> None:
         )
 
 
-def against(other: Path, rounds: int, repeats: int, seed: int) -> int:
+def against(other: Path, repeats: int) -> int:
     """Time both checkouts in alternating subprocess rounds and print the medians and their ratio."""
     checkouts = {"this": REPO / "src", "against": other / "src"}
     results = {label: [] for label in checkouts}
-    for k in range(rounds):
+    for k in range(ROUNDS):
         order = list(checkouts) if k % 2 == 0 else list(checkouts)[::-1]
         for label in order:
             cmd = [
                 sys.executable, str(Path(__file__).resolve()), "--src", str(checkouts[label]),
-                "--repeats", str(repeats), "--seed", str(seed), "--json",
+                "--repeats", str(repeats), "--json",
             ]
             proc = subprocess.run(cmd, capture_output=True, text=True)
             if proc.returncode != 0:
                 print(f"error: timing {checkouts[label]} failed:\n{proc.stderr}", file=sys.stderr)
                 return 2
             results[label].append(json.loads(proc.stdout))
-    print(f"us per call, median over {rounds} rounds (alternating order) of {repeats} repeats; ratio = this / against")
+    print(f"us per call, median over {ROUNDS} rounds (alternating order) of {repeats} repeats; ratio = this / against")
     print(f"{'set':<20} {'metric':<14} {'this':>10} {'against':>10} {'ratio':>7}")
     for k, row in enumerate(results["this"][0]["rows"]):
         for metric in METRICS:
@@ -160,20 +164,18 @@ def against(other: Path, rounds: int, repeats: int, seed: int) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7, help="timed repeats per call (default 7)")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the reachable designs (default 1)")
     parser.add_argument("--against", type=Path, metavar="DIR", help="another checkout to time in alternating rounds")
-    parser.add_argument("--rounds", type=int, default=4, help="rounds per checkout with --against (default 4)")
     parser.add_argument("--src", type=Path, default=REPO / "src", help=argparse.SUPPRESS)
     parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeats < 1 or args.rounds < 1:
-        parser.error("--repeats and --rounds must be at least 1")
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
     if args.against is not None:
         if not (args.against / "src" / "armdesign").is_dir():
             parser.error(f"--against {args.against}: no src/armdesign there")
-        return against(args.against, args.rounds, args.repeats, args.seed)
+        return against(args.against, args.repeats)
     sys.path.insert(0, str(args.src))
-    result = measure(args.repeats, args.seed)
+    result = measure(args.repeats)
     if args.json:
         print(json.dumps(result))
     else:
