@@ -62,12 +62,13 @@ def evaluate(params: DesignParams, targets: TargetSet) -> EvaluationReport:
     e_pos = e_torque = 0.0
     for point in targets.points:
         sol = solve_ik(params, point)
+        t = np.array(sol.torque)  # |t| as np.linalg.norm takes it: one ddot, then a correctly rounded sqrt
         outcome = TargetOutcome(
             target=point,
             reached=sol.reached,
             torque=sol.torque,
             e_pos=sol.residual,
-            e_torque=ALPHA * float(np.linalg.norm(sol.torque)),
+            e_torque=ALPHA * math.sqrt(t.dot(t)),
             converged=sol.converged,
             iterations=sol.iterations,
         )

@@ -4,23 +4,25 @@ Conventions: joint j rotates about its local axis (roll = x, pitch = y, yaw = z)
 and is followed by a link of length L_j along the rotated local +z. With all
 angles zero the chain is a vertical line above the base origin.
 
-FK, the Jacobian and the IK iterations run on plain floats, in code generated
-once per joint count D (`_kernels`) with the joints unrolled, so each angle,
-axis, link vector, Jacobian column, Gram entry and step component is a named
-local, and each joint's FK update branches on its type code. There are three
-functions per D: `_chain{D}`, one FK pass giving joint positions, axes and
-link vectors; `_columns{D}`, the position Jacobian; and `_lm{D}`, one
-Levenberg-Marquardt start. Their templates share one per-joint FK snippet and
-one Jacobian column snippet, so the FK float order is written down once. They
-are compiled on the first call with D joints, never at import. They perform
-the float operations of the plain loops they replaced, kept as the test oracle
-in `tests/kinematics_oracle.py`, in the same order, so every solution is the
-same to the bit. One iteration is a 3x3 solve, the projected step and one FK
-pass. At 3x3 sizes numpy's per-call overhead would dominate, and scalar
-arithmetic keeps results independent of the host's BLAS. Link COMs are formed
-only in the torque pass. numpy draws the fixed IK start postures, once per D,
-sums the start pool's reach over all 64 postures at once (the same floats as
-`_chain{D}`), and wraps the public functions' inputs and outputs.
+FK, the Jacobian, the gravity torques and the IK iterations run on plain
+floats, in code generated once per joint count D (`_kernels`) with the joints
+unrolled, so each angle, axis, link vector, COM, Jacobian column, Gram entry
+and step component is a named local, and each joint's FK update branches on
+its type code. There are four functions per D: `_chain{D}`, one FK pass giving
+joint positions, axes and link vectors; `_columns{D}`, the position Jacobian;
+`_lm{D}`, one Levenberg-Marquardt start; and `_torques{D}`, the gravity
+torques from one FK pass. The FK and Jacobian templates share one per-joint FK
+snippet and one Jacobian column snippet, so the FK float order is written down
+once. The kernels are compiled on the first call with D joints, never at
+import. They perform the float operations of the plain loops they replaced,
+kept as the test oracle in `tests/kinematics_oracle.py`, in the same order, so
+every solution is the same to the bit. One iteration is a 3x3 solve, the
+projected step and one FK pass. At 3x3 sizes numpy's per-call overhead would
+dominate, and scalar arithmetic keeps results independent of the host's BLAS.
+Link COMs are formed only in the torque pass. numpy only draws the fixed IK
+start postures (once per D) and sums their reach for a solve that iterates,
+and wraps the public functions' inputs and outputs: a solve certified at its
+aimed start makes no numpy call.
 
 A solve stops once its residual is within IK_TOL of a closed-form lower bound
 (`_residual_bound`). A yaw joint turns a link about its own axis, so the chain
@@ -81,22 +83,8 @@ def _check_q(params: DesignParams, q) -> list[float]:
     return q.tolist()
 
 
-def _torques(joints, lengths) -> list[float]:
-    """tau_j = sum over links i >= j of weight_i * (axis_j x (com_i - p_j))_z."""
-    weights = [LINEAR_DENSITY * length * GRAVITY for length in lengths]
-    f = COM_FRACTION
-    coms = [(x + f * sx, y + f * sy) for x, y, _, _, _, _, sx, sy, _ in joints]  # z is not needed
-    out = []
-    for j, (px, py, _, ax, ay, _, _, _, _) in enumerate(joints):
-        tau = 0.0
-        for weight, (cx, cy) in zip(weights[j:], coms[j:]):
-            tau += weight * (ax * (cy - py) - ay * (cx - px))
-        out.append(tau)
-    return out
-
-
 def _state(params: DesignParams, q):
-    codes = [jt.value for jt in params.joints]
+    codes = [jt._value_ for jt in params.joints]
     return _kernels(len(codes)).chain(params.origin, codes, params.lengths, _check_q(params, q))
 
 
@@ -117,7 +105,7 @@ def gravity_torque(params: DesignParams, q) -> np.ndarray:
     times the z-component of axis_j x (com_i - p_j).
     """
     joints, _ = _state(params, q)
-    return np.array(_torques(joints, params.lengths))
+    return np.array(_kernels(params.n_joints).torques(joints, params.lengths))
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,6 +237,17 @@ def _columns{d}(joints, ee):
     return [{columns}]
 '''
 
+_TORQUES = '''\
+def _torques{d}(joints, lengths):
+    """tau_j = sum over links i >= j of weight_i * (axis_j x (com_i - p_j))_z."""
+    {unpack_torques}, = joints
+    {lengths}, = lengths
+{weights}
+{coms}
+{torques}
+    return ({tau},)
+'''
+
 _LM = '''\
 def _lm{d}(codes, origin, lengths, q, tx, ty, tz, stop_at, best):
     """Score start q, then iterate from it: (iterations, best posture or None, best residual)."""
@@ -364,11 +363,11 @@ h{j} = n{j} - q{j}
 '''
 
 
-_TEMPLATES = (("_chain", _CHAIN), ("_columns", _COLUMNS), ("_lm", _LM))  # in `_Kernels` order
+_TEMPLATES = (("_chain", _CHAIN), ("_columns", _COLUMNS), ("_lm", _LM), ("_torques", _TORQUES))  # `_Kernels` order
 
 
 def _kernel_sources(d: int) -> dict[str, str]:
-    """{name: source} of `_chain{d}`, `_columns{d}` and `_lm{d}`, the kernels for D = d joints."""
+    """{name: source} of `_chain{d}`, `_columns{d}`, `_lm{d}` and `_torques{d}`, the kernels for D = d joints."""
     joints = range(d)
 
     def point(j):  # the names of joint j's position: the origin, ..., the end effector at j = d
@@ -393,6 +392,10 @@ def _kernel_sources(d: int) -> dict[str, str]:
         step = _KERNEL_DLS.format(g=g) + names(f"d{{j}} = {c}{{j}}x * y0 + {c}{{j}}y * y1 + {c}{{j}}z * y2", "\n")
         return textwrap.indent(step, " " * indent)
 
+    def torque(j):  # joint j's share of the weights of links j..D, each about its COM c{i}
+        arm = f"(a{j}x * (c{{i}}y - {point(j)}y) - a{j}y * (c{{i}}x - {point(j)}x))"
+        return f"    t{j} = 0.0 + " + " + ".join(f"w{i} * {arm.format(i=i)}" for i in range(j, d))
+
     limit = JOINT_ANGLE_LIMIT
     # joint j at a limit with its step pushing past it: its column is zeroed for the second solve
     pinned = f"(q{{j}} >= {limit!r} and d{{j}} > 0.0) or (q{{j}} <= {-limit!r} and d{{j}} < 0.0)"
@@ -401,6 +404,11 @@ def _kernel_sources(d: int) -> dict[str, str]:
         d=d,
         joints=names("({p}x, {p}y, {p}z, a{j}x, a{j}y, a{j}z, s{j}x, s{j}y, s{j}z)"),
         unpack=names("({p}x, {p}y, {p}z, a{j}x, a{j}y, a{j}z, _, _, _)"),
+        unpack_torques=names("({p}x, {p}y, _, a{j}x, a{j}y, _, s{j}x, s{j}y, _)"),  # z is not needed
+        weights=names(f"    w{{j}} = {LINEAR_DENSITY!r} * l{{j}} * {GRAVITY!r}", "\n"),
+        coms=names(f"    c{{j}}x, c{{j}}y = {{p}}x + {COM_FRACTION!r} * s{{j}}x, {{p}}y + {COM_FRACTION!r} * s{{j}}y", "\n"),
+        torques="\n".join(map(torque, joints)),
+        tau=names("t{j}"),
         columns=names("(j{j}x, j{j}y, j{j}z)"),
         codes=names("code{j}"),
         lengths=names("l{j}"),
@@ -435,6 +443,7 @@ class _Kernels(NamedTuple):
     chain: Callable  # _chain{D}
     columns: Callable  # _columns{D}
     lm: Callable  # _lm{D}
+    torques: Callable  # _torques{D}
 
 
 @functools.lru_cache(maxsize=None)
@@ -484,21 +493,30 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
     Unreachable targets are not an error: the best posture found is returned
     with converged=False so the position-error objective stays defined. The
     torque is taken once, at the returned posture, for uniform rods of
-    LINEAR_DENSITY under GRAVITY. A target, origin or link length that is not
-    finite is an error.
+    LINEAR_DENSITY under GRAVITY (`_torques{D}`).
+
+    The target is any flat sequence of 3 numbers: a tuple, a list, a 1-D
+    array, numpy scalars included. A target of another length, one that is
+    not flat (a (3, 1) array, a nested list, a scalar) and a target, origin
+    or link length that is not finite are each a ValueError.
     """
-    target = np.asarray(target, dtype=float).ravel()
-    if target.size != 3:
-        raise ValueError(f"target must be a 3-vector, got length {target.size}")
-    if not np.isfinite(target).all():
-        raise ValueError(f"target must be finite, got {target.tolist()}")
+    if getattr(target, "ndim", 1) != 1:
+        raise ValueError(f"target must be a flat 3-vector, got shape {target.shape}")
+    try:
+        target = [float(v) for v in target]
+    except TypeError:
+        raise ValueError(f"target must be a flat 3-vector, got {target!r}") from None
+    if len(target) != 3:
+        raise ValueError(f"target must be a 3-vector, got length {len(target)}")
+    if not all(map(math.isfinite, target)):
+        raise ValueError(f"target must be finite, got {target}")
     origin, lengths = params.origin, params.lengths
     for field, values in (("origin", origin), ("lengths", lengths)):
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{field} must be finite, got {list(values)}")
-    tx, ty, tz = target.tolist()
+    tx, ty, tz = target
     d = params.n_joints
-    codes = tuple(jt.value for jt in params.joints)
+    codes = tuple(jt._value_ for jt in params.joints)
     bound, aimed = _residual_bound(origin, codes, lengths, (tx, ty, tz))
     stop_at = bound + IK_TOL
     kernels = _kernels(d)
@@ -528,7 +546,7 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
     return IKSolution(
         q=tuple(best_q),
         reached=reached,
-        torque=tuple(_torques(joints, lengths)),
+        torque=kernels.torques(joints, lengths),
         residual=best_residual,
         converged=best_residual <= IK_TOL,
         iterations=iterations,

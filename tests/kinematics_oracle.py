@@ -5,10 +5,10 @@ An independent implementation of the conventions in `armdesign.kinematics`
 column updates), so the finite-difference torque oracle and the property tests
 do not share their forward kinematics with the code they check.
 
-`chain`, `jacobian_columns` and `solve_ik_reference` are the FK pass, the
-Jacobian and the Levenberg-Marquardt loop that the package ran as plain loops
-before they moved into kernels generated once per joint count; the kernels
-must reproduce them bit for bit.
+`chain`, `jacobian_columns`, `torques` and `solve_ik_reference` are the FK
+pass, the Jacobian, the gravity-torque pass and the Levenberg-Marquardt loop
+that the package ran as plain loops before they moved into kernels generated
+once per joint count; the kernels must reproduce them bit for bit.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from armdesign.kinematics import (
     _pool_reach,
     _residual_bound,
     _start_pool,
-    _torques,
 )
 from armdesign.space import JOINT_ANGLE_LIMIT
 
@@ -128,6 +127,20 @@ def chain(origin, codes, lengths, q):
     return joints, (x, y, z)
 
 
+def torques(joints, lengths) -> list[float]:
+    """tau_j = sum over links i >= j of weight_i * (axis_j x (com_i - p_j))_z."""
+    weights = [LINEAR_DENSITY * length * GRAVITY for length in lengths]
+    f = COM_FRACTION
+    coms = [(x + f * sx, y + f * sy) for x, y, _, _, _, _, sx, sy, _ in joints]  # z is not needed
+    out = []
+    for j, (px, py, _, ax, ay, _, _, _, _) in enumerate(joints):
+        tau = 0.0
+        for weight, (cx, cy) in zip(weights[j:], coms[j:]):
+            tau += weight * (ax * (cy - py) - ay * (cx - px))
+        out.append(tau)
+    return out
+
+
 def jacobian_columns(joints, ee) -> list[tuple[float, float, float]]:
     """Column j of the position Jacobian: axis_j x (ee - p_j)."""
     ex, ey, ez = ee
@@ -172,9 +185,9 @@ def solve_ik_reference(params, target) -> IKSolution:
 
     The generated kernels of `solve_ik` must perform these float operations in
     this order, so every field of their solution equals this one's bit for bit.
-    It runs on `chain` and `jacobian_columns` above, and shares with the
-    package only what the kernels do not replace: `_torques`, the bound and its
-    aimed start, and the start pool. It does not validate its inputs.
+    It runs on `chain`, `jacobian_columns` and `torques` above, and shares with
+    the package only what the kernels do not replace: the bound and its aimed
+    start, and the start pool. It does not validate its inputs.
     """
     target = np.asarray(target, dtype=float).ravel()
     tx, ty, tz = target.tolist()
@@ -256,7 +269,7 @@ def solve_ik_reference(params, target) -> IKSolution:
     return IKSolution(
         q=tuple(best_q),
         reached=reached,
-        torque=tuple(_torques(joints, lengths)),
+        torque=tuple(torques(joints, lengths)),
         residual=best_residual,
         converged=best_residual <= IK_TOL,
         iterations=iterations,

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from armdesign import evaluation
 from armdesign.evaluation import ALPHA, TargetSet, evaluate
@@ -100,6 +102,28 @@ def test_target_permutation_leaves_totals_unchanged():
     assert fwd.objectives.e_torque == pytest.approx(rev.objectives.e_torque, rel=1e-12)
     # per-target order follows input order
     assert [o.target for o in rev.per_target] == [o.target for o in fwd.per_target][::-1]
+
+
+@st.composite
+def designs_and_targets(draw):
+    d = draw(st.integers(1, 8))
+    coord = st.floats(-1.0, 1.0)
+    p = make_params(
+        draw(st.tuples(coord, coord, coord)),
+        draw(st.text("RPY", min_size=d, max_size=d)),
+        draw(st.lists(st.floats(0.03, 0.3), min_size=d, max_size=d)),
+    )
+    far = st.floats(-1.5, 1.5)
+    return p, TargetSet("t", draw(st.lists(st.tuples(far, far, far), min_size=1, max_size=3)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(designs_and_targets())
+def test_e_torque_is_alpha_times_numpys_norm_bit_for_bit(case):
+    # E_TORQUE keeps np.linalg.norm's bits: its ddot, then a correctly rounded square root
+    p, targets = case
+    for outcome in evaluate(p, targets).per_target:
+        assert repr(outcome.e_torque) == repr(ALPHA * float(np.linalg.norm(outcome.torque)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

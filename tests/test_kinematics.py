@@ -145,13 +145,13 @@ def test_gravity_torque_matches_energy_finite_differences():
 
 
 @st.composite
-def designs_and_postures(draw, sequences=None):
+def designs_and_postures(draw, sequences=None, max_joints=6):
     """A design within the space bounds and a posture, limits included.
 
-    The joints are 1-6 uniform draws, or one of `sequences` (letters) when given.
+    The joints are 1 to `max_joints` uniform draws, or one of `sequences` (letters) when given.
     """
     if sequences is None:
-        d = draw(st.integers(1, 6))
+        d = draw(st.integers(1, max_joints))
         joints = draw(st.lists(st.sampled_from(list(JointType)), min_size=d, max_size=d))
     else:
         joints = draw(st.sampled_from(sequences))
@@ -191,6 +191,18 @@ def test_generated_fk_and_jacobian_match_the_reference_loops(case):
     assert repr(position_jacobian(p, q).T.tolist()) == repr(list(map(list, columns)))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(designs_and_postures(max_joints=8))
+def test_generated_torques_match_the_reference_loop(case):
+    # bit for bit, signed zeros and all: this pass gives every solution's torque, so every E_TORQUE
+    p, q = case
+    codes = tuple(jt.value for jt in p.joints)
+    joints, _ = oracle.chain(p.origin, codes, p.lengths, q.tolist())
+    expected = oracle.torques(joints, p.lengths)
+    assert repr(_kernels(len(codes)).torques(joints, p.lengths)) == repr(tuple(expected))
+    assert repr(gravity_torque(p, q).tolist()) == repr(expected)
+
+
 def test_ik_already_solved_target():
     p = make_params((0, 0, 0), "YPRP", [0.1, 0.1, 0.1, 0.1])
     sol = solve_ik(p, forward_kinematics(p, np.zeros(4)))
@@ -208,11 +220,42 @@ def test_ik_unreachable_target_reports_best_effort():
     assert sol.residual >= np.linalg.norm(target) - sum(p.lengths) - 1e-4
 
 
+TARGET_FORMS = [tuple, list, np.array]
+
+
+@pytest.mark.parametrize("form", TARGET_FORMS)
+@pytest.mark.parametrize("point", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)])
+def test_ik_rejects_a_target_of_the_wrong_length(point, form):
+    p = make_params((0, 0, 0), "YPRP", [0.1, 0.1, 0.1, 0.1])
+    with pytest.raises(ValueError, match=f"^target must be a 3-vector, got length {len(point)}$"):
+        solve_ik(p, form(point))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_ik_rejects_non_finite_target(bad):
     p = make_params((0, 0, 0), "YPRP", [0.1, 0.1, 0.1, 0.1])
-    with pytest.raises(ValueError, match="finite"):
-        solve_ik(p, [0.1, bad, 0.2])
+    for index in range(3):
+        target = [0.1, -0.2, 0.2]
+        target[index] = bad
+        with pytest.raises(ValueError, match=r"^target must be finite, got \["):
+            solve_ik(p, target)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [np.array([[0.1], [0.2], [0.3]]), np.array([[0.1, 0.2, 0.3]]), [[0.1], [0.2], [0.3]], np.float64(0.3), 0.3],
+)
+def test_ik_rejects_a_target_that_is_not_flat(target):
+    p = make_params((0, 0, 0), "YPRP", [0.1, 0.1, 0.1, 0.1])
+    with pytest.raises(ValueError, match="^target must be a flat 3-vector, got "):
+        solve_ik(p, target)
+
+
+def test_ik_gives_one_solution_for_every_form_of_a_target():
+    p = make_params((0.05, 0, 0), "YPRP", [0.1, 0.12, 0.1, 0.08])
+    point = (0.12, -0.05, 0.3)
+    forms = [form(point) for form in TARGET_FORMS] + [tuple(map(np.float64, point))]
+    assert len({repr(solve_ik(p, target)) for target in forms}) == 1
 
 
 NON_FINITE_FIELDS = [("origin", k) for k in range(3)] + [("lengths", k) for k in range(4)]
@@ -618,7 +661,7 @@ def test_generated_kernel_compiles_and_solves(d):
     # the generated lines are registered, so a traceback through a kernel shows them
     for kernel in kernels:
         assert linecache.getline(kernel.__code__.co_filename, 1).startswith(f"def {kernel.__name__}(")
-    assert [kernel.__name__ for kernel in kernels] == [f"_chain{d}", f"_columns{d}", f"_lm{d}"]
+    assert [kernel.__name__ for kernel in kernels] == [f"_chain{d}", f"_columns{d}", f"_lm{d}", f"_torques{d}"]
     for kernel, args in [
         (kernels.chain, ((0.0, 0.0, 0.0), (0,) * d, (0.1,) * d, ("x",) * d)),
         (kernels.lm, ((0,) * d, (0.0, 0.0, 0.0), (0.1,) * d, ("x",) * d, 0.0, 0.0, 1.0, 0.0, math.inf)),
