@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+from pathlib import Path
+
+import kinematics_oracle
 import numpy as np
 import pytest
+import tpe_oracle
 
-from armdesign import tpe
+from armdesign import evaluation, orchestrator, tpe
 from armdesign.evaluation import TargetSet
-from armdesign.ledger import aggregate_csv
+from armdesign.experiment import load_experiment
+from armdesign.ledger import aggregate_csv, trial_to_json
 from armdesign.llm import BackendConfig
 from armdesign.orchestrator import (
     RunConfig,
@@ -16,6 +21,7 @@ from armdesign.orchestrator import (
 from armdesign.pareto import pareto_front
 from armdesign.tpe import SampleSource
 
+REPO = Path(__file__).resolve().parent.parent
 TARGETS = TargetSet("t", ((0.3, 0.0, 0.5), (-0.3, 0.0, 0.5), (0.0, 0.0, 0.7)))
 
 
@@ -183,3 +189,19 @@ def test_tpe_ranks_against_the_run_reference_point(monkeypatch):
     monkeypatch.setattr(tpe, "split_observations", spy)
     run(small_config(ref_point=(50.0, 50.0)))
     assert seen and set(seen) == {(50.0, 50.0)}
+
+
+@pytest.mark.parametrize("experiment", ["target1_mock", "target1_llm_plus_mock"])
+def test_sweep_writes_the_ledgers_of_the_reference_loops(experiment, monkeypatch):
+    """Every seed's ledger is the same text with solve_ik and suggest swapped for the plain loops they replaced."""
+    configs = load_experiment(REPO / "experiments" / f"{experiment}.experiment").configs()
+    fast = [[trial_to_json(t) for t in run(c).ledger] for c in configs]
+    monkeypatch.setattr(evaluation, "solve_ik", kinematics_oracle.solve_ik_reference)
+    monkeypatch.setattr(
+        orchestrator,
+        "suggest",
+        lambda rng, table, cfg, space, ref_point: tpe_oracle.suggest_one_draw_at_a_time(
+            rng, table.records, cfg, space, ref_point
+        ),
+    )
+    assert [[trial_to_json(t) for t in run(c).ledger] for c in configs] == fast
