@@ -9,7 +9,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +73,7 @@ def cmd_evaluate(args) -> int:
         "targets": targets.name,
         "e_pos": report.objectives.e_pos,
         "e_torque": report.objectives.e_torque,
-        "per_target": [asdict(o) for o in report.per_target],
+        "per_target": [o._asdict() for o in report.per_target],
     }
     print(json.dumps(out, indent=2))
     return EXIT_OK

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,7 @@ class TargetSet:
                 raise ValueError(f"a target point must be 3 finite numbers, got {list(p)}")
 
 
-@dataclass(frozen=True)
-class TargetOutcome:
+class TargetOutcome(NamedTuple):
     """IK result and per-target objective terms for a single operation point."""
 
     target: tuple[float, float, float]
@@ -61,17 +61,9 @@ def evaluate(params: DesignParams, targets: TargetSet) -> EvaluationReport:
     # folded left to right: builtin sum() of floats rounds differently from Python 3.12 on
     e_pos = e_torque = 0.0
     for point in targets.points:
-        sol = solve_ik(params, point)
-        t = np.array(sol.torque)  # |t| as np.linalg.norm takes it: one ddot, then a correctly rounded sqrt
-        outcome = TargetOutcome(
-            target=point,
-            reached=sol.reached,
-            torque=sol.torque,
-            e_pos=sol.residual,
-            e_torque=ALPHA * math.sqrt(t.dot(t)),
-            converged=sol.converged,
-            iterations=sol.iterations,
-        )
+        _, reached, torque, residual, converged, iterations = solve_ik(params, point)
+        t = np.array(torque)  # |t| as np.linalg.norm takes it: one ddot, then a correctly rounded sqrt
+        outcome = TargetOutcome(point, reached, torque, residual, ALPHA * math.sqrt(t.dot(t)), converged, iterations)
         outcomes.append(outcome)
         e_pos += outcome.e_pos
         e_torque += outcome.e_torque

@@ -34,14 +34,15 @@ the first group when joint 1 is roll or pitch, or, when it is yaw, a spherical
 cap swept by the second group on top of a vertical column of leading yaw links.
 The same routine gives the first start: the posture that puts the group's end
 on the arc's or cap's nearest point, with the rest of the chain straight on.
+What a solve needs of its design alone is set up once per design (`_set_up`).
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import linecache
 import math
 import textwrap
-from dataclasses import dataclass
 from math import cos, sin
 from typing import Callable, NamedTuple
 
@@ -66,8 +67,7 @@ IK_MU_INIT = 1e-3  # initial damping, as a share of max diag(J J^T)
 IK_MU_FLOOR = 1e-9  # keeps J J^T + mu I invertible when columns are masked or D < 3
 
 
-@dataclass(frozen=True)
-class IKSolution:
+class IKSolution(NamedTuple):
     q: tuple[float, ...]  # joint angles, rad
     reached: tuple[float, float, float]  # end-effector position at q, m
     torque: tuple[float, ...]  # gravity-compensation torque at q, N*m
@@ -147,13 +147,20 @@ def _pool_reach(origin, codes, lengths) -> tuple[tuple[float, float, float], ...
 
 
 def _skip_yaws(codes, k: int) -> int:
-    """The index of the first joint at or after k that is not yaw, or D."""
+    """The index of the first joint at or after k that is not yaw, or max(k, D)."""
     while k < len(codes) and codes[k] == 2:
         k += 1
     return k
 
 
-def _residual_bound(origin, codes, lengths, t) -> tuple[float, list[float]]:
+def _rods(codes, lengths) -> tuple[int, float, float, float]:
+    """(k, H, R, rest): the rod's first joint (0 unless joint 1 is yaw), the column height, the rod and the rest."""
+    k = _skip_yaws(codes, 1) if codes[0] == 2 else 0
+    end = _skip_yaws(codes, k + 1)
+    return k, math.fsum(lengths[:k]), math.fsum(lengths[k:end]), math.fsum(lengths[end:])
+
+
+def _residual_bound(origin, codes, lengths, t, rods=None) -> tuple[float, list[float]]:
     """A lower bound on |FK(q) - t| over all postures within the joint limits, and a start aimed at t.
 
     A yaw joint turns about its own link's axis, so the link after it keeps the
@@ -177,17 +184,16 @@ def _residual_bound(origin, codes, lengths, t) -> tuple[float, list[float]]:
     target's azimuth (a quarter turn more for roll, which tips the rod toward
     -y at yaw 0), or half a turn back from past a limit with the rod tipped the
     other way, and the first roll or pitch joint takes the cap's polar angle.
-    An all-yaw chain starts at the zero posture.
+    An all-yaw chain starts at the zero posture. `rods` is the design's
+    `_rods(codes, lengths)`, which `solve_ik` takes once per design.
     """
+    k, height, radius, rest = rods or _rods(codes, lengths)
     aimed = [0.0] * len(codes)
     dx, dy, dz = t[0] - origin[0], t[1] - origin[1], t[2] - origin[2]
-    if codes[0] == 2:  # yaw: a vertical column, then a cap
-        k = _skip_yaws(codes, 1)  # the first roll or pitch joint
-        dz -= math.fsum(lengths[:k])
+    if k:  # yaw: a vertical column, then a cap
+        dz -= height
         if k == len(codes):
             return math.hypot(dx, dy, dz), aimed
-        end = _skip_yaws(codes, k + 1)
-        radius = math.fsum(lengths[k:end])
         rho = math.hypot(dx, dy)  # the cap's nearest point shares the target's azimuth
         q = min(JOINT_ANGLE_LIMIT, math.atan2(rho, dz))
         gap = math.hypot(rho - radius * sin(q), dz - radius * cos(q))
@@ -198,14 +204,12 @@ def _residual_bound(origin, codes, lengths, t) -> tuple[float, list[float]]:
             yaw, q = yaw - math.copysign(math.pi, yaw), -q
         aimed[0], aimed[k] = yaw, q
     else:  # pitch swings the rod in the x-z plane, roll in the y-z plane
-        end = _skip_yaws(codes, 1)
-        radius = math.fsum(lengths[:end])
         u = dx if codes[0] == 1 else -dy
         q = min(JOINT_ANGLE_LIMIT, max(-JOINT_ANGLE_LIMIT, math.atan2(u, dz)))
         s, c = radius * sin(q), radius * cos(q)
         gap = math.dist((dx, dy, dz), (s, 0.0, c) if codes[0] == 1 else (0.0, -s, c))
         aimed[0] = q
-    return max(0.0, gap - math.fsum(lengths[end:])), aimed
+    return max(0.0, gap - rest), aimed
 
 
 # The D-joint kernels: one FK pass, the position Jacobian and one
@@ -464,6 +468,23 @@ def _kernels(d: int) -> _Kernels:
     return _Kernels(*kernels)
 
 
+def _set_up(params: DesignParams) -> tuple:
+    """(origin, codes, lengths, kernels, start pool, `_rods`): a design checked, and what its solves share, once."""
+    d = params.n_joints
+    if d < 1:
+        raise ValueError("joints must hold at least one joint, got none")
+    for field, values, size in (("origin", params.origin, 3), ("lengths", params.lengths, d)):
+        if len(values) != size:
+            raise ValueError(f"{field} must hold {size} values, got {len(values)}")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{field} must be finite, got {list(values)}")
+    codes = tuple(jt._value_ for jt in params.joints)
+    return params.origin, codes, params.lengths, _kernels(d), _start_pool(d), _rods(codes, params.lengths)
+
+
+_last: tuple = (None, None)  # (design, its `_set_up`): the one-entry set-up cache of `solve_ik`
+
+
 def solve_ik(params: DesignParams, target) -> IKSolution:
     """Levenberg-Marquardt IK from a fixed set of start postures, tracking the best iterate.
 
@@ -497,9 +518,16 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
 
     The target is any flat sequence of 3 numbers: a tuple, a list, a 1-D
     array, numpy scalars included. A target of another length, one that is
-    not flat (a (3, 1) array, a nested list, a scalar) and a target, origin
-    or link length that is not finite are each a ValueError.
+    not flat (a (3, 1) array, a nested list, a scalar), a design with no
+    joints, an origin not of 3 numbers or lengths not one per joint, and a
+    target, origin or link length that is not finite are each a ValueError.
+    The target is checked on every call. The design is checked and set up
+    once (`_set_up`: codes, kernels, start pool, the bound's `_rods`) and kept
+    in a one-entry cache keyed on its identity, as `evaluate` solves a
+    design's targets in a row: one (design, set-up) tuple, read once and
+    replaced whole, so threads never pair one design with another's set-up.
     """
+    global _last
     if getattr(target, "ndim", 1) != 1:
         raise ValueError(f"target must be a flat 3-vector, got shape {target.shape}")
     try:
@@ -510,16 +538,15 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
         raise ValueError(f"target must be a 3-vector, got length {len(target)}")
     if not all(map(math.isfinite, target)):
         raise ValueError(f"target must be finite, got {target}")
-    origin, lengths = params.origin, params.lengths
-    for field, values in (("origin", origin), ("lengths", lengths)):
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{field} must be finite, got {list(values)}")
+    last, design = _last  # one read, so a design is never paired with another's set-up
+    if last is not params:
+        design = _set_up(params)
+        _last = params, design
+    origin, codes, lengths, kernels, pool, rods = design
     tx, ty, tz = target
-    d = params.n_joints
-    codes = tuple(jt._value_ for jt in params.joints)
-    bound, aimed = _residual_bound(origin, codes, lengths, (tx, ty, tz))
+    target = (tx, ty, tz)  # math.dist is fastest on tuples
+    bound, aimed = _residual_bound(origin, codes, lengths, target, rods)
     stop_at = bound + IK_TOL
-    kernels = _kernels(d)
 
     # most solves are certified here, and this FK pass gives their torque
     joints, ee = kernels.chain(origin, codes, lengths, aimed)
@@ -530,9 +557,9 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
 
         def starts():
             yield aimed
-            dist = [math.dist(reach, (tx, ty, tz)) for reach in _pool_reach(origin, codes, lengths)]
+            dist = list(map(math.dist, _pool_reach(origin, codes, lengths), itertools.repeat(target)))
             for k in sorted(range(IK_START_POOL), key=dist.__getitem__)[:IK_POOL_STARTS]:
-                yield _start_pool(d)[k]
+                yield pool[k]
 
         for q in starts():
             n, found, best_residual = kernels.lm(codes, origin, lengths, q, tx, ty, tz, stop_at, best_residual)
@@ -543,11 +570,5 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
                 break
 
     joints, reached = best_chain or kernels.chain(origin, codes, lengths, best_q)  # the FK pass that scored best_q
-    return IKSolution(
-        q=tuple(best_q),
-        reached=reached,
-        torque=kernels.torques(joints, lengths),
-        residual=best_residual,
-        converged=best_residual <= IK_TOL,
-        iterations=iterations,
-    )
+    torque = kernels.torques(joints, lengths)
+    return IKSolution(tuple(best_q), reached, torque, best_residual, best_residual <= IK_TOL, iterations)

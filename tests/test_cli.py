@@ -96,6 +96,22 @@ def test_evaluate_deterministic_stdout(capsys, params_file):
     assert out1 == out2
 
 
+def test_evaluate_stdout_matches_the_golden_file(capsys, params_file):
+    # written by the version whose outcomes were dataclasses; e_torque is a BLAS ddot, whose
+    # last bit follows the host's kernel, so those lines compare to 1e-15 and all others exactly
+    code, out, _ = run_cli(capsys, "evaluate", "--params", params_file, "--targets", str(REPO / "targets" / "target2.json"))
+    golden = (REPO / "tests" / "evaluate_stdout.golden.json").read_text(encoding="utf-8")
+    assert code == 0 and out.endswith("\n") and len(out.splitlines()) == len(golden.splitlines())
+    for line, expected in zip(out.splitlines(), golden.splitlines()):
+        key, _, value = expected.partition(": ")
+        if key.strip() == '"e_torque"':
+            assert line.startswith(f"{key}: ") and float(line[len(key) + 2 :].rstrip(",")) == pytest.approx(
+                float(value.rstrip(",")), rel=1e-15
+            )
+        else:
+            assert line == expected
+
+
 def test_urdf_writes_idempotent_file(capsys, params_file, tmp_path):
     out = tmp_path / "arm.urdf"
     assert run_cli(capsys, "urdf", "--params", params_file, "--out", str(out))[0] == 0

@@ -27,6 +27,19 @@ def test_zero_pose_targets_are_a_fixed_point():
     assert all(o.iterations == 0 for o in report.per_target)
 
 
+@pytest.mark.parametrize(
+    "design, message",
+    [
+        (((0, 0, 0), "YPRP", (0.1, 0.1, 0.1)), "lengths must hold 4 values, got 3"),
+        (((0, 0), "YPRP", (0.1,) * 4), "origin must hold 3 values, got 2"),
+        (((0, 0, 0), "", ()), "joints must hold at least one joint, got none"),
+    ],
+)
+def test_evaluate_rejects_a_malformed_design_naming_its_field(design, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate(make_params(*design), TargetSet("t", ((0.3, 0.1, 0.4),)))
+
+
 def test_target_points_are_held_as_float_tuples():
     targets = TargetSet("t", [np.array([0.3, 0.0, 0.5]), [0, 0, 1]])
     assert targets.points == ((0.3, 0.0, 0.5), (0.0, 0.0, 1.0))

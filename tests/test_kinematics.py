@@ -4,8 +4,10 @@ import itertools
 import linecache
 import math
 import os
+import re
 import subprocess
 import sys
+import threading
 import traceback
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import armdesign
+from armdesign import kinematics
 from armdesign.kinematics import (
     IK_POOL_STARTS,
     IK_START_ITERS,
@@ -29,7 +32,7 @@ from armdesign.kinematics import (
     position_jacobian,
     solve_ik,
 )
-from armdesign.space import JOINT_ANGLE_LIMIT, JointType, SpaceConfig, from_vector, make_params, random_sample
+from armdesign.space import JOINT_ANGLE_LIMIT, DesignParams, JointType, SpaceConfig, from_vector, make_params, random_sample
 
 import kinematics_oracle as oracle
 from conftest import random_posture
@@ -269,6 +272,103 @@ def test_ik_rejects_a_non_finite_origin_or_length(field, index, bad):
     p = make_params(design["origin"], "PYRP", design["lengths"])
     with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
         solve_ik(p, [0.3, 0.1, 0.4])
+
+
+MALFORMED_DESIGNS = [
+    (((0, 0, 0), "YPRP", (0.1, 0.1, 0.1)), "lengths must hold 4 values, got 3"),
+    (((0, 0), "YPRP", (0.1,) * 4), "origin must hold 3 values, got 2"),
+    (((0, 0, 0), "", ()), "joints must hold at least one joint, got none"),
+]
+
+
+@pytest.mark.parametrize("design, message", MALFORMED_DESIGNS)
+def test_ik_rejects_a_malformed_design_naming_its_field(design, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_ik(make_params(*design), [0.3, 0.1, 0.4])
+
+
+def test_ik_sets_up_each_design_once_and_matches_the_reference_in_any_order():
+    # a yaw-first design (column and cap) and a pitch-first one (arc), each solved with iterations
+    a = make_params((0.1, -0.2, 0.05), "YPRP", (0.2, 0.15, 0.1, 0.12))
+    b = make_params((0.1, -0.2, 0.05), "PPRP", (0.2, 0.15, 0.1, 0.12))
+    targets = [(0.9, 0.3, 0.4), (0.2, 0.1, 0.15), (0.1, -0.2, 0.6)]
+    for p in (a, b, a):
+        for target in targets:
+            assert repr(solve_ik(p, target)) == repr(oracle.solve_ik_reference(p, target))
+        assert kinematics._last[0] is p
+    twin = make_params(a.origin, a.joints, a.lengths)  # equal, but another object
+    assert twin == a and twin is not a
+    assert [solve_ik(twin, t) for t in targets] == [solve_ik(a, t) for t in targets]
+    assert sum(solve_ik(p, t).iterations > 0 for p in (a, b) for t in targets) >= 2
+
+
+def test_a_design_that_fails_its_set_up_leaves_the_cache_as_it_was():
+    p = make_params((0.1, -0.2, 0.05), "PYRP", (0.2, 0.15, 0.1, 0.12))
+    solved = solve_ik(p, (0.3, 0.1, 0.4))
+    entry = kinematics._last
+    for design, message in MALFORMED_DESIGNS + [(((0, 0, math.nan), "PYRP", (0.1,) * 4), "origin must be finite")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            solve_ik(make_params(*design), (0.3, 0.1, 0.4))
+        assert kinematics._last is entry
+    assert solve_ik(p, (0.3, 0.1, 0.4)) == solved
+
+
+def test_threads_solving_different_designs_get_the_serial_results():
+    # one thread's set-up of design A is held midway while another thread solves design B,
+    # so the cache entry is replaced under the first thread; every solve must still be serial
+    a = make_params((0.1, -0.2, 0.05), "YPRP", (0.2, 0.15, 0.1, 0.12))
+    b = make_params((-0.1, 0.2, 0.0), "PRYP", (0.25, 0.1, 0.2, 0.1))
+    targets = [(0.3, 0.1, 0.4), (0.2, 0.1, 0.15), (-0.1, 0.2, 0.6)]
+    serial = {p: [repr(solve_ik(p, t)) for t in targets] for p in (a, b)}
+    paused, resume = threading.Event(), threading.Event()
+
+    class HeldDesign(DesignParams):
+        @property
+        def n_joints(self):  # read by the set-up: the first read waits for the other thread
+            if not paused.is_set():
+                paused.set()
+                assert resume.wait(10)
+            return len(self.joints)
+
+    held = HeldDesign(a.origin, a.joints, a.lengths)
+    first = []
+    thread = threading.Thread(target=lambda: first.append(repr(solve_ik(held, targets[0]))))
+    thread.start()
+    assert paused.wait(10)
+    during = [repr(solve_ik(b, t)) for t in targets]
+    resume.set()
+    thread.join(10)
+    assert not thread.is_alive()
+    assert first == serial[a][:1] and during == serial[b]
+    assert [repr(solve_ik(b, t)) for t in targets] == serial[b]
+    assert [repr(solve_ik(held, t)) for t in targets] == serial[a]
+
+
+def test_more_threads_than_cores_solving_their_own_designs_get_the_serial_results():
+    rng = np.random.default_rng(37)
+    designs = [random_sample(rng, SpaceConfig(n_joints=4)) for _ in range(4)]
+    targets = [tuple(rng.uniform(-0.6, 0.6, 3)) for _ in range(20)]
+    serial = [[repr(solve_ik(p, t)) for t in targets] for p in designs]
+    results = [[] for _ in designs]
+    start = threading.Barrier(len(designs))
+
+    def solve_all(k):
+        start.wait(10)
+        for _ in range(3):
+            results[k].append([repr(solve_ik(designs[k], t)) for t in targets])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=solve_all, args=(k,)) for k in range(len(designs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[solved] * 3 for solved in serial]
 
 
 def test_ik_residual_never_worse_than_start():

@@ -193,15 +193,36 @@ def test_tpe_ranks_against_the_run_reference_point(monkeypatch):
 
 @pytest.mark.parametrize("experiment", ["target1_mock", "target1_llm_plus_mock"])
 def test_sweep_writes_the_ledgers_of_the_reference_loops(experiment, monkeypatch):
-    """Every seed's ledger is the same text with solve_ik and suggest swapped for the plain loops they replaced."""
+    """Every seed's ledger is the same text with solve_ik and suggest swapped for the plain loops they replaced.
+
+    The swapped-in loops count their calls, so a run that went round them fails here.
+    """
     configs = load_experiment(REPO / "experiments" / f"{experiment}.experiment").configs()
-    fast = [[trial_to_json(t) for t in run(c).ledger] for c in configs]
-    monkeypatch.setattr(evaluation, "solve_ik", kinematics_oracle.solve_ik_reference)
+    ledgers = [run(c).ledger for c in configs]
+    calls = {"solve_ik": 0, "suggest": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(evaluation, "solve_ik", counted("solve_ik", kinematics_oracle.solve_ik_reference))
     monkeypatch.setattr(
         orchestrator,
         "suggest",
-        lambda rng, table, cfg, space, ref_point: tpe_oracle.suggest_one_draw_at_a_time(
-            rng, table.records, cfg, space, ref_point
+        counted(
+            "suggest",
+            lambda rng, table, cfg, space, ref_point: tpe_oracle.suggest_one_draw_at_a_time(
+                rng, table.records, cfg, space, ref_point
+            ),
         ),
     )
-    assert [[trial_to_json(t) for t in run(c).ledger] for c in configs] == fast
+    reference = [[trial_to_json(t) for t in run(c).ledger] for c in configs]
+    assert reference == [[trial_to_json(t) for t in ledger] for ledger in ledgers]
+    assert calls == {  # once per target of every trial, and once per BBO slot (an LLM fallback included)
+        "solve_ik": sum((c.n_init + c.n_total) * len(c.targets.points) for c in configs),
+        "suggest": sum(t.source is SampleSource.BBO for ledger in ledgers for t in ledger),
+    }
+    assert calls["suggest"] > 0

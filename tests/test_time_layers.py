@@ -4,6 +4,7 @@ import contextlib
 import importlib.util
 import io
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,13 @@ def test_time_layers_against_a_checkout_prints_ratios_and_compares_outputs(run_t
     with pytest.raises(SystemExit) as missing:
         time_layers.main(["--against", str(REPO / "tests")])
     assert missing.value.code == 2
+
+
+def test_a_timing_repeats_whole_passes_until_it_spans_the_minimum(monkeypatch):
+    monkeypatch.setattr(time_layers, "MIN_SPAN_S", 0.02)
+    seen = []
+    start = time.perf_counter()
+    us = time_layers.per_call_us(seen.append, [(1,), (2,), (3,)])
+    assert time.perf_counter() - start >= 0.02
+    assert len(seen) > 3 and seen == [1, 2, 3] * (len(seen) // 3)
+    assert us * 1e-6 * len(seen) >= 0.02  # the mean is over every call of every pass

@@ -17,7 +17,9 @@ kinematics), each held in a TrialTable as a run holds it. On each, `read`
 times `TrialTable(d, trials)` from the records (the read `suggest` does when
 given a list), `suggest` one suggestion from a generator that every call
 advances, and `split` `split_observations` on the table's objectives, in
-microseconds per call over CALLS calls.
+microseconds per call over CALLS calls. A timing repeats its row's calls
+until it spans at least MIN_SPAN_S, so a row of a few fast calls is timed as
+finely as a long one.
 
 The pairing. Each checkout is timed in a worker process that imports the
 package from that checkout's src/ alone, and checks that it did. A worker
@@ -55,7 +57,8 @@ EXPERIMENT = REPO / "experiments" / "target1_llm_plus_mock.experiment"
 PREFIXES = (10, 30, 100, 210)
 TOY_TRIALS = 600
 SEED = 1  # of the target3-reachable designs, the run and the bootstrap
-CALLS = 20  # calls per timing of a history row
+CALLS = 20  # calls per pass of a history row
+MIN_SPAN_S = 5e-3  # s, a timing repeats whole passes over its row's calls until it spans this
 PAIRS = 3  # worker pairs, each started afresh
 ROUNDS = 5  # rounds per worker pair; a round times every row once in each worker
 LEVEL = 0.95  # joint coverage of the intervals over all rows
@@ -64,11 +67,15 @@ WORKER = "import runpy, sys; runpy.run_path(sys.argv[1])['worker'](sys.argv[2])"
 
 
 def per_call_us(fn, calls) -> float:
-    """Mean microseconds of fn(*args) over the argument tuples in `calls`."""
-    start = time.perf_counter()
-    for args in calls:
-        fn(*args)
-    return (time.perf_counter() - start) / len(calls) * 1e6
+    """Mean microseconds of fn(*args) over the argument tuples in `calls`, passed over until MIN_SPAN_S has elapsed."""
+    passes, start = 0, time.perf_counter()
+    while True:
+        for args in calls:
+            fn(*args)
+        passes += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= MIN_SPAN_S:
+            return elapsed / (passes * len(calls)) * 1e6
 
 
 def layer_rows():
