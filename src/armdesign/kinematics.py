@@ -84,8 +84,8 @@ def _check_q(params: DesignParams, q) -> list[float]:
 
 
 def _state(params: DesignParams, q):
-    codes = [jt._value_ for jt in params.joints]
-    return _kernels(len(codes)).chain(params.origin, codes, params.lengths, _check_q(params, q))
+    origin, codes, lengths, kernels, *_ = _set_up(params)  # the design checked as `solve_ik` checks it
+    return kernels.chain(origin, codes, lengths, _check_q(params, q))
 
 
 def forward_kinematics(params: DesignParams, q) -> np.ndarray:
@@ -95,7 +95,8 @@ def forward_kinematics(params: DesignParams, q) -> np.ndarray:
 
 def position_jacobian(params: DesignParams, q) -> np.ndarray:
     """3xD position Jacobian; column j = axis_j x (p_ee - p_j)."""
-    return np.array(_kernels(params.n_joints).columns(*_state(params, q))).T
+    joints, end = _state(params, q)  # before _kernels, so a design with no joints is named, not compiled
+    return np.array(_kernels(params.n_joints).columns(joints, end)).T
 
 
 def gravity_torque(params: DesignParams, q) -> np.ndarray:

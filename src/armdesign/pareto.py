@@ -1,12 +1,13 @@
 """Pareto-front extraction and 2-D hypervolume (minimization).
 
-Every dominance decision is one running-minimum sweep over points sorted by
-(f1, f2), `sorted_front`. The first front is one sort and that sweep; the TPE
-split peels its later fronts with the same sweep over what is left, which
-stays sorted. Hypervolume is the area between the front and a fixed
-reference point; points at or beyond the reference in either coordinate
-add no area (they are clipped, not rejected, so early bad samples keep the
-curve defined).
+Every dominance decision is one running-minimum sweep, `sorted_front`, over
+points sorted by (f1, f2) and keyed as complex numbers f2 + i f1, which numpy
+orders by real, then imaginary part (`sorted_keys`). The first front is one
+sort and that sweep; the TPE split peels its later fronts with the same sweep
+over the keys that are left, which stay sorted. Hypervolume is the area
+between the front and a fixed reference point; points at or beyond the
+reference in either coordinate add no area (they are clipped, not rejected,
+so early bad samples keep the curve defined).
 """
 from __future__ import annotations
 
@@ -32,28 +33,32 @@ def objective_array(points) -> np.ndarray:
     return np.fromiter(flat, dtype=float, count=2 * len(points)).reshape(-1, 2)
 
 
-def sorted_front(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Boolean mask of the nondominated points among points sorted by (f1, f2).
+def sorted_front(keys: np.ndarray) -> np.ndarray:
+    """Boolean mask of the nondominated points among points sorted by (f1, f2), given as keys f2 + i f1.
 
     In that order a point is dominated iff some earlier point's (f2, f1) sorts
-    strictly below its own. So a point is on the front iff its f2 is the
-    running minimum of f2 through it and its f1 is that of the first point at
-    that minimum, the least f1 there. Equal pairs stay on the front.
+    strictly below its own, so it is on the front iff its key is the running
+    minimum of the keys through it (Kung, Luccio & Preparata 1975). Equal
+    pairs stay on the front.
     """
-    least = np.minimum.accumulate(f2)
-    starts = np.arange(len(f2))
-    starts[1:] *= f2[1:] < least[:-1]  # nonzero where the running minimum first takes its value
-    first = np.maximum.accumulate(starts)
-    on_front = (f2 == least) & (f1[first] == f1)
-    return on_front
+    return keys == np.minimum.accumulate(keys)
+
+
+def sorted_keys(values) -> tuple[np.ndarray, np.ndarray]:
+    """(order, keys) of an (n, 2) objective array without NaN: its (f1, f2) sort and the sorted keys f2 + i f1."""
+    pairs = np.ascontiguousarray(values, dtype=float).reshape(-1, 2)  # an int or strided array is converted
+    points = pairs.view(complex)[:, 0]  # f1 + i f2
+    order = np.argsort(points)  # by (f1, f2); how equal pairs are ordered changes no front and no split
+    keys = np.empty(len(order), dtype=complex)
+    keys.real, keys.imag = points.imag[order], points.real[order]
+    return order, keys
 
 
 def first_front(values) -> np.ndarray:
     """Boolean mask of the nondominated rows of an (n, 2) array without NaN."""
-    vals = np.asarray(values, dtype=float).reshape(-1, 2)
-    order = np.lexsort((vals[:, 1], vals[:, 0]))
-    on_front = np.empty(len(vals), dtype=bool)
-    on_front[order] = sorted_front(vals[order, 0], vals[order, 1])
+    order, keys = sorted_keys(values)
+    on_front = np.empty(len(keys), dtype=bool)
+    on_front[order] = sorted_front(keys)
     return on_front
 
 

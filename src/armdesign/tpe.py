@@ -16,13 +16,14 @@ another joint count or whose objectives are not finite (the split's sweeps
 assume finite values) is refused. A run keeps one table for all its
 suggestions; a list of records given to `suggest` is read into a table of its
 own on each call, one join over the rows cached on its records. A call peels
-the objectives' fronts into a good mask and fits one kernel table: per slot a
-row of the good kernels, the good prior kernel, the bad kernels and the bad
-prior kernel, as (slots, n + 2) centers, widths and CDFs at the bounds, beside
-one (n + 2) weight vector normalised per half; the type counts are one
-(2, D, k) array. The random draws are one block of uniform doubles: per slot a
-kernel choice then a uniform, then per joint a type choice, each the count of
-its weights' normalised CDF entries at or below its double, as
+the objectives' fronts into a good mask, one sweep of complex keys per front
+(`pareto.sorted_front`), and fits one kernel table: per slot a row of the good
+kernels, the good prior kernel, the bad kernels and the bad prior kernel, as
+C-ordered (slots, n + 2) centers, widths and CDFs at the bounds, beside one
+(n + 2) weight vector normalised per half; the type counts are one (2, D, k)
+array. The random draws are one block of uniform doubles: per slot a kernel
+choice then a uniform, then per joint a type choice, each the count of its
+weights' normalised CDF entries at or below its double, as
 ``Generator.choice`` has it. Candidates come from the good half; their
 densities under both halves are one (slots, m, n + 2) buffer of exponentials
 times a (slots, n + 2, 2) coefficient matrix, a column per half. That matches
@@ -46,7 +47,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .evaluation import TargetOutcome
-from .pareto import DEFAULT_REF_POINT, ObjectiveValues, sorted_front
+from .pareto import DEFAULT_REF_POINT, ObjectiveValues, sorted_front, sorted_keys
 from .space import DesignParams, SpaceConfig, make_params, random_sample
 
 
@@ -139,14 +140,14 @@ def split_observations(
     """Good-set mask, in row order, of ceil(gamma * n) of the n rows of an (n, 2)
     objective array, clipped to [0, n].
 
-    Fronts are peeled in nondomination order, each by `sorted_front` over what
-    the earlier peels left of one (f1, f2) sort, which stays sorted. Each front
-    is good until one holds at least as many trials as the good set still
-    needs. Within that boundary front, in its (f1, f2) order, a point strictly
-    inside ref_point scores its exclusive hypervolume: (the next inside
-    point's f1, or rx for the last) - f1, times (the previous one's f2, or ry
-    for the first) - f2. Points at or beyond the reference score 0, and so do
-    equal pairs. The largest scores win, earlier trials on ties.
+    Fronts are peeled in nondomination order, each by `sorted_front` over the
+    keys f2 + i f1 that the earlier peels left of one `sorted_keys`, which stay
+    sorted. Each front is good until one holds at least as many trials as the
+    good set still needs. Within that boundary front, in (f1, f2) order, a
+    point strictly inside ref_point scores its exclusive hypervolume: (the next
+    inside point's f1, or rx for the last) - f1, times (the previous one's f2,
+    or ry for the first) - f2. Points at or beyond the reference score 0, and
+    so do equal pairs. The largest scores win, earlier trials on ties.
     """
     n = len(values)
     if not n:
@@ -155,19 +156,18 @@ def split_observations(
     good = np.zeros(n, dtype=bool)
     if need <= 0:
         return good
-    order = np.lexsort((values[:, 1], values[:, 0]))
-    f1, f2 = values[order, 0], values[order, 1]
-    on_front = sorted_front(f1, f2)
+    order, keys = sorted_keys(values)
+    on_front = sorted_front(keys)
     while (size := np.count_nonzero(on_front)) < need:
         good[order[on_front]] = True
         need -= size
         rest = ~on_front
-        order, f1, f2 = order[rest], f1[rest], f2[rest]
-        on_front = sorted_front(f1, f2)
-    members, f1, f2 = order[on_front], f1[on_front], f2[on_front]
+        order, keys = order[rest], keys[rest]
+        on_front = sorted_front(keys)
+    members, keys = order[on_front], keys[on_front]
     rx, ry = ref_point
-    inside = (f1 < rx) & (f2 < ry)
-    f1, f2 = f1[inside], f2[inside]
+    inside = (keys.imag < rx) & (keys.real < ry)
+    f1, f2 = keys.imag[inside], keys.real[inside]
     # on a sorted 2-D front a point's exclusive hypervolume is the box its
     # neighbours span (Emmerich, Beume & Naujoks, EMO 2005)
     dx, dy = rx - f1, ry - f2
@@ -210,7 +210,7 @@ class _KernelTable:
         scale = [max(cfg.bandwidth_scale * k ** (-0.2), cfg.bandwidth_floor) if k else 1.0 for k in (g, n - g)]
         halves = (g, 1, n - g, 1)
         widths = np.repeat(span[:, None] * [scale[0], 1.0, scale[1], 1.0], halves, axis=1)
-        centers = np.concatenate((slots[good].T, mid[:, None], slots[~good].T, mid[:, None]), axis=1)
+        centers = np.concatenate((slots[good], [mid], slots[~good], [mid])).T.copy()  # C-ordered, for log_pdfs
         p = cfg.prior_weight  # kernels weigh 1 and the prior kernel p, over a half's total of k + p
         weights = np.repeat([1.0 / (g + p), p / (g + p), 1.0 / (n - g + p), p / (n - g + p)], halves)
         from scipy.special import ndtr  # here, not at module import: see the module docstring
@@ -237,7 +237,8 @@ class _KernelTable:
         coef = self.weights / (np.sqrt(2.0 * np.pi) * self.widths * (self.cdf[1] - self.cdf[0]))
         halves = np.zeros((*coef.shape, 2))
         halves[:, :g, 0], halves[:, g:, 1] = coef[:, :g], coef[:, g:]
-        t = x[:, :, None] - self.centers[:, None, :]
+        t = np.repeat(self.centers[:, None, :], x.shape[1], axis=1)  # c - x below squares to (x - c)**2 exactly
+        t -= x[:, :, None]
         np.square(t, out=t)
         t *= (-0.5 / self.widths**2)[:, None, :]
         np.exp(t, out=t)

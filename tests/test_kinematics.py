@@ -281,10 +281,13 @@ MALFORMED_DESIGNS = [
 ]
 
 
+@pytest.mark.parametrize("call", [solve_ik, forward_kinematics, position_jacobian, gravity_torque])
 @pytest.mark.parametrize("design, message", MALFORMED_DESIGNS)
-def test_ik_rejects_a_malformed_design_naming_its_field(design, message):
+def test_ik_rejects_a_malformed_design_naming_its_field(call, design, message):
+    # solve_ik takes a target; the others take a posture, one angle per joint
+    second = [0.3, 0.1, 0.4] if call is solve_ik else [0.1] * len(design[1])
     with pytest.raises(ValueError, match=f"^{message}$"):
-        solve_ik(make_params(*design), [0.3, 0.1, 0.4])
+        call(make_params(*design), second)
 
 
 def test_ik_sets_up_each_design_once_and_matches_the_reference_in_any_order():

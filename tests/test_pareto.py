@@ -136,6 +136,18 @@ signed_zero_sets = st.lists(st.tuples(*[st.sampled_from([-0.0, 0.0, 1.0, 2.0])] 
 point_sets = st.one_of(grid_sets, uniform_sets, signed_zero_sets)
 
 
+def array_forms(values):
+    """An objective list as a float64 array and in the other forms that must read the same: Fortran-ordered,
+    two strided columns of a wider array, and int64 when every value is whole (the grid sets)."""
+    vals = np.array(values, dtype=float).reshape(-1, 2)
+    wide = np.zeros((len(vals), 3))
+    wide[:, ::2] = vals
+    forms = [vals, np.asfortranarray(vals), wide[:, ::2]]
+    if (vals == np.trunc(vals)).all():
+        forms.append(vals.astype(np.int64))
+    return forms
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(point_sets)
 @example([])
@@ -143,7 +155,10 @@ point_sets = st.one_of(grid_sets, uniform_sets, signed_zero_sets)
 @example([(1, 2), (1, 2), (0, 3), (2, 1), (2, 2), (1, 3)])
 @example([(0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (1.0, 0.0), (-0.0, 2.0)])
 def test_ranks_match_layered_oracle(values):
-    assert first_front(values).tolist() == [rank == 0 for rank in layered_ranks(values)]
+    expected = [rank == 0 for rank in layered_ranks(values)]
+    assert first_front(values).tolist() == expected
+    for form in array_forms(values):
+        assert first_front(form).tolist() == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

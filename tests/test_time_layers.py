@@ -16,7 +16,7 @@ _spec.loader.exec_module(time_layers)
 
 HISTORIES = [f"target1_llm_plus_mock:{n}" for n in (10, 30, 100, 210)] + ["toy:600"]
 DESIGN_ROWS = [[s, layer] for s in ("ik-panel", "target3-reachable") for layer in ("certified", "iterated", "evaluate")]
-HISTORY_ROWS = [[h, layer] for h in HISTORIES for layer in ("read", "suggest", "split")]
+HISTORY_ROWS = [[h, layer] for h in HISTORIES for layer in ("read", "suggest", "split", "front")]
 ROWS = DESIGN_ROWS + HISTORY_ROWS
 
 

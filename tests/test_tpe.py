@@ -25,7 +25,7 @@ from armdesign.tpe import (
     suggest,
 )
 from pareto_oracle import layered_ranks, leave_one_out_contributions
-from test_pareto import signed_zero_sets, uniform_sets
+from test_pareto import array_forms, signed_zero_sets, uniform_sets
 from tpe_oracle import (
     Mixture,
     bounds,
@@ -147,9 +147,11 @@ def split_cases(draw):
 @example(([t.objectives for t in history_case(5, 120, 4, REF, duplicates=False)[0]], 0.25, REF))
 def test_split_matches_oracle(case):
     values, gamma, ref = case
-    good = split_observations(np.array(values, dtype=float), gamma, ref)
-    assert good.shape == (len(values),)
-    assert (np.flatnonzero(good).tolist(), np.flatnonzero(~good).tolist()) == oracle_split(values, gamma, ref)
+    expected = oracle_split(values, gamma, ref)
+    for form in array_forms(values):  # float64 first, then the forms that must give its mask
+        good = split_observations(form, gamma, ref)
+        assert good.shape == (len(values),)
+        assert (np.flatnonzero(good).tolist(), np.flatnonzero(~good).tolist()) == expected
 
 
 def test_category_prior_formula():

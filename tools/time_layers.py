@@ -16,10 +16,12 @@ of 600 seeded random designs scored by a closed-form objective (no
 kinematics), each held in a TrialTable as a run holds it. On each, `read`
 times `TrialTable(d, trials)` from the records (the read `suggest` does when
 given a list), `suggest` one suggestion from a generator that every call
-advances, and `split` `split_observations` on the table's objectives, in
-microseconds per call over CALLS calls. A timing repeats its row's calls
-until it spans at least MIN_SPAN_S, so a row of a few fast calls is timed as
-finely as a long one.
+advances, `split` `split_observations` on the table's objectives and `front`
+`pareto_front` over the records (the call `run` makes at each LLM slot,
+`report` per ledger and `hypervolume_curve` per trial), in microseconds per
+call over CALLS calls. A timing repeats its row's calls until it spans at
+least MIN_SPAN_S, so a row of a few fast calls is timed as finely as a long
+one.
 
 The pairing. Each checkout is timed in a worker process that imports the
 package from that checkout's src/ alone, and checks that it did. A worker
@@ -32,9 +34,10 @@ all. A row prints each checkout's median time, the median of the per-round
 ratios (this checkout over DIR) and a seeded bootstrap interval for that
 median (pairs resampled, then rounds within them) whose LEVEL holds over all
 rows at once (Bonferroni). The last line says whether every worker gave the
-same outputs: a digest of the repr of every IKSolution and of one suggestion
-per history. Without --against, this checkout's workers alone are timed. The
-inputs come from this file's checkout; DIR needs only its src/.
+same outputs: a digest of the repr of every IKSolution, and of one suggestion
+and the front's trial ids per history. Without --against, this checkout's
+workers alone are timed. The inputs come from this file's checkout; DIR needs
+only its src/.
 """
 from __future__ import annotations
 
@@ -84,7 +87,7 @@ def layer_rows():
     from armdesign.experiment import load_experiment, load_targets
     from armdesign.kinematics import solve_ik
     from armdesign.orchestrator import SPACE, run
-    from armdesign.pareto import ObjectiveValues
+    from armdesign.pareto import ObjectiveValues, pareto_front
     from armdesign.space import SpaceConfig, from_vector, make_params, random_sample
     from armdesign.tpe import SampleSource, TpeConfig, TrialRecord, TrialTable, split_observations, suggest
 
@@ -123,11 +126,13 @@ def layer_rows():
     for name, trials in [(f"{EXPERIMENT.stem}:{n}", ledger[:n]) for n in PREFIXES] + [(f"toy:{TOY_TRIALS}", toy)]:
         table = TrialTable(SPACE.n_joints, trials)
         digest.update(repr(suggest(np.random.default_rng(0), table, cfg, SPACE)).encode())
+        digest.update(repr([t.id for t in pareto_front(trials)]).encode())
         rng = np.random.default_rng(0)
         rows += [
             (name, "read", TrialTable, [(SPACE.n_joints, trials)] * CALLS),
             (name, "suggest", suggest, [(rng, table, cfg, SPACE)] * CALLS),
             (name, "split", split_observations, [(table.values, cfg.gamma)] * CALLS),
+            (name, "front", pareto_front, [(trials,)] * CALLS),
         ]
     for *_, fn, calls in rows:
         per_call_us(fn, calls)
