@@ -8,33 +8,32 @@ good densities that maximizes the good/bad density ratio.
 
 The trial history is a `TrialTable`: the records in trial order beside their
 objectives, continuous slots (origin then lengths) and joint codes as arrays
-with one row per trial. Each record packs its row as float64 bytes at its first
-read and keeps it (`TrialRecord.table_row`). A table starts from the records it
-is given and grows by `extend`, which joins the new records' rows into one
-block and concatenates its columns onto the arrays; a record whose design has
-another joint count or whose objectives are not finite (the split's sweeps
-assume finite values) is refused. A run keeps one table for all its
-suggestions; a list of records given to `suggest` is read into a table of its
-own on each call, one join over the rows cached on its records. A call peels
-the objectives' fronts into a good mask, one sweep of complex keys per front
-(`pareto.sorted_front`), and fits one kernel table: per slot a row of the good
-kernels, the good prior kernel, the bad kernels and the bad prior kernel, as
-C-ordered (slots, n + 2) centers, widths and CDFs at the bounds, beside one
-(n + 2) weight vector normalised per half; the type counts are one (2, D, k)
-array. The random draws are one block of uniform doubles: per slot a kernel
-choice then a uniform, then per joint a type choice, each the count of its
-weights' normalised CDF entries at or below its double, as
-``Generator.choice`` has it. Candidates come from the good half; their
-densities under both halves are one (slots, m, n + 2) buffer of exponentials
-times a (slots, n + 2, 2) coefficient matrix, a column per half. That matches
-each half's own mixture within a few ulps (the tests allow 4 (n + 2) eps in
-the log); the split, the fit, the samples and the type draws stay exact.
+with one row per trial, grown by `extend` from the row each record packs once
+(`TrialRecord.table_row`). A run keeps one table for all its suggestions; a
+list of records given to `suggest` is read into a table of its own on each
+call. A call peels the objectives' fronts into a good mask, one sweep of
+complex keys per front (`pareto.sorted_front`), and fits one kernel table: per
+slot a row of the good kernels, the good prior kernel, the bad kernels and the
+bad prior kernel, as C-ordered (slots, n + 2) centers, widths and CDFs at the
+bounds, beside one (n + 2) weight vector normalised per half; the type counts
+are one (2, D, k) array. The random draws are one block of uniform doubles:
+per slot a kernel choice then a uniform, then per joint a type choice, each
+the count of its weights' normalised CDF entries at or below its double, as
+``Generator.choice`` has it. Candidates come from the good half. Their
+exponents under every kernel are one (slots, m, 3) @ (slots, 3, n + 2) product
+per slot, of powers [x'^2, x', 1] of the candidates and quadratic coefficients
+of the kernels, both taken about the slot's midpoint; exponentiated in place,
+that buffer times a (slots, n + 2, 2) coefficient matrix, a column per half,
+gives the densities. They match each half's own mixture within a few ulps (the
+tests allow 4 (n + 2) eps in the log); the split, the fit, the samples and the
+type draws stay exact. What depends on the space alone (bounds, spans,
+midpoints, row indices) is built once per space, read-only (`_space_arrays`).
 
 scipy.special (the truncated Gaussians' ``ndtr`` and ``ndtri``) is imported
-at the first mixture fit, not with this module: it costs about 0.35 s and
-25 MB, so processes that never sample (``evaluate``, ``report``, ``urdf``)
-start in about 0.3 s. A run pays it once, at its first suggestion from
-``n_startup`` or more trials.
+at the first mixture fit, not with this module, and kept on the kernel table:
+it costs about 0.35 s and 25 MB, so processes that never sample (``evaluate``,
+``report``, ``urdf``) start in about 0.3 s. A run pays it once, at its first
+suggestion from ``n_startup`` or more trials.
 """
 from __future__ import annotations
 
@@ -42,7 +41,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from typing import ClassVar, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -179,13 +178,24 @@ def split_observations(
     return good
 
 
+class _SpaceArrays(NamedTuple):
+    """A space's constant arrays, read-only, since one entry (`_space_arrays`) serves every call."""
+
+    bounds: np.ndarray  # (2, slots, 1): each continuous slot's low then high bound, origin then lengths
+    span: np.ndarray  # (slots, 1)
+    mid: np.ndarray  # (slots, 1)
+    rows: np.ndarray  # (slots, 1): 0, 1, ..., the first D of them also the joints'
+    joint_cells: np.ndarray  # (D,): k j, joint j's first cell in a row of D k type counts
+
+
 @cache
-def _bounds(space: SpaceConfig) -> np.ndarray:
-    """(2, 3 + D), read-only: each continuous slot's low then high bound, origin then lengths."""
-    corners = [[space.origin_low, space.length_low], [space.origin_high, space.length_high]]
-    bounds = np.repeat(corners, (3, space.n_joints), axis=1)
-    bounds.flags.writeable = False  # one array serves every call
-    return bounds
+def _space_arrays(space: SpaceConfig) -> _SpaceArrays:
+    d, corners = space.n_joints, [[space.origin_low, space.length_low], [space.origin_high, space.length_high]]
+    b, rows = np.repeat(corners, (3, d), axis=1)[:, :, None], np.arange(3 + d)[:, None]
+    arrays = _SpaceArrays(b, b[1] - b[0], 0.5 * (b[0] + b[1]), rows, len(space.joint_alphabet) * rows[:d, 0])
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -194,53 +204,54 @@ class _KernelTable:
 
     The layout is the module docstring's: the first n_good_columns columns are the good mixture, the rest the bad one."""
 
-    bounds: np.ndarray  # (2, slots): low, high
+    space: _SpaceArrays
     n_good_columns: int  # the good trials' kernels and the good prior kernel
     centers: np.ndarray  # (slots, n + 2)
     widths: np.ndarray
     weights: np.ndarray  # (n + 2,)
     cdf: np.ndarray  # (2, slots, n + 2): at low, at high
+    ndtr = ndtri = None  # scipy.special's, set at the first fit: see the module docstring
 
     @classmethod
-    def fit(cls, slots: np.ndarray, good: np.ndarray, bounds: np.ndarray, cfg: TpeConfig) -> "_KernelTable":
+    def fit(cls, slots: np.ndarray, good: np.ndarray, space: _SpaceArrays, cfg: TpeConfig) -> "_KernelTable":
         """slots: (n, slots), one row per trial; good: the good set as a mask of the rows."""
-        span, mid = bounds[1] - bounds[0], 0.5 * (bounds[0] + bounds[1])
+        if cls.ndtri is None:
+            from scipy import special
+            cls.ndtr, cls.ndtri = special.ndtr, special.ndtri
         n, g = len(slots), int(np.count_nonzero(good))
         # per half, TpeConfig's n^-1/5 widths and a prior kernel spanning the bounds, so densities stay positive
         scale = [max(cfg.bandwidth_scale * k ** (-0.2), cfg.bandwidth_floor) if k else 1.0 for k in (g, n - g)]
         halves = (g, 1, n - g, 1)
-        widths = np.repeat(span[:, None] * [scale[0], 1.0, scale[1], 1.0], halves, axis=1)
-        centers = np.concatenate((slots[good], [mid], slots[~good], [mid])).T.copy()  # C-ordered, for log_pdfs
+        widths = (space.span * [scale[0], 1.0, scale[1], 1.0]).repeat(halves, axis=1)
+        centers = np.concatenate((slots[good], space.mid.T, slots[~good], space.mid.T)).T.copy()  # C-ordered
         p = cfg.prior_weight  # kernels weigh 1 and the prior kernel p, over a half's total of k + p
-        weights = np.repeat([1.0 / (g + p), p / (g + p), 1.0 / (n - g + p), p / (n - g + p)], halves)
-        from scipy.special import ndtr  # here, not at module import: see the module docstring
-        return cls(bounds, g + 1, centers, widths, weights, ndtr((bounds[:, :, None] - centers) / widths))
+        weights = np.array([1.0 / (g + p), p / (g + p), 1.0 / (n - g + p), p / (n - g + p)]).repeat(halves)
+        return cls(space, g + 1, centers, widths, weights, cls.ndtr((space.bounds - centers) / widths))
 
     def sample(self, kernel_draws: np.ndarray, uniform_draws: np.ndarray) -> np.ndarray:
         """(slots, m) samples of the good mixtures from two (slots, m) blocks of uniform doubles: a kernel
         draw picks a good kernel by its weight, a uniform draw the quantile within that truncated kernel."""
-        from scipy.special import ndtri  # loaded by fit
         ks = _cdf(self.weights[: self.n_good_columns]).searchsorted(kernel_draws, side="right")
-        rows = np.arange(len(ks))[:, None]
+        rows, (low, high) = self.space.rows, self.space.bounds
         lo, hi = self.cdf[:, rows, ks]
-        x = self.centers[rows, ks] + self.widths[rows, ks] * ndtri(lo + (hi - lo) * uniform_draws)
-        return np.clip(x, *self.bounds[:, :, None])  # guard round-off at the edges
+        x = self.centers[rows, ks] + self.widths[rows, ks] * self.ndtri(lo + (hi - lo) * uniform_draws)
+        return np.minimum(np.maximum(x, low, out=x), high, out=x)  # guard round-off at the edges
 
     def log_pdfs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The good and the bad log densities of a (slots, m) block of points, row i under row i's mixtures.
 
-        A half's density is sum_j coef_j * exp((x - center_j)**2 * a_j), a = -0.5 / width**2 and
-        coef = weight / (sqrt(2 pi) * width * (cdf_high - cdf_low)): a (slots, m, n + 2) buffer of exponentials
-        times a (slots, n + 2, 2) matrix of coef, the good columns' in column 0 and the bad ones' in column 1.
-        That matches the per-slot formula within a few ulps; the densities only rank candidates."""
-        g = self.n_good_columns
+        A half's density is sum_j coef_j exp(a_j (x - c_j)**2), a = -0.5 / width**2 and coef = weight / (sqrt(2 pi)
+        width (cdf_high - cdf_low)). About the slot's midpoint (x' = x - mid, c' = c - mid) the exponents are one
+        (slots, m, 3) @ (slots, 3, n + 2) product of rows [x'**2, x', 1] and [a, -2 a c', a c'**2]. Exponentiated in
+        place, they times a (slots, n + 2, 2) matrix of coef, the good columns' in column 0 and the bad ones' in
+        column 1, give the densities: within a few ulps of the per-slot formula, and the densities only rank."""
+        g, mid = self.n_good_columns, self.space.mid
         coef = self.weights / (np.sqrt(2.0 * np.pi) * self.widths * (self.cdf[1] - self.cdf[0]))
         halves = np.zeros((*coef.shape, 2))
         halves[:, :g, 0], halves[:, g:, 1] = coef[:, :g], coef[:, g:]
-        t = np.repeat(self.centers[:, None, :], x.shape[1], axis=1)  # c - x below squares to (x - c)**2 exactly
-        t -= x[:, :, None]
-        np.square(t, out=t)
-        t *= (-0.5 / self.widths**2)[:, None, :]
+        a, c, u = -0.5 / self.widths**2, self.centers - mid, x - mid
+        powers, quadratic = np.array((u * u, u, np.ones_like(u))), np.array((a, -2.0 * a * c, a * c * c))
+        t = powers.transpose(1, 2, 0) @ quadratic.transpose(1, 0, 2)  # (slots, m, 3) @ (slots, 3, n + 2)
         np.exp(t, out=t)
         density = np.log(t @ halves)
         return density[:, :, 0], density[:, :, 1]
@@ -254,8 +265,7 @@ def _cdf(p: np.ndarray) -> np.ndarray:
 
 def _category_probs(counts: np.ndarray, prior_weight: float) -> np.ndarray:
     """Smoothed category frequencies, one distribution per row of counts."""
-    k = counts.shape[-1]
-    return (counts + prior_weight / k) / (counts.sum(axis=-1, keepdims=True) + prior_weight)
+    return (counts + prior_weight / counts.shape[-1]) / (counts.sum(axis=-1, keepdims=True) + prior_weight)
 
 
 def suggest(
@@ -279,10 +289,10 @@ def suggest(
 
     table = trials if isinstance(trials, TrialTable) else TrialTable(d, trials)
     good = split_observations(table.values, cfg.gamma, ref_point)
-    kernels = _KernelTable.fit(table.slots, good, _bounds(space), cfg)
+    kernels = _KernelTable.fit(table.slots, good, _space_arrays(space), cfg)
     alphabet, k = space.joint_alphabet, len(space.joint_alphabet)
     # how often each type sits at each joint, good trials then bad: (2, D, k)
-    cells = table.codes + k * np.arange(d) + d * k * ~good[:, None]
+    cells = table.codes + kernels.space.joint_cells + d * k * ~good[:, None]
     probs = _category_probs(np.bincount(cells.ravel(), minlength=2 * d * k).reshape(2, d, k), cfg.prior_weight)
 
     n_cand, n_slots = cfg.n_candidates, 3 + d
@@ -293,10 +303,10 @@ def suggest(
     # the count of CDF entries at or below each draw: searchsorted(side="right") in each joint's row
     cat_samples = (per_joint[:, :, None] >= _cdf(probs[0])[:, None, :]).sum(axis=2)
     log_good, log_bad = kernels.log_pdfs(cont_samples)
-    log_p = np.log(probs[:, np.arange(d)[:, None], cat_samples])
+    log_p = np.log(probs[:, kernels.space.rows[:d], cat_samples])
     # rows added one at a time, slots then joints, which fixes each score's rounding
     score = np.concatenate((log_good - log_bad, log_p[0] - log_p[1])).cumsum(axis=0)[-1]
 
-    best = int(np.argmax(score))
+    best = int(score.argmax())
     vec = cont_samples[:, best].tolist()
     return make_params(vec[:3], [alphabet[c] for c in cat_samples[:, best].tolist()], vec[3:])

@@ -133,7 +133,9 @@ uniform_sets = st.builds(
 )
 # signed zeros compare equal, so (-0.0, 1.0) and (0.0, 1.0) are an equal pair
 signed_zero_sets = st.lists(st.tuples(*[st.sampled_from([-0.0, 0.0, 1.0, 2.0])] * 2), max_size=12)
-point_sets = st.one_of(grid_sets, uniform_sets, signed_zero_sets)
+# a negative int64 read as float64 bits is a NaN, so an int array read unconverted shows here
+signed_grid_sets = st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=40)
+point_sets = st.one_of(grid_sets, uniform_sets, signed_zero_sets, signed_grid_sets)
 
 
 def array_forms(values):

@@ -21,6 +21,7 @@ from armdesign.tpe import (
     TrialTable,
     _category_probs,
     _KernelTable,
+    _space_arrays,
     split_observations,
     suggest,
 )
@@ -245,25 +246,62 @@ def test_block_draw_matches_one_draw_at_a_time(case):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+def bound_case(side: int, n: int, d: int):
+    """A seeded history of n trials over d joints whose every design sits at one bound in every continuous
+    slot: the low one for side 0, the high one for side 1."""
+    space = SpaceConfig(n_joints=d)
+    rng = np.random.default_rng(side)
+    corner = bounds(space)[side]
+    designs = [make_params(corner[:3], random_sample(rng, space).joints, corner[3:]) for _ in range(n)]
+    pairs = rng.uniform(0, 6, size=(n, 2))
+    return [make_trial(i, pair, p) for i, (pair, p) in enumerate(zip(pairs, designs))], space, REF, side
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(suggest_cases())
 @example(history_case(seed=5, n=600, d=4, ref=(5.0, 5.0), duplicates=False))
+# the narrowest kernels: the exponents' three terms are largest against the widths
+@example(history_case(seed=5, n=2000, d=4, ref=(5.0, 5.0), duplicates=False))
+# every kernel but the prior ones at one bound, so the exponents' terms cancel most at that bound and add
+# to the largest exponent at the other
+@example(bound_case(side=0, n=30, d=4))
+@example(bound_case(side=1, n=30, d=4))
 def test_broadcast_log_pdf_matches_per_slot_formula(case):
     trials, space, ref, seed = case
     cfg = TpeConfig()
     table = TrialTable(space.n_joints, trials)
     good = split_observations(table.values, cfg.gamma, ref)
     low, high = bounds(space)
-    kernels = _KernelTable.fit(table.slots, good, np.stack((low, high)), cfg)
+    kernels = _KernelTable.fit(table.slots, good, _space_arrays(space), cfg)
+    mixtures = [Mixture.fit(table.slots[half], low, high, cfg) for half in (good, ~good)]
     rng = np.random.default_rng(seed)
-    x = kernels.sample(*rng.random((2, len(low), cfg.n_candidates)))
+    sampled = kernels.sample(*rng.random((2, len(low), cfg.n_candidates)))
+    at_bounds = np.repeat(np.stack((low, high))[:, :, None], cfg.n_candidates, axis=2)
     # a sum of k positive terms is off by at most (k - 1) eps relative, in either formula,
     # and the per-term roundings at most double that
     tolerance = 4 * (len(table) + 2) * np.finfo(float).eps
-    for half, log_pdf in zip((good, ~good), kernels.log_pdfs(x)):
-        mix = Mixture.fit(table.slots[half], low, high, cfg)
-        expected = np.array([log_pdf_slot(mix, i, row) for i, row in enumerate(x)])
-        np.testing.assert_allclose(log_pdf, expected, rtol=0, atol=tolerance)
+    for x in (sampled, *at_bounds):  # the drawn candidates, then every candidate at the low, then the high bound
+        for mix, log_pdf in zip(mixtures, kernels.log_pdfs(x)):
+            expected = np.array([log_pdf_slot(mix, i, row) for i, row in enumerate(x)])
+            np.testing.assert_allclose(log_pdf, expected, rtol=0, atol=tolerance)
+
+
+@pytest.mark.parametrize("d", [1, 4, 6])
+def test_the_arrays_kept_per_space_are_read_only(d):
+    """One entry serves every call on a space, so no call may write to it."""
+    space = SpaceConfig(n_joints=d)
+    arrays = _space_arrays(space)
+    assert arrays is _space_arrays(SpaceConfig(n_joints=d))
+    low, high = bounds(space)
+    np.testing.assert_array_equal(arrays.bounds[:, :, 0], (low, high))
+    np.testing.assert_array_equal(arrays.span[:, 0], high - low)
+    np.testing.assert_array_equal(arrays.mid[:, 0], 0.5 * (low + high))
+    np.testing.assert_array_equal(arrays.rows[:, 0], np.arange(3 + d))
+    np.testing.assert_array_equal(arrays.joint_cells, len(space.joint_alphabet) * np.arange(d))
+    for name, array in arrays._asdict().items():
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 def feed_history(through, rng, trials, space):
