@@ -104,6 +104,10 @@ def cmd_run(args) -> int:
         spec = _apply_overrides(load_experiment(args.experiment), args)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    # checked before any seed runs: the first existing path on the way to the directory must be one
+    existing = next(p for p in (spec.out_dir, *spec.out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise InputError(f"output directory {spec.out_dir} cannot be made: {existing} is not a directory")
     # the summary describes the seed list alone, so a directory holding other seeds' runs would mix sweeps
     held = {p.name for p in spec.out_dir.glob("seed_*") if p.is_dir() and re.fullmatch(r"seed_[0-9]+", p.name)}
     foreign = sorted(held - {f"seed_{s}" for s in spec.seeds})
@@ -148,6 +152,8 @@ def cmd_report(args) -> int:
             trials = read_ledger(path)
         except OSError as exc:
             raise InputError(f"{path}: {exc}") from exc
+        if not trials:
+            raise InputError(f"{path}: the ledger holds no trials")
         ref = read_ref_point(path.parent)
         curve = hypervolume_curve(trials, ref)
         stored = path.parent / "hv_curve.csv"

@@ -8,10 +8,10 @@ FK, the Jacobian, the gravity torques and the IK iterations run on plain
 floats, in code generated once per joint count D (`_kernels`) with the joints
 unrolled, so each angle, axis, link vector, COM, Jacobian column, Gram entry
 and step component is a named local, and each joint's FK update branches on
-its type code. There are four functions per D: `_chain{D}`, one FK pass giving
-joint positions, axes and link vectors; `_columns{D}`, the position Jacobian;
-`_lm{D}`, one Levenberg-Marquardt start; and `_torques{D}`, the gravity
-torques from one FK pass. The FK and Jacobian templates share one per-joint FK
+its type code. There are three functions per D: `_chain{D}`, one FK pass giving
+joint positions, axes and link vectors, the end effector and the gravity
+torques; `_columns{D}`, the position Jacobian; and `_lm{D}`, one
+Levenberg-Marquardt start. The FK and Jacobian templates share one per-joint FK
 snippet and one Jacobian column snippet, so the FK float order is written down
 once. The kernels are compiled on the first call with D joints, never at
 import. They perform the float operations of the plain loops they replaced,
@@ -19,10 +19,11 @@ kept as the test oracle in `tests/kinematics_oracle.py`, in the same order, so
 every solution is the same to the bit. One iteration is a 3x3 solve, the
 projected step and one FK pass. At 3x3 sizes numpy's per-call overhead would
 dominate, and scalar arithmetic keeps results independent of the host's BLAS.
-Link COMs are formed only in the torque pass. numpy only draws the fixed IK
-start postures (once per D) and sums their reach for a solve that iterates,
-and wraps the public functions' inputs and outputs: a solve certified at its
-aimed start makes no numpy call.
+Link COMs and torques are formed in `_chain{D}` alone, never in an LM
+iteration. numpy only draws the fixed IK start postures (once per D) and sums
+their reach for a solve that iterates, one array pass per link, and wraps the
+public functions' inputs and outputs: a solve certified at its aimed start
+makes no numpy call.
 
 A solve stops once its residual is within IK_TOL of a closed-form lower bound
 (`_residual_bound`). A yaw joint turns a link about its own axis, so the chain
@@ -95,7 +96,7 @@ def forward_kinematics(params: DesignParams, q) -> np.ndarray:
 
 def position_jacobian(params: DesignParams, q) -> np.ndarray:
     """3xD position Jacobian; column j = axis_j x (p_ee - p_j)."""
-    joints, end = _state(params, q)  # before _kernels, so a design with no joints is named, not compiled
+    joints, end, _ = _state(params, q)  # before _kernels, so a design with no joints is named, not compiled
     return np.array(_kernels(params.n_joints).columns(joints, end)).T
 
 
@@ -105,8 +106,7 @@ def gravity_torque(params: DesignParams, q) -> np.ndarray:
     Joint j only moves the COMs of links j..D, each contributing its weight
     times the z-component of axis_j x (com_i - p_j).
     """
-    joints, _ = _state(params, q)
-    return np.array(_kernels(params.n_joints).torques(joints, params.lengths))
+    return np.array(_state(params, q)[2])
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,7 +120,7 @@ def _start_pool(d: int) -> tuple[tuple[float, ...], ...]:
 # a run has 3^D joint sequences, all of which fit for D <= 6; each entry is 3 * D * 64 floats
 @functools.lru_cache(maxsize=1024)
 def _pool_directions(codes) -> np.ndarray:
-    """(3, D, IK_START_POOL): the world direction of each link over the start pool.
+    """(D, 3, IK_START_POOL): the world direction of each link over the start pool.
 
     Taken from `_chain{D}` at unit lengths, so length * direction is the same
     float as its link vector for any length.
@@ -128,7 +128,7 @@ def _pool_directions(codes) -> np.ndarray:
     ones = (1.0,) * len(codes)
     chain = _kernels(len(codes)).chain
     chains = [chain((0.0, 0.0, 0.0), codes, ones, q)[0] for q in _start_pool(len(codes))]
-    return np.array([[joint[6:] for joint in joints] for joints in chains]).transpose(2, 1, 0)
+    return np.array([[joint[6:] for joint in joints] for joints in chains]).transpose(1, 2, 0)
 
 
 # one entry: `evaluate` solves all targets of a design before the next design comes
@@ -136,15 +136,12 @@ def _pool_directions(codes) -> np.ndarray:
 def _pool_reach(origin, codes, lengths) -> tuple[tuple[float, float, float], ...]:
     """End-effector positions of a design's start pool, kept while its targets are solved.
 
-    Sums the links in `_chain{D}`'s order, so each position is its end effector, bit for bit.
+    Adds the links to the origin in `_chain{D}`'s order, so each position is its end effector, bit for bit.
     """
-    ends = []
-    for axis, start in zip(_pool_directions(codes), origin):
-        x = np.full(IK_START_POOL, start)
-        for length, direction in zip(lengths, axis):
-            x = x + length * direction
-        ends.append(x.tolist())
-    return tuple(zip(*ends))
+    reach = np.reshape(origin, (3, 1))
+    for length, direction in zip(lengths, _pool_directions(codes)):
+        reach = reach + length * direction
+    return tuple(zip(*reach.tolist()))
 
 
 def _skip_yaws(codes, k: int) -> int:
@@ -213,24 +210,30 @@ def _residual_bound(origin, codes, lengths, t, rods=None) -> tuple[float, list[f
     return max(0.0, gap - rest), aimed
 
 
-# The D-joint kernels: one FK pass, the position Jacobian and one
-# Levenberg-Marquardt start, unrolled over the joints so that every angle, axis,
-# link vector, Jacobian column, Gram entry and step is a named local. Every FK
-# pass is written from `_KERNEL_FK_JOINT` and every column from
-# `_KERNEL_COLUMN`. Their float operations are those of the loops in
-# `tests/kinematics_oracle.py`, in the same order: sums start from 0.0 and run
-# over the joints in turn, a pinned joint's column is zeroed, not dropped, and
-# the IK constants are written in as their float reprs.
+# The D-joint kernels: one FK pass with its gravity torques, the position
+# Jacobian and one Levenberg-Marquardt start, unrolled over the joints so that
+# every angle, axis, link vector, COM, torque, Jacobian column, Gram entry and
+# step is a named local. Every FK pass is written from `_KERNEL_FK_JOINT` and
+# every column from `_KERNEL_COLUMN`. Their float operations are those of the
+# loops in `tests/kinematics_oracle.py`, in the same order: sums start from 0.0
+# and run over the joints in turn, a pinned joint's column is zeroed, not
+# dropped, and the IK constants are written in as their float reprs.
 _CHAIN = '''\
 def _chain{d}(origin, codes, lengths, q):
-    """One FK pass at q: ([(px, py, pz, ax, ay, az, sx, sy, sz) per joint], end effector)."""
+    """One FK pass at q: ([(px, py, pz, ax, ay, az, sx, sy, sz) per joint], end effector, gravity torques).
+
+    tau_j = sum over links i >= j of weight_i * (axis_j x (com_i - p_j))_z, the weight at the link's COM.
+    """
     {codes}, = codes
     ox, oy, oz = origin
     {lengths}, = lengths
     {q}, = q
     ux, uy, uz, vx, vy, vz, wx, wy, wz = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
 {fk_q}
-    return [{joints}], (fx, fy, fz)
+{weights}
+{coms}
+{torques}
+    return [{joints}], (fx, fy, fz), ({tau},)
 '''
 
 _COLUMNS = '''\
@@ -240,17 +243,6 @@ def _columns{d}(joints, ee):
     fx, fy, fz = ee
 {jacobian}
     return [{columns}]
-'''
-
-_TORQUES = '''\
-def _torques{d}(joints, lengths):
-    """tau_j = sum over links i >= j of weight_i * (axis_j x (com_i - p_j))_z."""
-    {unpack_torques}, = joints
-    {lengths}, = lengths
-{weights}
-{coms}
-{torques}
-    return ({tau},)
 '''
 
 _LM = '''\
@@ -368,11 +360,11 @@ h{j} = n{j} - q{j}
 '''
 
 
-_TEMPLATES = (("_chain", _CHAIN), ("_columns", _COLUMNS), ("_lm", _LM), ("_torques", _TORQUES))  # `_Kernels` order
+_TEMPLATES = (("_chain", _CHAIN), ("_columns", _COLUMNS), ("_lm", _LM))  # `_Kernels` order
 
 
 def _kernel_sources(d: int) -> dict[str, str]:
-    """{name: source} of `_chain{d}`, `_columns{d}`, `_lm{d}` and `_torques{d}`, the kernels for D = d joints."""
+    """{name: source} of `_chain{d}`, `_columns{d}` and `_lm{d}`, the kernels for D = d joints."""
     joints = range(d)
 
     def point(j):  # the names of joint j's position: the origin, ..., the end effector at j = d
@@ -409,7 +401,6 @@ def _kernel_sources(d: int) -> dict[str, str]:
         d=d,
         joints=names("({p}x, {p}y, {p}z, a{j}x, a{j}y, a{j}z, s{j}x, s{j}y, s{j}z)"),
         unpack=names("({p}x, {p}y, {p}z, a{j}x, a{j}y, a{j}z, _, _, _)"),
-        unpack_torques=names("({p}x, {p}y, _, a{j}x, a{j}y, _, s{j}x, s{j}y, _)"),  # z is not needed
         weights=names(f"    w{{j}} = {LINEAR_DENSITY!r} * l{{j}} * {GRAVITY!r}", "\n"),
         coms=names(f"    c{{j}}x, c{{j}}y = {{p}}x + {COM_FRACTION!r} * s{{j}}x, {{p}}y + {COM_FRACTION!r} * s{{j}}y", "\n"),
         torques="\n".join(map(torque, joints)),
@@ -448,7 +439,6 @@ class _Kernels(NamedTuple):
     chain: Callable  # _chain{D}
     columns: Callable  # _columns{D}
     lm: Callable  # _lm{D}
-    torques: Callable  # _torques{D}
 
 
 @functools.lru_cache(maxsize=None)
@@ -514,8 +504,8 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
     does not certify runs each start as one call of the D-joint kernel `_lm{D}`.
     Unreachable targets are not an error: the best posture found is returned
     with converged=False so the position-error objective stays defined. The
-    torque is taken once, at the returned posture, for uniform rods of
-    LINEAR_DENSITY under GRAVITY (`_torques{D}`).
+    torque comes from the FK pass at the returned posture, for uniform rods of
+    LINEAR_DENSITY under GRAVITY (`_chain{D}`).
 
     The target is any flat sequence of 3 numbers: a tuple, a list, a 1-D
     array, numpy scalars included. A target of another length, one that is
@@ -550,9 +540,10 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
     stop_at = bound + IK_TOL
 
     # most solves are certified here, and this FK pass gives their torque
-    joints, ee = kernels.chain(origin, codes, lengths, aimed)
-    ex, ey, ez = tx - ee[0], ty - ee[1], tz - ee[2]
-    best_q, best_residual, best_chain = aimed, math.sqrt(ex * ex + ey * ey + ez * ez), (joints, ee)
+    best_chain = kernels.chain(origin, codes, lengths, aimed)
+    fx, fy, fz = best_chain[1]
+    ex, ey, ez = tx - fx, ty - fy, tz - fz
+    best_q, best_residual = aimed, math.sqrt(ex * ex + ey * ey + ez * ez)
     iterations = 0
     if best_residual > stop_at:
 
@@ -570,6 +561,5 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
             if best_residual <= stop_at:
                 break
 
-    joints, reached = best_chain or kernels.chain(origin, codes, lengths, best_q)  # the FK pass that scored best_q
-    torque = kernels.torques(joints, lengths)
+    _, reached, torque = best_chain or kernels.chain(origin, codes, lengths, best_q)  # the FK pass that scored best_q
     return IKSolution(tuple(best_q), reached, torque, best_residual, best_residual <= IK_TOL, iterations)

@@ -215,6 +215,26 @@ def test_run_refuses_a_directory_holding_other_seeds(capsys, tmp_path):
     assert run_cli(capsys, "run", "--experiment", exp, "--seed", "0", "1", "2", "--mode", "bbo")[0] == 0
 
 
+@pytest.mark.parametrize("where", ["--out", "out_dir"])
+def test_run_rejects_an_output_path_that_is_a_file_before_any_seed_runs(capsys, tmp_path, monkeypatch, where):
+    import armdesign.cli
+
+    def no_run(config):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(armdesign.cli, "run", no_run)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    for out_dir in (afile, afile / "sub"):
+        exp = quick_experiment(tmp_path, **({"out_dir": str(out_dir)} if where == "out_dir" else {}))
+        argv = ["--out", str(out_dir)] if where == "--out" else []
+        code, out, err = run_cli(capsys, "run", "--experiment", exp, *argv)
+        assert code == 1
+        assert out == ""
+        assert error_line(err) == f"error: output directory {out_dir} cannot be made: {afile} is not a directory"
+    assert afile.read_text() == "not a directory\n"
+
+
 def test_run_scheduled_slot_count(capsys, tmp_path):
     exp = quick_experiment(tmp_path, n_total=12, n_step=4)
     code, out, _ = run_cli(capsys, "run", "--experiment", exp, "--seed", "0")
@@ -373,6 +393,21 @@ def test_report_flags_corrupt_ledger_line(capsys, tmp_path):
         code, _, err = run_cli(capsys, "report", str(ledger))
         assert code == 1
         assert "hv_curve.csv: line 3" in err
+
+
+def test_report_rejects_a_ledger_with_no_trials(capsys, tmp_path):
+    exp = quick_experiment(tmp_path, seeds=[0])
+    assert run_cli(capsys, "run", "--experiment", exp)[0] == 0
+    ledger = tmp_path / "out" / "seed_0" / "ledger.jsonl"
+    empty = tmp_path / "empty" / "ledger.jsonl"
+    empty.parent.mkdir()
+    for text in ("", "\n  \n"):
+        empty.write_text(text)
+        for ledgers in ([empty], [empty, ledger], [ledger, empty]):
+            code, out, err = run_cli(capsys, "report", *map(str, ledgers))
+            assert code == 1
+            assert out == ""
+            assert error_line(err) == f"error: {empty}: the ledger holds no trials"
 
 
 def test_report_uses_the_runs_ref_point(capsys, tmp_path):

@@ -6,6 +6,8 @@ import kinematics_oracle
 import numpy as np
 import pytest
 import tpe_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from armdesign import evaluation, orchestrator, tpe
 from armdesign.evaluation import TargetSet
@@ -18,8 +20,10 @@ from armdesign.orchestrator import (
     run,
     source_for_iteration,
 )
-from armdesign.pareto import pareto_front
-from armdesign.tpe import SampleSource
+from armdesign.pareto import ObjectiveValues, hypervolume_2d, pareto_front
+from armdesign.space import make_params
+from armdesign.tpe import SampleSource, TrialRecord
+from pareto_oracle import dominates
 
 REPO = Path(__file__).resolve().parent.parent
 TARGETS = TargetSet("t", ((0.3, 0.0, 0.5), (-0.3, 0.0, 0.5), (0.0, 0.0, 0.7)))
@@ -92,9 +96,6 @@ def test_hv_curve_non_decreasing_and_matches_front():
 
 
 def test_archive_equals_brute_force_front_at_every_step():
-    from armdesign.pareto import hypervolume_2d
-    from pareto_oracle import dominates
-
     result = run(small_config())
     cfg = result.config
     for t in range(1, cfg.n_total + 1):
@@ -104,6 +105,36 @@ def test_archive_equals_brute_force_front_at_every_step():
             if not any(dominates(w, v) for j, w in enumerate(seen) if j != i)
         ]
         assert result.hv_curve[t - 1] == hypervolume_2d(brute, cfg.ref_point)
+
+
+@st.composite
+def histories(draw):
+    """(trials, n_init, ref): 0-60 trials, a leading run of random ones then bbo and llm, scored on a small
+    integer grid (so duplicates and ties are common) that reaches to and past the reference point."""
+    n = draw(st.integers(0, 60))
+    n_init = draw(st.integers(0, n))
+    later = st.sampled_from([SampleSource.BBO, SampleSource.LLM])
+    sources = [SampleSource.RANDOM] * n_init + draw(st.lists(later, min_size=n - n_init, max_size=n - n_init))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=n, max_size=n))
+    ref = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    params = make_params((0, 0, 0), "YPRP", [0.1] * 4)
+    trials = [
+        TrialRecord(i, source, params, ObjectiveValues(float(a), float(b)))
+        for i, (source, (a, b)) in enumerate(zip(sources, pairs))
+    ]
+    return trials, n_init, (float(ref[0]), float(ref[1]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(histories())
+def test_curve_equals_brute_force_front_of_every_prefix(case):
+    trials, n_init, ref = case
+    curve = orchestrator.hypervolume_curve(trials, ref)
+    assert len(curve) == len(trials) - n_init
+    for k in range(len(curve)):
+        seen = [t.objectives for t in trials[: n_init + k + 1]]
+        brute = [v for i, v in enumerate(seen) if not any(dominates(w, v) for j, w in enumerate(seen) if j != i)]
+        assert curve[k] == hypervolume_2d(brute, ref)
 
 
 def test_llm_failure_falls_back_to_bbo(tmp_path):

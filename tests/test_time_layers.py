@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import importlib.util
 import io
+import re
 import shutil
 import time
 from pathlib import Path
@@ -18,6 +19,7 @@ HISTORIES = [f"target1_llm_plus_mock:{n}" for n in (10, 30, 100, 210)] + ["toy:6
 DESIGN_ROWS = [[s, layer] for s in ("ik-panel", "target3-reachable") for layer in ("certified", "iterated", "evaluate")]
 HISTORY_ROWS = [[h, layer] for h in HISTORIES for layer in ("read", "suggest", "split", "front")]
 ROWS = DESIGN_ROWS + HISTORY_ROWS
+LOAD = r"host load average over 1, 5, 15 min: (\d+\.\d\d ){3}before the first round, (\d+\.\d\d ){3}after the last"
 
 
 def patched_rounds(monkeypatch) -> None:
@@ -45,27 +47,29 @@ def this_checkout() -> list[str]:
         assert time_layers.main([]) == 0
     lines = out.getvalue().splitlines()
     assert lines[0] == "us per call, median over 1 worker starts x 2 rounds"
-    assert lines[1].split() == ["set", "layer", "this"]
-    assert [row.split()[:2] for row in lines[2:-1]] == ROWS
+    assert re.fullmatch(LOAD, lines[1])
+    assert lines[2].split() == ["set", "layer", "this"]
+    assert [row.split()[:2] for row in lines[3:-1]] == ROWS
     assert lines[-1] == "outputs: identical"
     return lines
 
 
 def test_time_layers_prints_a_row_per_design_set(this_checkout):
-    rows = [row.split() for row in this_checkout[2:-1] if row.split()[:2] in DESIGN_ROWS]
+    rows = [row.split() for row in this_checkout[3:-1] if row.split()[:2] in DESIGN_ROWS]
     assert [row[:2] for row in rows] == DESIGN_ROWS and all(float(row[2]) > 0 for row in rows)
 
 
 def test_time_layers_prints_a_row_per_history_size(this_checkout):
-    rows = [row.split() for row in this_checkout[2:-1] if row.split()[:2] in HISTORY_ROWS]
+    rows = [row.split() for row in this_checkout[3:-1] if row.split()[:2] in HISTORY_ROWS]
     assert [row[:2] for row in rows] == HISTORY_ROWS and all(float(row[2]) > 0 for row in rows)
 
 
 def test_time_layers_against_a_checkout_prints_ratios_and_compares_outputs(run_tool, tmp_path):
     lines = run_tool("--against", str(REPO))
     assert lines[0].startswith("us per call, median over 1 worker starts x 2 rounds; ratio = this / against")
-    assert lines[1].split() == ["set", "layer", "this", "against", "ratio", "low", "high"]
-    rows = [row.split() for row in lines[2:-1]]
+    assert re.fullmatch(LOAD, lines[1])
+    assert lines[2].split() == ["set", "layer", "this", "against", "ratio", "low", "high"]
+    rows = [row.split() for row in lines[3:-1]]
     assert [row[:2] for row in rows] == ROWS
     assert all(float(ratio) > 0 and float(low) <= float(ratio) <= float(high) for *_, ratio, low, high in rows)
     assert lines[-1] == "outputs: identical"

@@ -30,7 +30,9 @@ pool drawn and the records' rows cached. The two workers then time the rows
 one at a time, one worker after the other, in an order that alternates from
 row to row and round to round, for ROUNDS rounds; both are then restarted, so
 that a process's memory layout is one more source of noise, PAIRS times in
-all. A row prints each checkout's median time, the median of the per-round
+all. The table's header gives the host's load average before the first
+round and after the last, since the intervals widen when other processes load
+the host. A row prints each checkout's median time, the median of the per-round
 ratios (this checkout over DIR) and a seeded bootstrap interval for that
 median (pairs resampled, then rounds within them) whose LEVEL holds over all
 rows at once (Bonferroni). The last line says whether every worker gave the
@@ -46,6 +48,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -181,7 +184,7 @@ def main(argv=None) -> int:
             parser.error(f"--against {args.against}: no src/armdesign there")
         srcs.append(args.against.resolve() / "src")
 
-    times, digests = None, set()
+    times, digests, load_before = None, set(), os.getloadavg()
     for pair in range(PAIRS):
         with contextlib.ExitStack() as stack:
             procs = [
@@ -204,12 +207,14 @@ def main(argv=None) -> int:
                     procs[c].stdin.flush()
                     times[c, k, pair, r] = float(reply(procs[c]))
 
+    before, after = (" ".join(f"{v:.2f}" for v in load) for load in (load_before, os.getloadavg()))
     paired = len(srcs) == 2
     print(
         f"us per call, median over {PAIRS} worker starts x {ROUNDS} rounds"
         + (f"; ratio = this / against, the median of the per-round ratios, with a seeded bootstrap interval "
            f"of {LEVEL:.0%} over all {len(labels)} rows (Bonferroni)" if paired else "")
     )
+    print(f"host load average over 1, 5, 15 min: {before} before the first round, {after} after the last")
     columns = f" {'against':>9} {'ratio':>7} {'low':>7} {'high':>7}" if paired else ""
     print(f"{'set':<26} {'layer':<10} {'this':>9}{columns}")
     for k, (name, layer) in enumerate(labels):
