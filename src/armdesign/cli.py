@@ -156,6 +156,8 @@ def cmd_report(args) -> int:
             raise InputError(f"{path}: the ledger holds no trials")
         ref = read_ref_point(path.parent)
         curve = hypervolume_curve(trials, ref)
+        if not len(curve):  # every trial is warmup, so no iteration has a hypervolume
+            raise InputError(f"{path}: the ledger holds only warmup trials")
         stored = path.parent / "hv_curve.csv"
         if stored.exists():
             stored_curve = read_curve_csv(stored)

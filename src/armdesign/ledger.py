@@ -16,7 +16,7 @@ import numpy as np
 from .evaluation import TargetOutcome
 from .experiment import json_integer, json_numbers
 from .orchestrator import RunResult
-from .pareto import DEFAULT_REF_POINT, ObjectiveValues
+from .pareto import DEFAULT_REF_POINT, ObjectiveValues, pareto_front
 from .space import from_vector, to_vector
 from .tpe import SampleSource, TrialRecord
 
@@ -172,7 +172,7 @@ def write_run_artifacts(run_dir: Path, result: RunResult) -> None:
             "vector": to_vector(t.params),
             "objectives": [t.objectives.e_pos, t.objectives.e_torque],
         }
-        for t in result.archive
+        for t in pareto_front(result.ledger)
     ]
     (run_dir / "pareto.json").write_text(
         json.dumps({"front": front}, indent=2) + "\n", encoding="utf-8"

@@ -4,7 +4,7 @@ Call 1 sends the problem setting, target list, and evaluated-design feedback and
 asks for a new design with step-by-step reasoning. Call 2 asks the backend to
 restate that answer as three bracketed lists (origin, joint letters, lengths),
 which are parsed and clamped into bounds. Every backend call is recorded in the
-outcome transcript whether or not it succeeds.
+outcome transcript, and the entry a slot fell back on says why in its error.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 import numpy as np
@@ -277,13 +277,12 @@ class BackendConfig:
 class TranscriptEntry:
     prompt: str
     response: str | None
-    error: str | None = None
+    error: str | None = None  # why the slot fell back: transport text, or "parse: ..." on the reformat reply
 
 
 @dataclass(frozen=True)
 class SamplerOutcome:
-    params: DesignParams | None
-    failure_reason: str | None
+    params: DesignParams | None  # None when the slot falls back; the transcript's error says why
     transcript: tuple[TranscriptEntry, ...]
 
     @property
@@ -348,13 +347,13 @@ def propose(backend: LLMBackend, ctx: PromptContext) -> SamplerOutcome:
     try:
         answer = send(build_prompt(ctx))
         formatted = send(REFORMAT_TEMPLATE.format(d=ctx.space.n_joints, answer=answer))
-    except BackendError as exc:
-        return SamplerOutcome(None, f"transport: {exc}", tuple(transcript))
+    except BackendError:  # send recorded the error on the failing entry
+        return SamplerOutcome(None, tuple(transcript))
     try:
-        params = parse_design_response(formatted, ctx.space)
+        return SamplerOutcome(parse_design_response(formatted, ctx.space), tuple(transcript))
     except ValueError as exc:
-        return SamplerOutcome(None, f"parse: {exc}", tuple(transcript))
-    return SamplerOutcome(params, None, tuple(transcript))
+        transcript[-1] = replace(transcript[-1], error=f"parse: {exc}")
+    return SamplerOutcome(None, tuple(transcript))
 
 
 def select_feedback(

@@ -72,9 +72,8 @@ class RunConfig:
 class RunResult:
     config: RunConfig
     ledger: list[TrialRecord]  # n_init warmup records, then n_total iteration records
-    hv_curve: np.ndarray  # hypervolume after each post-warmup iteration
-    archive: list[TrialRecord]  # final Pareto front over the whole ledger
-    transcripts: dict[int, tuple[TranscriptEntry, ...]]  # iteration -> backend calls
+    hv_curve: np.ndarray  # hypervolume after each post-warmup iteration; the final front is pareto_front(ledger)
+    transcripts: dict[int, tuple[TranscriptEntry, ...]]  # iteration -> backend calls, a fallback's reason in error
 
 
 def source_for_iteration(t: int, mode: RunMode, n_step: int) -> SampleSource:
@@ -119,7 +118,6 @@ def run(config: RunConfig) -> RunResult:
         config=config,
         ledger=table.records,
         hv_curve=hypervolume_curve(table.records, config.ref_point),
-        archive=pareto_front(table.records),
         transcripts=transcripts,
     )
 

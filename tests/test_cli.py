@@ -410,6 +410,20 @@ def test_report_rejects_a_ledger_with_no_trials(capsys, tmp_path):
             assert error_line(err) == f"error: {empty}: the ledger holds no trials"
 
 
+def test_report_rejects_a_ledger_of_warmup_trials_only(capsys, tmp_path):
+    exp = quick_experiment(tmp_path, seeds=[0])
+    assert run_cli(capsys, "run", "--experiment", exp)[0] == 0
+    ledger = tmp_path / "out" / "seed_0" / "ledger.jsonl"
+    warmup = tmp_path / "warmup" / "ledger.jsonl"  # its first n_init = 4 lines, every one `random`
+    warmup.parent.mkdir()
+    warmup.write_text("".join(ledger.read_text().splitlines(keepends=True)[:4]))
+    for ledgers in ([warmup], [warmup, ledger], [ledger, warmup]):
+        code, out, err = run_cli(capsys, "report", *map(str, ledgers))
+        assert code == 1
+        assert out == ""
+        assert error_line(err) == f"error: {warmup}: the ledger holds only warmup trials"
+
+
 def test_report_uses_the_runs_ref_point(capsys, tmp_path):
     exp = quick_experiment(tmp_path, seeds=[0], ref_point=[50, 50])
     assert run_cli(capsys, "run", "--experiment", exp)[0] == 0

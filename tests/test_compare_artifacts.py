@@ -37,13 +37,3 @@ def test_hypervolume_table_shows_one_sided_sweeps_as_nan(tmp_path):
         "  mean         nan      7.0000",
     ]
 
-
-def test_wall_time_table_shows_one_sided_rows_as_nan():
-    before = {"evaluate": 0.5614, "report": 0.52}
-    after = {"evaluate": 0.2591, "urdf": 0.2}
-    assert compare_artifacts.wall_time_table("median armdesign", "command", "HEAD", before, after) == [
-        "median armdesign wall time (s), both trees at once, indicative: command, HEAD, working tree",
-        "  evaluate                           0.561     0.259",
-        "  report                             0.520       nan",
-        "  urdf                                 nan     0.200",
-    ]

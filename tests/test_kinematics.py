@@ -684,6 +684,28 @@ def test_ik_solution_properties(case, target):
     assert sol.iterations <= (1 + IK_POOL_STARTS) * IK_START_ITERS
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    designs_and_postures(["".join(s) for s in itertools.product("RPY", repeat=4)]),
+    st.floats(0.0, math.pi),
+    st.floats(-math.pi, math.pi),
+    st.floats(0.0, 1.2),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+)
+def test_certified_residuals_are_unchanged_by_a_rigid_shift(case, polar, azimuth, distance, shift):
+    # moving the base and the target by one vector moves no distance, so a residual certified
+    # within IK_TOL of the bound on both sides is the same residual up to IK_TOL
+    p, _ = case
+    direction = (math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth), math.cos(polar))
+    target = tuple(o + distance * u for o, u in zip(p.origin, direction))
+    moved = make_params([o + s for o, s in zip(p.origin, shift)], p.joints, p.lengths)
+    moved_target = tuple(t + s for t, s in zip(target, shift))
+    sol, moved_sol = solve_ik(p, target), solve_ik(moved, moved_target)
+    bound, moved_bound = residual_bound(p, target), residual_bound(moved, moved_target)
+    if sol.residual <= bound + IK_TOL and moved_sol.residual <= moved_bound + IK_TOL:
+        assert abs(sol.residual - moved_sol.residual) <= IK_TOL + 1e-12
+
+
 def test_base_yaw_invariance():
     p = make_params((0.2, 0.1, 0.0), "YPRP", [0.1, 0.2, 0.1, 0.15])
     base = forward_kinematics(p, np.zeros(4))

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from armdesign.evaluation import TargetSet
+from armdesign.experiment import load_experiment
 from armdesign.ledger import (
     LedgerError,
     read_curve_csv,
@@ -19,6 +21,7 @@ from armdesign.llm import BackendConfig
 from armdesign.orchestrator import RunConfig, RunMode, hypervolume_curve, run
 from armdesign.pareto import pareto_front
 
+REPO = Path(__file__).resolve().parent.parent
 TARGETS = TargetSet("t", ((0.3, 0.0, 0.5), (0.0, 0.0, 0.7)))
 
 
@@ -118,11 +121,12 @@ def test_curve_csv_round_trip(tmp_path, small_result):
 
 
 def test_final_front_rows_match_archive(tmp_path, small_result):
-    path = tmp_path / "ledger.jsonl"
-    write_ledger(path, small_result.ledger)
-    rows = read_ledger(path)
-    front = pareto_front(rows)
-    assert [r.id for r in front] == [t.id for t in small_result.archive]
+    # pareto.json is the front of the ledger that report reads back
+    write_run_artifacts(tmp_path, small_result)
+    front = pareto_front(read_ledger(tmp_path / "ledger.jsonl"))
+    written = json.loads((tmp_path / "pareto.json").read_text())["front"]
+    assert [row["id"] for row in written] == [r.id for r in front]
+    assert [row["objectives"] for row in written] == [[r.objectives.e_pos, r.objectives.e_torque] for r in front]
     assert pareto_front(front) == front
 
 
@@ -149,3 +153,33 @@ def test_a_rerun_replaces_the_transcripts(tmp_path, small_result):
     (run_dir / "transcripts" / "notes.txt").write_text("kept\n")
     write_run_artifacts(run_dir, bbo)
     assert [p.name for p in (run_dir / "transcripts").iterdir()] == ["notes.txt"]
+
+
+@pytest.mark.parametrize(
+    "reformat, error",
+    [
+        (["no lists here"], "parse: expected 3 bracketed groups, found 0"),
+        ([], "scripted responses exhausted"),  # a transport failure keeps the backend's text
+    ],
+    ids=["parse", "transport"],
+)
+def test_a_fallback_transcript_says_why(tmp_path, reformat, error):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"responses": ["some prose", *reformat]}))
+    backend = BackendConfig(kind="mock-script", script_path=str(script))
+    result = run(
+        RunConfig(targets=TARGETS, mode=RunMode.BBO_LLM_PLUS, n_init=3, n_step=5, n_total=3, seed=0, backend=backend)
+    )
+    assert result.ledger[3].fallback
+    write_run_artifacts(tmp_path / "seed_0", result)
+    entries = json.loads((tmp_path / "seed_0" / "transcripts" / "iter_00001.json").read_text())
+    assert [e["error"] for e in entries] == [None, error]
+
+
+def test_first_llm_transcript_matches_the_golden_file(tmp_path):
+    # seed 0 of the bundled scripted-LLM sweep; the prompt's feedback carries .4f objectives and
+    # per-target torques, so this also pins the feedback draw and its order
+    spec = load_experiment(REPO / "experiments" / "target1_llm_plus_mock.experiment")
+    write_run_artifacts(tmp_path, run(spec.configs()[0]))
+    golden = (REPO / "tests" / "transcript_iter1.golden.json").read_bytes()
+    assert (tmp_path / "transcripts" / "iter_00001.json").read_bytes() == golden

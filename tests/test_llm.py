@@ -118,8 +118,7 @@ def test_propose_nan_design_is_parse_failure(space):
     outcome = propose(backend, make_context(space))
     assert not outcome.ok
     assert outcome.params is None
-    assert outcome.failure_reason.startswith("parse: ")
-    assert len(outcome.transcript) == 2
+    assert [e.error for e in outcome.transcript] == [None, "parse: NaN value"]
 
 
 def test_parse_takes_last_three_groups(space):
@@ -147,8 +146,8 @@ def test_propose_success_records_two_calls(space):
     backend = ScriptedBackend(["thinking about symmetry...", design])
     outcome = propose(backend, make_context(space, 1, 1))
     assert outcome.ok
-    assert outcome.failure_reason is None
     assert len(outcome.transcript) == 2
+    assert [e.error for e in outcome.transcript] == [None, None]
     assert outcome.transcript[0].response == "thinking about symmetry..."
     assert outcome.transcript[1].response == design
     assert validate(outcome.params, space) == []
@@ -158,17 +157,16 @@ def test_propose_parse_failure(space):
     backend = ScriptedBackend(["some prose", "still prose, no structured output"])
     outcome = propose(backend, make_context(space))
     assert not outcome.ok
-    assert outcome.failure_reason.startswith("parse")
-    assert len(outcome.transcript) == 2
+    assert [e.error for e in outcome.transcript] == [None, "parse: expected 3 bracketed groups, found 0"]
+    assert outcome.transcript[1].response == "still prose, no structured output"
 
 
 def test_propose_transport_failure(space):
     backend = ScriptedBackend([])  # exhausted immediately
     outcome = propose(backend, make_context(space))
     assert not outcome.ok
-    assert outcome.failure_reason.startswith("transport")
     assert len(outcome.transcript) == 1
-    assert outcome.transcript[0].error is not None
+    assert outcome.transcript[0].error == "scripted responses exhausted"
 
 
 def test_heuristic_backend_round_trip(space):
@@ -267,8 +265,8 @@ def test_http_backend_malformed_reply_falls_back(stub_server, monkeypatch, space
         backend.send("hello")
     outcome = propose(backend, make_context(space))
     assert not outcome.ok
-    assert outcome.failure_reason.startswith("transport: malformed chat response")
     assert len(outcome.transcript) == 1
+    assert outcome.transcript[0].error.startswith("malformed chat response")
 
 
 def test_http_backend_error_status_falls_back(stub_server, monkeypatch, space):
@@ -279,8 +277,8 @@ def test_http_backend_error_status_falls_back(stub_server, monkeypatch, space):
         backend.send("hello")
     outcome = propose(backend, make_context(space))
     assert not outcome.ok
-    assert outcome.failure_reason.startswith("transport: chat request failed")
     assert len(outcome.transcript) == 1
+    assert outcome.transcript[0].error.startswith("chat request failed")
 
 
 def test_http_backend_requires_token(monkeypatch, space):

@@ -11,13 +11,11 @@ stdout are compared byte for byte. The differing paths are printed with the
 count of identical files; when anything differs, each sweep's per-seed and
 mean final hypervolume (from its `summary.json`) follows for REV and for the
 working tree, since a change that moves results is judged on those; a sweep
-that only one tree has shows nan for the other. Last come
-the line count of the Python sources under `src/` in REV and in the working
-tree, the wall time of each `armdesign run` sweep in both trees, and the
-median wall time of the `evaluate`, `urdf` and `report` calls in both trees
-(mostly interpreter and import start-up, so a heavy import put back on their
-path shows there). The two trees run at the same time, so those times are
-indicative and gate nothing.
+that only one tree has shows nan for the other. Last comes the line count of
+the Python sources under `src/` in REV and in the working tree. The two trees
+run at the same time, so nothing is timed here: each tree's time would carry
+the other's load. `tools/time_layers.py` times the layers in pairs, and
+`bench/run.py` times whole runs.
 Exit 0 only if everything matches, 1 if anything differs, 2 if a command
 fails. Nothing is written inside the repository.
 """
@@ -27,12 +25,10 @@ import argparse
 import json
 import math
 import os
-import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -53,36 +49,21 @@ def armdesign(tree: Path, *argv: str, cwd: Path | None = None) -> bytes:
     return proc.stdout
 
 
-def write_artifacts(tree: Path, out: Path) -> tuple[dict[str, float], dict[str, list[float]]]:
-    """Each experiment's sweep under out/<stem>; every stdout under out/stdout.
-
-    Returns the wall time in seconds of each experiment's `armdesign run`, and
-    those of the `evaluate`, `urdf` and `report` calls by command.
-    """
-    run_s, cli_s = {}, {"evaluate": [], "urdf": [], "report": []}
-
-    def timed(command: str, *argv: str, cwd: Path | None = None) -> bytes:
-        start = time.perf_counter()
-        stdout = armdesign(tree, command, *argv, cwd=cwd)
-        cli_s[command].append(time.perf_counter() - start)
-        return stdout
-
+def write_artifacts(tree: Path, out: Path) -> None:
+    """Each experiment's sweep under out/<stem>; every stdout under out/stdout."""
     (out / "stdout").mkdir(parents=True)
     for targets in sorted((tree / "targets").glob("*.json")):
-        stdout = timed("evaluate", "--vector", DESIGN, "--targets", str(targets))
+        stdout = armdesign(tree, "evaluate", "--vector", DESIGN, "--targets", str(targets))
         (out / "stdout" / f"{targets.stem}.evaluate.txt").write_bytes(stdout)
-    (out / "stdout" / "design.urdf").write_bytes(timed("urdf", "--vector", DESIGN))
+    (out / "stdout" / "design.urdf").write_bytes(armdesign(tree, "urdf", "--vector", DESIGN))
     for exp in sorted((tree / "experiments").glob("*.experiment")):
         sweep = out / exp.stem
-        start = time.perf_counter()
         stdout = armdesign(tree, "run", "--experiment", str(exp), "--out", str(sweep))
-        run_s[exp.stem] = time.perf_counter() - start
         (out / "stdout" / f"{exp.stem}.run.txt").write_bytes(stdout)
         # relative paths, since report prints each ledger's path
         ledgers = sorted(sweep.glob("seed_*/ledger.jsonl"), key=lambda p: int(p.parent.name[5:]))
-        stdout = timed("report", *(str(p.relative_to(sweep)) for p in ledgers), cwd=sweep)
+        stdout = armdesign(tree, "report", *(str(p.relative_to(sweep)) for p in ledgers), cwd=sweep)
         (out / "stdout" / f"{exp.stem}.report.txt").write_bytes(stdout)
-    return run_s, cli_s
 
 
 def files(root: Path) -> set[Path]:
@@ -113,17 +94,6 @@ def hypervolume_table(out_rev: Path, out_work: Path, rev: str) -> list[str]:
     return lines
 
 
-def wall_time_table(
-    title: str, key: str, rev: str, before: dict[str, float], after: dict[str, float]
-) -> list[str]:
-    """A heading, then one row per key in either dict: its seconds in REV and in
-    the working tree, nan on the side that lacks it."""
-    lines = [f"{title} wall time (s), both trees at once, indicative: {key}, {rev}, working tree"]
-    for name in {**before, **after}:
-        lines.append(f"  {name:30s}  {before.get(name, math.nan):8.3f}  {after.get(name, math.nan):8.3f}")
-    return lines
-
-
 def src_lines(tree: Path) -> int:
     """Lines in the tree's src/**/*.py, as `wc -l` counts them."""
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src").rglob("*.py"))
@@ -147,8 +117,7 @@ def main(argv=None) -> int:
 
         out_rev, out_work = tmp / "out_rev", tmp / "out_work"
         with ThreadPoolExecutor(max_workers=2) as pool:  # one CLI process per tree
-            jobs = [pool.submit(write_artifacts, base, out_rev), pool.submit(write_artifacts, REPO, out_work)]
-            (run_s_rev, cli_s_rev), (run_s_work, cli_s_work) = (job.result() for job in jobs)
+            list(pool.map(write_artifacts, (base, REPO), (out_rev, out_work)))  # re-raises a failed tree's exit
 
         paths = files(out_rev) | files(out_work)
         differing = sorted(
@@ -165,12 +134,6 @@ def main(argv=None) -> int:
     for line in hv_lines:
         print(line)
     print(f"src/ lines: {lines_rev} in {args.rev}, {lines_work} in the working tree")
-    medians = [{cmd: statistics.median(s) for cmd, s in cli_s.items() if s} for cli_s in (cli_s_rev, cli_s_work)]
-    for line in [
-        *wall_time_table("armdesign run", "sweep", args.rev, run_s_rev, run_s_work),
-        *wall_time_table("median armdesign", "command", args.rev, *medians),
-    ]:
-        print(line)
     return 1 if differing else 0
 
 
