@@ -41,6 +41,7 @@ class InputError(ValueError):
 
 
 def _load_params(args) -> DesignParams:
+    """The design of --vector or --params, checked: one joint or more, each field's size and bounds."""
     if args.vector is not None:
         tokens = args.vector.replace(",", " ").split()
         try:
@@ -48,25 +49,25 @@ def _load_params(args) -> DesignParams:
         except ValueError as exc:
             raise InputError(f"vector: {exc}") from exc
         try:
-            return from_vector(values)
+            params = from_vector(values)  # D >= 1, from the vector's length
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-    try:
-        raw = json.loads(Path(args.params).read_text(encoding="utf-8"))
-        return make_params(json_numbers(raw["origin"]), raw["joints"], json_numbers(raw["lengths"]))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"params file: {exc}") from exc
-
-
-def _require_valid(params: DesignParams) -> None:
+    else:
+        try:
+            raw = json.loads(Path(args.params).read_text(encoding="utf-8"))
+            params = make_params(json_numbers(raw["origin"]), raw["joints"], json_numbers(raw["lengths"]))
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"params file: {exc}") from exc
+        if not params.joints:
+            raise InputError("params file: joints must hold at least one joint, got none")
     violations = validate(params, SpaceConfig(n_joints=params.n_joints))
     if violations:
         raise InputError("; ".join(violations))
+    return params
 
 
 def cmd_evaluate(args) -> int:
     params = _load_params(args)
-    _require_valid(params)
     targets = load_targets(args.targets)
     report = evaluate(params, targets)
     out = {
@@ -80,11 +81,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_urdf(args) -> int:
-    params = _load_params(args)
-    try:
-        text = emit_urdf(params)
-    except ValueError as exc:  # emit_urdf validates the design
-        raise InputError(str(exc)) from exc
+    text = emit_urdf(_load_params(args))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

@@ -3,7 +3,9 @@
 The position objective sums end-effector errors over targets; the torque
 objective sums gravity-compensation torque norms, scaled by the fixed weight
 ALPHA to a comparable magnitude. Every target is solved independently from the
-same fixed start postures, so the score is order-independent and deterministic.
+same fixed start postures, so each outcome is deterministic and independent of
+the others. The totals are left folds in target order, so reordering the points
+can move their last bits.
 """
 from __future__ import annotations
 

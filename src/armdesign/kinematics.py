@@ -4,26 +4,25 @@ Conventions: joint j rotates about its local axis (roll = x, pitch = y, yaw = z)
 and is followed by a link of length L_j along the rotated local +z. With all
 angles zero the chain is a vertical line above the base origin.
 
-FK, the Jacobian, the gravity torques and the IK iterations run on plain
-floats, in code generated once per joint count D (`_kernels`) with the joints
-unrolled, so each angle, axis, link vector, COM, Jacobian column, Gram entry
-and step component is a named local, and each joint's FK update branches on
-its type code. There are three functions per D: `_chain{D}`, one FK pass giving
-joint positions, axes and link vectors, the end effector and the gravity
-torques; `_columns{D}`, the position Jacobian; and `_lm{D}`, one
-Levenberg-Marquardt start. The FK and Jacobian templates share one per-joint FK
-snippet and one Jacobian column snippet, so the FK float order is written down
-once. The kernels are compiled on the first call with D joints, never at
-import. They perform the float operations of the plain loops they replaced,
-kept as the test oracle in `tests/kinematics_oracle.py`, in the same order, so
-every solution is the same to the bit. One iteration is a 3x3 solve, the
+FK, the gravity torques and the IK iterations run on plain floats, in code
+generated once per joint count D (`_kernels`) with the joints unrolled, so each
+angle, axis, link vector, COM, Jacobian column, Gram entry and step component
+is a named local, and each joint's FK update branches on its type code. There
+are two functions per D: `_chain{D}`, one FK pass giving joint positions, axes
+and link vectors, the end effector and the gravity torques; and `_lm{D}`, one
+Levenberg-Marquardt start. Both share one per-joint FK snippet, so the FK float
+order is written down once. The kernels are compiled on the first call with D
+joints, never at import. They perform the float operations of the plain loops
+they replaced, kept as the test oracle in `tests/kinematics_oracle.py`, in the
+same order, so every solution is the same to the bit. One iteration is a 3x3 solve, the
 projected step and one FK pass. At 3x3 sizes numpy's per-call overhead would
 dominate, and scalar arithmetic keeps results independent of the host's BLAS.
 Link COMs and torques are formed in `_chain{D}` alone, never in an LM
 iteration. numpy only draws the fixed IK start postures (once per D) and sums
-their reach for a solve that iterates, one array pass per link, and wraps the
-public functions' inputs and outputs: a solve certified at its aimed start
-makes no numpy call.
+their reach for a solve that iterates, one array pass per link, forms the
+public position Jacobian as one cross product over a `_chain{D}` pass, and
+wraps the public functions' inputs and outputs: a solve certified at its aimed
+start makes no numpy call.
 
 A solve stops once its residual is within IK_TOL of a closed-form lower bound
 (`_residual_bound`). A yaw joint turns a link about its own axis, so the chain
@@ -96,8 +95,9 @@ def forward_kinematics(params: DesignParams, q) -> np.ndarray:
 
 def position_jacobian(params: DesignParams, q) -> np.ndarray:
     """3xD position Jacobian; column j = axis_j x (p_ee - p_j)."""
-    joints, end, _ = _state(params, q)  # before _kernels, so a design with no joints is named, not compiled
-    return np.array(_kernels(params.n_joints).columns(joints, end)).T
+    joints, end, _ = _state(params, q)
+    joints = np.array(joints)  # np.cross forms each component as `_lm{D}` does: two products, one difference
+    return np.cross(joints[:, 3:6], np.subtract(end, joints[:, :3])).T
 
 
 def gravity_torque(params: DesignParams, q) -> np.ndarray:
@@ -210,11 +210,11 @@ def _residual_bound(origin, codes, lengths, t, rods=None) -> tuple[float, list[f
     return max(0.0, gap - rest), aimed
 
 
-# The D-joint kernels: one FK pass with its gravity torques, the position
-# Jacobian and one Levenberg-Marquardt start, unrolled over the joints so that
-# every angle, axis, link vector, COM, torque, Jacobian column, Gram entry and
-# step is a named local. Every FK pass is written from `_KERNEL_FK_JOINT` and
-# every column from `_KERNEL_COLUMN`. Their float operations are those of the
+# The D-joint kernels: one FK pass with its gravity torques and one
+# Levenberg-Marquardt start, unrolled over the joints so that every angle,
+# axis, link vector, COM, torque, Jacobian column, Gram entry and step is a
+# named local. Every FK pass is written from `_KERNEL_FK_JOINT` and every
+# column from `_KERNEL_COLUMN`. Their float operations are those of the
 # loops in `tests/kinematics_oracle.py`, in the same order: sums start from 0.0
 # and run over the joints in turn, a pinned joint's column is zeroed, not
 # dropped, and the IK constants are written in as their float reprs.
@@ -234,15 +234,6 @@ def _chain{d}(origin, codes, lengths, q):
 {coms}
 {torques}
     return [{joints}], (fx, fy, fz), ({tau},)
-'''
-
-_COLUMNS = '''\
-def _columns{d}(joints, ee):
-    """Column j of the position Jacobian: axis_j x (ee - p_j)."""
-    {unpack}, = joints
-    fx, fy, fz = ee
-{jacobian}
-    return [{columns}]
 '''
 
 _LM = '''\
@@ -360,11 +351,11 @@ h{j} = n{j} - q{j}
 '''
 
 
-_TEMPLATES = (("_chain", _CHAIN), ("_columns", _COLUMNS), ("_lm", _LM))  # `_Kernels` order
+_TEMPLATES = (("_chain", _CHAIN), ("_lm", _LM))  # `_Kernels` order
 
 
 def _kernel_sources(d: int) -> dict[str, str]:
-    """{name: source} of `_chain{d}`, `_columns{d}` and `_lm{d}`, the kernels for D = d joints."""
+    """{name: source} of `_chain{d}` and `_lm{d}`, the kernels for D = d joints."""
     joints = range(d)
 
     def point(j):  # the names of joint j's position: the origin, ..., the end effector at j = d
@@ -400,12 +391,10 @@ def _kernel_sources(d: int) -> dict[str, str]:
     fields = dict(
         d=d,
         joints=names("({p}x, {p}y, {p}z, a{j}x, a{j}y, a{j}z, s{j}x, s{j}y, s{j}z)"),
-        unpack=names("({p}x, {p}y, {p}z, a{j}x, a{j}y, a{j}z, _, _, _)"),
         weights=names(f"    w{{j}} = {LINEAR_DENSITY!r} * l{{j}} * {GRAVITY!r}", "\n"),
         coms=names(f"    c{{j}}x, c{{j}}y = {{p}}x + {COM_FRACTION!r} * s{{j}}x, {{p}}y + {COM_FRACTION!r} * s{{j}}y", "\n"),
         torques="\n".join(map(torque, joints)),
         tau=names("t{j}"),
-        columns=names("(j{j}x, j{j}y, j{j}z)"),
         codes=names("code{j}"),
         lengths=names("l{j}"),
         q=names("q{j}"),
@@ -437,7 +426,6 @@ def _kernel_sources(d: int) -> dict[str, str]:
 
 class _Kernels(NamedTuple):
     chain: Callable  # _chain{D}
-    columns: Callable  # _columns{D}
     lm: Callable  # _lm{D}
 
 

@@ -3,8 +3,8 @@ each block of n_step iterations with TPE suggestions filling the rest.
 
 `run` is one loop over t = 1 - n_init .. n_total (t < 1 is warmup): each pass
 draws from the slot's source, evaluates once and appends one record. Warmup
-trials enter the archive and feedback pools, but the iteration axis (and the
-hypervolume curve) starts after them. A failed LLM slot falls back to a TPE
+trials enter the Pareto front and feedback pools, but the iteration axis (and
+the hypervolume curve) starts after them. A failed LLM slot falls back to a TPE
 suggestion, recorded as BBO with the fallback flag. Runs are deterministic
 given the seed and an offline backend.
 """

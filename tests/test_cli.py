@@ -59,6 +59,13 @@ def test_evaluate_rejects_wrong_vector_length(capsys):
     assert "2D+3" in err
 
 
+def test_evaluate_rejects_a_vector_token_that_is_not_a_number(capsys):
+    code, out, err = run_cli(capsys, "evaluate", "--vector", "0,0,x,1,0.1", "--targets", TARGET1)
+    assert code == 1
+    assert out == ""
+    assert error_line(err) == "error: vector: could not convert string to float: 'x'"
+
+
 def test_evaluate_zero_pose_target(capsys, tmp_path):
     targets = tmp_path / "targets.json"
     targets.write_text(json.dumps({"name": "zero", "points": [[0.0, 0.0, 0.4]]}))
@@ -145,9 +152,22 @@ def test_urdf_rejects_out_of_range_origin(capsys, tmp_path):
     bad.write_text(
         json.dumps({"origin": [1.5, 0, 0], "joints": ["Y", "P", "R", "P"], "lengths": [0.1] * 4})
     )
-    code, _, err = run_cli(capsys, "urdf", "--params", str(bad), "--out", str(tmp_path / "x.urdf"))
-    assert code == 1
-    assert "origin.x" in err
+    for command in (["urdf", "--out", str(tmp_path / "x.urdf")], ["evaluate", "--targets", TARGET1]):
+        code, out, err = run_cli(capsys, *command, "--params", str(bad))
+        assert code == 1
+        assert out == ""
+        assert error_line(err) == "error: origin.x: 1.5 outside [-1.0, 1.0]"
+    assert not (tmp_path / "x.urdf").exists()
+
+
+def test_evaluate_and_urdf_reject_a_design_with_no_joints(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"origin": [0, 0, 0], "joints": [], "lengths": []}))
+    for command in (["urdf"], ["evaluate", "--targets", TARGET1]):
+        code, out, err = run_cli(capsys, *command, "--params", str(bad))
+        assert code == 1
+        assert out == ""
+        assert error_line(err) == "error: params file: joints must hold at least one joint, got none"
 
 
 def test_run_produces_artifacts_and_summary(capsys, tmp_path):
@@ -318,6 +338,7 @@ def test_run_rejects_bad_backend(capsys, tmp_path, backend, code, message):
 @pytest.mark.parametrize(
     "overrides, argv, message",
     [
+        ({"n_init": -1}, [], "n_init must be >= 0"),
         ({"n_step": 0}, [], "n_step must be >= 1"),
         ({"n_step": -1}, [], "n_step must be >= 1"),
         ({}, ["--seed", "-1"], "seed must be >= 0"),
@@ -335,7 +356,7 @@ def test_run_rejects_bad_backend(capsys, tmp_path, backend, code, message):
         ({"backend": []}, [], "backend must be an object, got []"),
         ({"mode": "bbo", "backend": None}, ["--mode", "bbo-llm-plus"], "mode bbo-llm-plus needs a backend object"),
     ],
-    ids=["n-step-0", "n-step-negative", "seed-negative", "file-seed-negative",
+    ids=["n-init-negative", "n-step-0", "n-step-negative", "seed-negative", "file-seed-negative",
          "seed-repeated", "file-seed-repeated", "target-2-vector", "n-total-fractional",
          "targets-list", "out-dir-number", "alpha-key", "n-joints-key", "no-backend",
          "backend-false", "backend-list", "mode-override-no-backend"],
@@ -387,12 +408,12 @@ def test_report_flags_corrupt_ledger_line(capsys, tmp_path):
     ledger.write_text("\n".join(lines) + "\n")
     curve = ledger.parent / "hv_curve.csv"
     rows = curve.read_text().splitlines()
-    for bad in ("2", "2,", "2,not-a-number", "2;0.5", "x,0.5", "3,0.5", "2,0.5,junk"):
-        rows[2] = bad
-        curve.write_text("\n".join(rows) + "\n")
+    bad_rows = [(3, bad) for bad in ("2", "2,", "2,not-a-number", "2;0.5", "x,0.5", "3,0.5", "2,0.5,junk")]
+    for lineno, bad in [*bad_rows, (1, "iteration,mean")]:
+        curve.write_text("\n".join(rows[: lineno - 1] + [bad] + rows[lineno:]) + "\n")
         code, _, err = run_cli(capsys, "report", str(ledger))
         assert code == 1
-        assert "hv_curve.csv: line 3" in err
+        assert f"hv_curve.csv: line {lineno}" in err
 
 
 def test_report_rejects_a_ledger_with_no_trials(capsys, tmp_path):
@@ -408,6 +429,14 @@ def test_report_rejects_a_ledger_with_no_trials(capsys, tmp_path):
             assert code == 1
             assert out == ""
             assert error_line(err) == f"error: {empty}: the ledger holds no trials"
+
+
+def test_report_rejects_a_missing_ledger(capsys, tmp_path):
+    missing = tmp_path / "nowhere" / "ledger.jsonl"
+    code, out, err = run_cli(capsys, "report", str(missing))
+    assert code == 1
+    assert out == ""
+    assert error_line(err).startswith(f"error: {missing}: ")
 
 
 def test_report_rejects_a_ledger_of_warmup_trials_only(capsys, tmp_path):

@@ -189,8 +189,7 @@ def test_generated_fk_and_jacobian_match_the_reference_loops(case):
     joints, ee, _ = _kernels(len(codes)).chain(p.origin, codes, p.lengths, q.tolist())
     expected = oracle.chain(p.origin, codes, p.lengths, q.tolist())
     assert repr((joints, ee)) == repr(expected)
-    columns = _kernels(len(codes)).columns(joints, ee)
-    assert repr(columns) == repr(oracle.jacobian_columns(*expected))
+    columns = oracle.jacobian_columns(*expected)
     assert repr(position_jacobian(p, q).T.tolist()) == repr(list(map(list, columns)))
 
 
@@ -786,7 +785,7 @@ def test_generated_kernel_compiles_and_solves(d):
     # the generated lines are registered, so a traceback through a kernel shows them
     for kernel in kernels:
         assert linecache.getline(kernel.__code__.co_filename, 1).startswith(f"def {kernel.__name__}(")
-    assert [kernel.__name__ for kernel in kernels] == [f"_chain{d}", f"_columns{d}", f"_lm{d}"]
+    assert [kernel.__name__ for kernel in kernels] == [f"_chain{d}", f"_lm{d}"]
     for kernel, args in [
         (kernels.chain, ((0.0, 0.0, 0.0), (0,) * d, (0.1,) * d, ("x",) * d)),
         (kernels.lm, ((0,) * d, (0.0, 0.0, 0.0), (0.1,) * d, ("x",) * d, 0.0, 0.0, 1.0, 0.0, math.inf)),

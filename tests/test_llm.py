@@ -139,6 +139,10 @@ def test_parse_failures(space):
         parse_design_response("[0, 0, 0] [Y, P] [0.1, 0.1, 0.1, 0.1]", space)
     with pytest.raises(ValueError):
         parse_design_response("[0, 0, 0] [Q, P, R, P] [0.1, 0.1, 0.1, 0.1]", space)
+    with pytest.raises(ValueError, match="non-numeric value: could not convert string to float: 'x'"):
+        parse_design_response("[0, 0, x] [Y, P, R, P] [0.1, 0.1, 0.1, 0.1]", space)
+    with pytest.raises(ValueError, match="lengths needs 4 entries, got 3"):
+        parse_design_response("[0, 0, 0] [Y, P, R, P] [0.1, 0.1, 0.1]", space)
 
 
 def test_propose_success_records_two_calls(space):
@@ -181,6 +185,9 @@ def test_select_feedback_truncates_small_archive(space):
     pareto_fb, random_fb = select_feedback(trials, trials, rng)
     assert len(pareto_fb) == 3
     assert len(random_fb) == 3
+    state = rng.bit_generator.state
+    assert select_feedback([], [], rng) == ((), ())
+    assert rng.bit_generator.state == state  # an empty pool draws nothing
 
 
 def test_select_feedback_without_replacement_and_deterministic(space):

@@ -161,6 +161,16 @@ def test_llm_failure_falls_back_to_bbo(tmp_path):
     assert len(result.transcripts) == scheduled
 
 
+def test_llm_run_without_warmup_prompts_with_no_feedback():
+    cfg = small_config(mode=RunMode.BBO_LLM_PLUS, n_init=0)
+    result = run(cfg)
+    assert len(result.ledger) == cfg.n_total
+    assert result.ledger[0].source is SampleSource.LLM
+    first, later = result.transcripts[1][0].prompt, result.transcripts[1 + cfg.n_step][0].prompt
+    assert "Previously evaluated designs" not in first
+    assert "Previously evaluated designs" in later
+
+
 def test_bbo_mode_never_calls_backend():
     cfg = small_config(backend=BackendConfig(kind="mock-script", script_path="/nonexistent"))
     result = run(cfg)  # would raise if the script were opened

@@ -60,6 +60,8 @@ def test_split_size_is_ceiling_of_gamma_n(space):
     assert good.dtype == bool
     assert good.shape == (10,)
     assert good.sum() == 3
+    with pytest.raises(ValueError, match="split_observations needs at least one trial"):
+        split_observations(np.empty((0, 2)), gamma=0.3, ref_point=REF)
 
 
 def test_dominating_trial_always_good(space):
