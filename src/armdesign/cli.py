@@ -41,7 +41,7 @@ class InputError(ValueError):
 
 
 def _load_params(args) -> DesignParams:
-    """The design of --vector or --params, checked: one joint or more, each field's size and bounds."""
+    """The design of --vector or --params, checked: its shape where it is made, then its bounds."""
     if args.vector is not None:
         tokens = args.vector.replace(",", " ").split()
         try:
@@ -58,8 +58,6 @@ def _load_params(args) -> DesignParams:
             params = make_params(json_numbers(raw["origin"]), raw["joints"], json_numbers(raw["lengths"]))
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"params file: {exc}") from exc
-        if not params.joints:
-            raise InputError("params file: joints must hold at least one joint, got none")
     violations = validate(params, SpaceConfig(n_joints=params.n_joints))
     if violations:
         raise InputError("; ".join(violations))

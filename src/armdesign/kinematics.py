@@ -448,13 +448,9 @@ def _kernels(d: int) -> _Kernels:
 
 
 def _set_up(params: DesignParams) -> tuple:
-    """(origin, codes, lengths, kernels, start pool, `_rods`): a design checked, and what its solves share, once."""
+    """(origin, codes, lengths, kernels, start pool, `_rods`): a design checked finite, and what its solves share, once."""
     d = params.n_joints
-    if d < 1:
-        raise ValueError("joints must hold at least one joint, got none")
-    for field, values, size in (("origin", params.origin, 3), ("lengths", params.lengths, d)):
-        if len(values) != size:
-            raise ValueError(f"{field} must hold {size} values, got {len(values)}")
+    for field, values in (("origin", params.origin), ("lengths", params.lengths)):
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{field} must be finite, got {list(values)}")
     codes = tuple(jt._value_ for jt in params.joints)
@@ -497,14 +493,14 @@ def solve_ik(params: DesignParams, target) -> IKSolution:
 
     The target is any flat sequence of 3 numbers: a tuple, a list, a 1-D
     array, numpy scalars included. A target of another length, one that is
-    not flat (a (3, 1) array, a nested list, a scalar), a design with no
-    joints, an origin not of 3 numbers or lengths not one per joint, and a
-    target, origin or link length that is not finite are each a ValueError.
-    The target is checked on every call. The design is checked and set up
-    once (`_set_up`: codes, kernels, start pool, the bound's `_rods`) and kept
-    in a one-entry cache keyed on its identity, as `evaluate` solves a
-    design's targets in a row: one (design, set-up) tuple, read once and
-    replaced whole, so threads never pair one design with another's set-up.
+    not flat (a (3, 1) array, a nested list, a scalar), and a target, origin
+    or link length that is not finite are each a ValueError; `DesignParams`
+    checked the design's shape when it was made. The target is checked on
+    every call. The design is checked and set up once (`_set_up`: codes,
+    kernels, start pool, the bound's `_rods`) and kept in a one-entry cache
+    keyed on its identity, as `evaluate` solves a design's targets in a row:
+    one (design, set-up) tuple, read once and replaced whole, so threads
+    never pair one design with another's set-up.
     """
     global _last
     if getattr(target, "ndim", 1) != 1:

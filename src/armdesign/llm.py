@@ -364,8 +364,6 @@ def select_feedback(
     """Uniform without-replacement picks: FEEDBACK_PARETO from the archive, FEEDBACK_RANDOM overall."""
 
     def _draw(pool: list[TrialRecord], k: int) -> tuple[TrialRecord, ...]:
-        if not pool:
-            return ()
         k = min(k, len(pool))
         idx = rng.choice(len(pool), size=k, replace=False)
         return tuple(pool[i] for i in sorted(idx))

@@ -5,6 +5,7 @@ A design is (origin, joint types, link lengths). The flat-vector layout is
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
@@ -36,10 +37,11 @@ class JointType(Enum):
 
     @classmethod
     def from_code(cls, code: float) -> "JointType":
-        value = int(round(code))
-        if abs(code - value) > 1e-9 or value not in (0, 1, 2):
-            raise ValueError(f"invalid joint-type code {code!r} (expected 0, 1 or 2)")
-        return cls(value)
+        if math.isfinite(code):
+            value = int(round(code))
+            if abs(code - value) <= 1e-9 and value in (0, 1, 2):
+                return cls(value)
+        raise ValueError(f"invalid joint-type code {code!r} (expected 0, 1 or 2)")
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,21 @@ class SpaceConfig:
 
 @dataclass(frozen=True)
 class DesignParams:
-    """One candidate arm: base origin (m), joint-type sequence, link lengths (m)."""
+    """One candidate arm: base origin (m), joint-type sequence, link lengths (m).
+
+    Its shape is checked where it is made: no joints, an origin not of 3 values or lengths not one per
+    joint is a ValueError naming the field. Bounds and finiteness are `validate`'s, against a space."""
 
     origin: tuple[float, float, float]
     joints: tuple[JointType, ...]
     lengths: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not self.joints:
+            raise ValueError("joints must hold at least one joint, got none")
+        for field, values, size in (("origin", self.origin, 3), ("lengths", self.lengths, len(self.joints))):
+            if len(values) != size:
+                raise ValueError(f"{field} must hold {size} values, got {len(values)}")
 
     @property
     def n_joints(self) -> int:
@@ -85,22 +97,13 @@ def make_params(origin, joints, lengths) -> DesignParams:
 
 
 def validate(params: DesignParams, cfg: SpaceConfig) -> list[str]:
-    """Return all bound/shape violations; an empty list means the design is valid."""
+    """Return all violations of cfg (joint count, bounds, NaN outside them, alphabet); empty if valid."""
     violations: list[str] = []
-    if len(params.origin) != 3:
-        violations.append(f"origin: expected 3 components, got {len(params.origin)}")
-    else:
-        for axis, value in zip("xyz", params.origin):
-            if not cfg.origin_low <= value <= cfg.origin_high:
-                violations.append(
-                    f"origin.{axis}: {value} outside [{cfg.origin_low}, {cfg.origin_high}]"
-                )
+    for axis, value in zip("xyz", params.origin):
+        if not cfg.origin_low <= value <= cfg.origin_high:
+            violations.append(f"origin.{axis}: {value} outside [{cfg.origin_low}, {cfg.origin_high}]")
     if len(params.joints) != cfg.n_joints:
         violations.append(f"joints: expected {cfg.n_joints} entries, got {len(params.joints)}")
-    if len(params.lengths) != len(params.joints):
-        violations.append(
-            f"lengths: expected {len(params.joints)} entries, got {len(params.lengths)}"
-        )
     for k, jt in enumerate(params.joints):
         if jt not in cfg.joint_alphabet:
             violations.append(f"joints[{k}]: {jt} not in alphabet")

@@ -70,11 +70,11 @@ class TrialRecord:
     @cached_property
     def table_row(self) -> bytes:
         """This record's `TrialTable` row as float64 bytes: objectives, origin, lengths, joint-alphabet codes
-        (whole numbers, so a cast to int is exact), then the joint and length counts. Built at the first
-        read and kept; the record is frozen, so its row never goes stale."""
+        (whole numbers, so a cast to int is exact); 5 + 2D doubles, as a design holds one length per joint.
+        Built at the first read and kept; the record is frozen, so its row never goes stale."""
         p = self.params
         codes = map(SpaceConfig.joint_alphabet.index, p.joints)
-        row = (*self.objectives, *p.origin, *p.lengths, *codes, len(p.joints), len(p.lengths))
+        row = (*self.objectives, *p.origin, *p.lengths, *codes)
         return struct.pack(f"{len(row)}d", *row)
 
 
@@ -100,22 +100,18 @@ class TrialTable:
         another joint count or an objective that is not finite is a ValueError, and adds nothing."""
         k, d = len(records), self.d
         rows = [t.table_row for t in records]
-        width = 7 + 2 * d  # doubles in a d-joint row
-        block = np.frombuffer(b"".join(rows)).reshape(k, width) if set(map(len, rows)) <= {8 * width} else None
-        if block is None or block[:, -2:].tobytes() != struct.pack("2d", d, d) * k:  # rows end in (d, d)
-            for t, row in zip(records, rows):  # name the first trial of another joint count
-                if len(row) != 8 * width or len(t.params.joints) != d or len(t.params.lengths) != d:
-                    raise ValueError(
-                        f"trial {t.id} has {len(t.params.joints)} joints and {len(t.params.lengths)} lengths;"
-                        f" the space has {d} joints"
-                    )
+        width = 5 + 2 * d  # doubles in a d-joint row, so a row's width gives its design's joint count
+        if set(map(len, rows)) - {8 * width}:
+            t = next(t for t, row in zip(records, rows) if len(row) != 8 * width)
+            raise ValueError(f"trial {t.id} has {t.params.n_joints} joints; the space has {d} joints")
+        block = np.frombuffer(b"".join(rows)).reshape(k, width)
         values = block[:, :2]
         if not np.isfinite(values).all():
             first = int(np.argmin(np.isfinite(values).all(axis=1)))
             raise ValueError(f"trial {records[first].id} has a non-finite objective")
         self.values = np.concatenate((self.values, values))
         self.slots = np.concatenate((self.slots, block[:, 2 : 5 + d]))
-        self.codes = np.concatenate((self.codes, block[:, 5 + d : -2]), dtype=int, casting="unsafe")
+        self.codes = np.concatenate((self.codes, block[:, 5 + d :]), dtype=int, casting="unsafe")
         self.records.extend(records)
 
 

@@ -161,13 +161,30 @@ def test_urdf_rejects_out_of_range_origin(capsys, tmp_path):
 
 
 def test_evaluate_and_urdf_reject_a_design_with_no_joints(capsys, tmp_path):
+    # and the other shapes no design can have: each is refused where the design is made
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"origin": [0, 0, 0], "joints": [], "lengths": []}))
-    for command in (["urdf"], ["evaluate", "--targets", TARGET1]):
-        code, out, err = run_cli(capsys, *command, "--params", str(bad))
+    for origin, joints, lengths, message in [
+        ([0, 0, 0], [], [], "joints must hold at least one joint, got none"),
+        ([0, 0, 0], ["Y", "P", "R", "P"], [0.1] * 3, "lengths must hold 4 values, got 3"),
+        ([0, 0], ["Y", "P", "R", "P"], [0.1] * 4, "origin must hold 3 values, got 2"),
+    ]:
+        bad.write_text(json.dumps({"origin": origin, "joints": joints, "lengths": lengths}))
+        for command in (["urdf"], ["evaluate", "--targets", TARGET1]):
+            code, out, err = run_cli(capsys, *command, "--params", str(bad))
+            assert code == 1
+            assert out == ""
+            assert error_line(err) == f"error: params file: {message}"
+
+
+@pytest.mark.parametrize("token", ["inf", "1e400", "-inf", "nan"])
+def test_evaluate_and_urdf_reject_a_joint_code_that_is_not_finite(capsys, tmp_path, token):
+    vector = f"0,0,0,{token},1,0,1,0.1,0.1,0.1,0.1"
+    for command in (["urdf", "--out", str(tmp_path / "x.urdf")], ["evaluate", "--targets", TARGET1]):
+        code, out, err = run_cli(capsys, *command, "--vector", vector)
         assert code == 1
         assert out == ""
-        assert error_line(err) == "error: params file: joints must hold at least one joint, got none"
+        assert error_line(err) == f"error: invalid joint-type code {float(token)!r} (expected 0, 1 or 2)"
+    assert not (tmp_path / "x.urdf").exists()
 
 
 def test_run_produces_artifacts_and_summary(capsys, tmp_path):
@@ -396,6 +413,7 @@ def test_report_flags_corrupt_ledger_line(capsys, tmp_path):
         good.replace('"source": "llm"', '"source": "bogus"'),
         re.sub(r'"objectives": \[[^,]*', '"objectives": [NaN', good),
         re.sub(r'"vector": \[[^,]*', '"vector": [Infinity', good),
+        re.sub(r'("vector": \[(?:[^,]*,){3})[^,]*', r"\1 Infinity", good),  # the first joint's code
     )
     for bad in corrupt:
         assert bad != good
@@ -403,7 +421,7 @@ def test_report_flags_corrupt_ledger_line(capsys, tmp_path):
         ledger.write_text("\n".join(lines) + "\n")
         code, _, err = run_cli(capsys, "report", str(ledger))
         assert code == 1
-        assert "line 5" in err
+        assert ": line 5: corrupt ledger record (" in error_line(err)
     lines[4] = good
     ledger.write_text("\n".join(lines) + "\n")
     curve = ledger.parent / "hv_curve.csv"

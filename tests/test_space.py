@@ -34,10 +34,28 @@ def test_origin_bound_violation(space):
 
 
 def test_shape_violations_reported(space):
-    p = DesignParams(origin=(0.0, 0.0, 0.0), joints=(JointType.YAW,), lengths=(0.1, 0.1))
-    violations = validate(p, space)
-    assert any("joints" in v for v in violations)
-    assert any("lengths" in v for v in violations)
+    p = DesignParams(origin=(0.0, 0.0, 0.0), joints=(JointType.YAW,), lengths=(0.1,))
+    assert validate(p, space) == ["joints: expected 4 entries, got 1"]
+
+
+@pytest.mark.parametrize(
+    "origin, joints, lengths, message",
+    [
+        ((0, 0, 0), "", (), "joints must hold at least one joint, got none"),
+        ((0, 0, 0), "", (0.1,), "joints must hold at least one joint, got none"),
+        ((0, 0), "YPRP", (0.1,) * 4, "origin must hold 3 values, got 2"),
+        ((0, 0, 0, 0), "YPRP", (0.1,) * 4, "origin must hold 3 values, got 4"),
+        ((0, 0, 0), "YPRP", (0.1,) * 3, "lengths must hold 4 values, got 3"),
+        ((0, 0, 0), "PPP", (0.1,) * 5, "lengths must hold 3 values, got 5"),
+        ((0, 0, 0), "PPPPP", (0.1,) * 3, "lengths must hold 5 values, got 3"),
+    ],
+    ids=["no-joints", "no-joints-one-length", "origin-2", "origin-4", "4-3-lengths", "3-5-lengths", "5-3-lengths"],
+)
+def test_a_design_of_the_wrong_shape_cannot_be_made(origin, joints, lengths, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_params(origin, joints, lengths)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DesignParams(origin=origin, joints=tuple(map(JointType.from_letter, joints)), lengths=lengths)
 
 
 def test_vector_length_is_2d_plus_3(space):
@@ -76,6 +94,10 @@ def test_from_vector_rejects_bad_type_code():
     vec[4] = 1.5
     with pytest.raises(ValueError, match="code"):
         from_vector(vec)
+    for code in (float("inf"), float("-inf"), float("nan")):
+        vec[4] = code
+        with pytest.raises(ValueError, match=f"^invalid joint-type code {code!r} \\(expected 0, 1 or 2\\)$"):
+            from_vector(vec)
 
 
 def test_random_sample_always_valid(space):

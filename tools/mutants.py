@@ -52,12 +52,33 @@ MUTANTS = [
         "np.cross(np.subtract(end, joints[:, :3]), joints[:, 3:6])",
         ["tests/test_kinematics.py::test_generated_fk_and_jacobian_match_the_reference_loops"],
     ),
-    # a CLI design with no joints reaches SpaceConfig's ValueError
+    # a design with no joints is made, and the CLI's check reaches SpaceConfig's ValueError
     (
-        "src/armdesign/cli.py",
-        "if not params.joints:",
+        "src/armdesign/space.py",
+        "if not self.joints:",
         "if False:",
         ["tests/test_cli.py::test_evaluate_and_urdf_reject_a_design_with_no_joints"],
+    ),
+    # a design with as many lengths as it likes
+    (
+        "src/armdesign/space.py",
+        '("lengths", self.lengths, len(self.joints))',
+        '("lengths", self.lengths, len(self.lengths))',
+        ["tests/test_space.py::test_a_design_of_the_wrong_shape_cannot_be_made"],
+    ),
+    # a design with an origin of any size
+    (
+        "src/armdesign/space.py",
+        '("origin", self.origin, 3)',
+        '("origin", self.origin, len(self.origin))',
+        ["tests/test_space.py::test_a_design_of_the_wrong_shape_cannot_be_made"],
+    ),
+    # an infinite joint code overflows int() and the CLI prints a traceback
+    (
+        "src/armdesign/space.py",
+        "if math.isfinite(code):",
+        "if True:",
+        ["tests/test_cli.py::test_evaluate_and_urdf_reject_a_joint_code_that_is_not_finite"],
     ),
     # a ledger that cannot be read is a runtime failure (exit 2), not an input error
     (
