@@ -55,7 +55,10 @@ def _load_params(args) -> DesignParams:
     else:
         try:
             raw = json.loads(Path(args.params).read_text(encoding="utf-8"))
-            params = make_params(json_numbers(raw["origin"]), raw["joints"], json_numbers(raw["lengths"]))
+            joints = raw["joints"]
+            if not isinstance(joints, list) or not all(isinstance(j, str) for j in joints):
+                raise ValueError(f"expected an array of joint letters, got {joints!r}")
+            params = make_params(json_numbers(raw["origin"]), joints, json_numbers(raw["lengths"]))
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"params file: {exc}") from exc
     violations = validate(params, SpaceConfig(n_joints=params.n_joints))

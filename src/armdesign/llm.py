@@ -13,6 +13,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field, replace
+from functools import cache, lru_cache
 from typing import Protocol
 
 import numpy as np
@@ -36,14 +37,6 @@ class PromptContext:
 
 def format_point(point) -> str:
     return "[" + ", ".join(repr(float(v)) for v in point) + "]"
-
-
-def _format_seq(values) -> str:
-    return "[" + ", ".join(f"{float(v):.4f}" for v in values) + "]"
-
-
-def _format_joints(joints) -> str:
-    return "[" + ", ".join(jt.letter for jt in joints) + "]"
 
 
 _PROBLEM_TEMPLATE = """\
@@ -108,19 +101,23 @@ Answer:
 SYSTEM_MESSAGE = "You are an assistant for robot arm design optimization."
 
 
-def build_prompt(ctx: PromptContext) -> str:
-    """Render the full call-1 prompt for the given feedback context."""
-    target_lines = "\n".join(format_point(p) for p in ctx.targets.points)
-    problem = _PROBLEM_TEMPLATE.format(
-        d=ctx.space.n_joints,
-        olo=ctx.space.origin_low,
-        ohi=ctx.space.origin_high,
-        llo=ctx.space.length_low,
-        lhi=ctx.space.length_high,
+@lru_cache(maxsize=8)  # a process prompts on a few target sets, one space each
+def _problem_statement(targets: TargetSet, space: SpaceConfig) -> str:
+    """The prompt's opening: the problem setting and the target list, which depend on nothing else."""
+    return _PROBLEM_TEMPLATE.format(
+        d=space.n_joints,
+        olo=space.origin_low,
+        ohi=space.origin_high,
+        llo=space.length_low,
+        lhi=space.length_high,
         qlim=JOINT_ANGLE_LIMIT,
         alpha=ALPHA,
-    ).replace("$TARGET", target_lines)
-    parts = [problem]
+    ).replace("$TARGET", "\n".join(format_point(p) for p in targets.points))
+
+
+def build_prompt(ctx: PromptContext) -> str:
+    """Render the full call-1 prompt for the given feedback context."""
+    parts = [_problem_statement(ctx.targets, ctx.space)]
     if ctx.pareto_feedback or ctx.random_feedback:
         parts.append(_FEEDBACK_HEADER)
         blocks = [(r, "pareto") for r in ctx.pareto_feedback]
@@ -133,20 +130,43 @@ def build_prompt(ctx: PromptContext) -> str:
     return "\n".join(parts)
 
 
-def _feedback_block(index: int, pool: str, trial: TrialRecord) -> str:
-    p = trial.params
+@cache
+def _block_template(d: int, n_targets: int) -> str:
+    """The %-format of a feedback block on a d-joint design scored on n_targets targets.
+
+    Its fields, in order: the block's index and pool, the origin, the joint
+    letters, the lengths, (e_pos, e_torque) per target, the reached point per
+    target, the torque vector per target, and the (E_POS, E_TORQUE) totals.
+    Every number is printed to 4 decimals.
+    """
+
+    def seq(n: int) -> str:
+        return "[" + ", ".join(["%.4f"] * n) + "]"
+
     lines = [
-        f"Design {index} ({pool}):",
-        f"  ORIGIN: {_format_seq(p.origin)}",
-        f"  JOINTS: {_format_joints(p.joints)}",
-        f"  LINKS: {_format_seq(p.lengths)}",
-        "  E_EACH: "
-        + "; ".join(f"({o.e_pos:.4f}, {o.e_torque:.4f})" for o in trial.per_target),
-        "  REACHED: " + "; ".join(_format_seq(o.reached) for o in trial.per_target),
-        "  TORQUES: " + "; ".join(_format_seq(o.torque) for o in trial.per_target),
-        f"  E_ALL: ({trial.objectives.e_pos:.4f}, {trial.objectives.e_torque:.4f})",
+        "Design %d (%s):",
+        "  ORIGIN: " + seq(3),
+        "  JOINTS: [" + ", ".join(["%s"] * d) + "]",
+        "  LINKS: " + seq(d),
+        "  E_EACH: " + "; ".join(["(%.4f, %.4f)"] * n_targets),
+        "  REACHED: " + "; ".join([seq(3)] * n_targets),
+        "  TORQUES: " + "; ".join([seq(d)] * n_targets),
+        "  E_ALL: (%.4f, %.4f)",
     ]
     return "\n".join(lines) + "\n"
+
+
+def _feedback_block(index: int, pool: str, trial: TrialRecord) -> str:
+    p, outcomes = trial.params, trial.per_target
+    fields = [index, pool, *p.origin, *(jt.letter for jt in p.joints), *p.lengths]
+    for o in outcomes:
+        fields += o.e_pos, o.e_torque
+    for o in outcomes:
+        fields += o.reached
+    for o in outcomes:
+        fields += o.torque
+    fields += trial.objectives
+    return _block_template(p.n_joints, len(outcomes)) % tuple(fields)
 
 
 class BackendError(Exception):
@@ -313,7 +333,7 @@ def parse_design_response(text: str, space: SpaceConfig) -> DesignParams:
         lengths = [float(tok) for tok in _split(lengths_raw)]
     except ValueError as exc:
         raise ParseError(f"non-numeric value: {exc}") from exc
-    if np.isnan(origin + lengths).any():
+    if any(map(math.isnan, origin + lengths)):
         raise ParseError("NaN value")
     joints = [JointType.from_letter(tok) for tok in _split(joints_raw)]
 
@@ -325,9 +345,9 @@ def parse_design_response(text: str, space: SpaceConfig) -> DesignParams:
         raise ParseError(f"lengths needs {space.n_joints} entries, got {len(lengths)}")
 
     return make_params(
-        np.clip(origin, space.origin_low, space.origin_high),
+        [min(max(v, space.origin_low), space.origin_high) for v in origin],
         joints,
-        np.clip(lengths, space.length_low, space.length_high),
+        [min(max(v, space.length_low), space.length_high) for v in lengths],
     )
 
 

@@ -98,7 +98,7 @@ def run(config: RunConfig) -> RunResult:
         if source is SampleSource.RANDOM:
             params = random_sample(rng, SPACE)
         elif source is SampleSource.LLM:
-            pareto_fb, random_fb = select_feedback(table.records, pareto_front(table.records), rng)
+            pareto_fb, random_fb = select_feedback(table.records, table.front(), rng)
             ctx = PromptContext(
                 targets=config.targets,
                 space=SPACE,

@@ -41,12 +41,13 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
+from itertools import compress
 from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
 from .evaluation import TargetOutcome
-from .pareto import DEFAULT_REF_POINT, ObjectiveValues, sorted_front, sorted_keys
+from .pareto import DEFAULT_REF_POINT, ObjectiveValues, first_front, sorted_front, sorted_keys
 from .space import DesignParams, SpaceConfig, make_params, random_sample
 
 
@@ -113,6 +114,10 @@ class TrialTable:
         self.slots = np.concatenate((self.slots, block[:, 2 : 5 + d]))
         self.codes = np.concatenate((self.codes, block[:, 5 + d :]), dtype=int, casting="unsafe")
         self.records.extend(records)
+
+    def front(self) -> list[TrialRecord]:
+        """The nondominated records, in trial order: `pareto.pareto_front(self.records)`, read off `values`."""
+        return list(compress(self.records, first_front(self.values).tolist()))
 
 
 @dataclass(frozen=True)

@@ -161,19 +161,23 @@ def test_urdf_rejects_out_of_range_origin(capsys, tmp_path):
 
 
 def test_evaluate_and_urdf_reject_a_design_with_no_joints(capsys, tmp_path):
-    # and the other shapes no design can have: each is refused where the design is made
+    # and the other shapes no design can have: each is refused where the design is made; joints that
+    # are not an array of strings are refused as read, so a string is not taken letter by letter
     bad = tmp_path / "bad.json"
     for origin, joints, lengths, message in [
         ([0, 0, 0], [], [], "joints must hold at least one joint, got none"),
         ([0, 0, 0], ["Y", "P", "R", "P"], [0.1] * 3, "lengths must hold 4 values, got 3"),
         ([0, 0], ["Y", "P", "R", "P"], [0.1] * 4, "origin must hold 3 values, got 2"),
+        ([0, 0, 0], "YPRP", [0.1] * 4, "expected an array of joint letters, got 'YPRP'"),
+        ([0, 0, 0], [2, 1, 0, 1], [0.1] * 4, "expected an array of joint letters, got [2, 1, 0, 1]"),
     ]:
         bad.write_text(json.dumps({"origin": origin, "joints": joints, "lengths": lengths}))
-        for command in (["urdf"], ["evaluate", "--targets", TARGET1]):
+        for command in (["urdf", "--out", str(tmp_path / "x.urdf")], ["evaluate", "--targets", TARGET1]):
             code, out, err = run_cli(capsys, *command, "--params", str(bad))
             assert code == 1
             assert out == ""
             assert error_line(err) == f"error: params file: {message}"
+    assert not (tmp_path / "x.urdf").exists()
 
 
 @pytest.mark.parametrize("token", ["inf", "1e400", "-inf", "nan"])

@@ -7,8 +7,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from armdesign.evaluation import TargetSet, evaluate
+from armdesign.evaluation import TargetOutcome, TargetSet, evaluate
 from armdesign.llm import (
     BackendConfig,
     BackendError,
@@ -17,13 +19,15 @@ from armdesign.llm import (
     ParseError,
     PromptContext,
     ScriptedBackend,
+    _feedback_block,
     build_prompt,
     format_point,
     parse_design_response,
     propose,
     select_feedback,
 )
-from armdesign.space import JointType, random_sample, validate
+from armdesign.pareto import ObjectiveValues
+from armdesign.space import JointType, make_params, random_sample, validate
 from armdesign.tpe import SampleSource, TrialRecord
 
 TARGETS = TargetSet("probe", ((0.3, 0.0, 0.5), (-0.3, 0.0, 0.5), (0.0, 0.3, 0.5)))
@@ -72,6 +76,58 @@ def test_feedback_block_count_and_fields(space):
         assert len(re.findall(rf"^  {field}", prompt, flags=re.M)) == 10
 
 
+def _format_seq(values) -> str:
+    return "[" + ", ".join(f"{float(v):.4f}" for v in values) + "]"
+
+
+def reference_feedback_block(index, pool, trial):
+    """A feedback block rendered field by field, one format per number: the oracle for `_feedback_block`."""
+    p = trial.params
+    lines = [
+        f"Design {index} ({pool}):",
+        f"  ORIGIN: {_format_seq(p.origin)}",
+        "  JOINTS: [" + ", ".join(jt.letter for jt in p.joints) + "]",
+        f"  LINKS: {_format_seq(p.lengths)}",
+        "  E_EACH: "
+        + "; ".join(f"({o.e_pos:.4f}, {o.e_torque:.4f})" for o in trial.per_target),
+        "  REACHED: " + "; ".join(_format_seq(o.reached) for o in trial.per_target),
+        "  TORQUES: " + "; ".join(_format_seq(o.torque) for o in trial.per_target),
+        f"  E_ALL: ({trial.objectives.e_pos:.4f}, {trial.objectives.e_torque:.4f})",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# any double, and more often: zeros of either sign, values that round to -0.0000 or to a last digit's
+# boundary, and magnitudes whose fixed-point form runs to hundreds of digits
+NUMBERS = st.one_of(
+    st.floats(),
+    st.floats(-1e-4, 1e-4),
+    st.sampled_from([0.0, -0.0, -4e-5, -5e-5, 5e-5, 0.00015, -0.12345, 1e22, -1e300, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def feedback_trials(draw, d, n):
+    """A record of a D = d design scored on n targets, its numbers drawn from NUMBERS."""
+
+    def seq(k):
+        return draw(st.lists(NUMBERS, min_size=k, max_size=k))
+
+    joints = draw(st.lists(st.sampled_from(list(JointType)), min_size=d, max_size=d))
+    params = make_params(seq(3), joints, seq(d))
+    outcomes = tuple(TargetOutcome(tuple(seq(3)), tuple(seq(3)), tuple(seq(d)), *seq(2), True, 0) for _ in range(n))
+    return TrialRecord(0, SampleSource.LLM, params, ObjectiveValues(*seq(2)), outcomes)
+
+
+@pytest.mark.parametrize("d, n", [(d, n) for d in range(1, 7) for n in range(1, 7)])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_feedback_block_matches_the_field_by_field_rendering(d, n, data):
+    trial = data.draw(feedback_trials(d, n))
+    index, pool = data.draw(st.integers(1, 10)), data.draw(st.sampled_from(["pareto", "random"]))
+    assert _feedback_block(index, pool, trial) == reference_feedback_block(index, pool, trial)
+
+
 def test_targets_rendered_verbatim_once(space):
     prompt = build_prompt(make_context(space))
     for point in TARGETS.points:
@@ -99,7 +155,7 @@ def test_parse_clamps_out_of_range_values(space):
 
 
 def test_parse_rejects_nan(space):
-    # np.clip keeps NaN, so clamping cannot make such a design valid
+    # NaN is inside no bounds, and min(max(v, low), high) would pass it through, so it is refused
     with pytest.raises(ParseError, match="NaN"):
         parse_design_response("[nan, 0, 0] [P, P, P, P] [0.1, 0.1, 0.1, 0.1]", space)
     with pytest.raises(ParseError, match="NaN"):
@@ -111,6 +167,13 @@ def test_parse_clamps_infinite_values(space):
     assert params.origin == (1.0, -1.0, 0.0)
     assert params.lengths[:2] == (0.3, 0.03)
     assert validate(params, space) == []
+    # a value at a bound stays, 1e400 reads as inf, and an in-bounds -0.0 keeps its sign (repr tells it from 0.0)
+    params = parse_design_response("[-1.0, 1e400, -0.0] [P, P, P, P] [0.03, 0.3, -0.0, -inf]", space)
+    assert repr(params.origin) == "(-1.0, 1.0, -0.0)"
+    assert repr(params.lengths) == "(0.03, 0.3, 0.03, 0.03)"
+    params = parse_design_response("[1.0, -inf, -1e400] [R, Y, R, Y] [1e400, 0.3, 0.03, 0.1]", space)
+    assert repr(params.origin) == "(1.0, -1.0, -1.0)"
+    assert repr(params.lengths) == "(0.3, 0.3, 0.03, 0.1)"
 
 
 def test_propose_nan_design_is_parse_failure(space):

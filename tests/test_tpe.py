@@ -424,6 +424,7 @@ def test_the_table_is_the_history(case):
         assert table.values.tobytes() == objective_array(trials).tobytes()
         assert table.slots.tobytes() == slots.tobytes()
         assert table.codes.tobytes() == codes.tobytes()
+        assert table.front() == pareto_front(trials)
     rng, list_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert suggest(rng, appended, TpeConfig(), space) == suggest(list_rng, trials, TpeConfig(), space)
     assert rng.bit_generator.state == list_rng.bit_generator.state

@@ -122,6 +122,34 @@ MUTANTS = [
         "if True:",
         ["tests/test_orchestrator.py::test_llm_run_without_warmup_prompts_with_no_feedback"],
     ),
+    # a feedback block prints its bracketed numbers to 3 decimals, not 4
+    (
+        "src/armdesign/llm.py",
+        '", ".join(["%.4f"] * n)',
+        '", ".join(["%.3f"] * n)',
+        ["tests/test_llm.py::test_feedback_block_matches_the_field_by_field_rendering"],
+    ),
+    # a feedback block separates its per-target torque vectors with a comma
+    (
+        "src/armdesign/llm.py",
+        '"  TORQUES: " + "; ".join(',
+        '"  TORQUES: " + ", ".join(',
+        ["tests/test_llm.py::test_feedback_block_matches_the_field_by_field_rendering"],
+    ),
+    # a reply's origin clamped high then low: every value lands on the upper bound
+    (
+        "src/armdesign/llm.py",
+        "[min(max(v, space.origin_low), space.origin_high) for v in origin]",
+        "[max(min(v, space.origin_low), space.origin_high) for v in origin]",
+        ["tests/test_llm.py::test_parse_clamps_infinite_values"],
+    ),
+    # a params file's joints given as one string are read letter by letter
+    (
+        "src/armdesign/cli.py",
+        "if not isinstance(joints, list) or",
+        "if not isinstance(joints, (list, str)) or",
+        ["tests/test_cli.py::test_evaluate_and_urdf_reject_a_design_with_no_joints"],
+    ),
 ]
 
 

@@ -17,11 +17,11 @@ kinematics), each held in a TrialTable as a run holds it. On each, `read`
 times `TrialTable(d, trials)` from the records (the read `suggest` does when
 given a list), `suggest` one suggestion from a generator that every call
 advances, `split` `split_observations` on the table's objectives and `front`
-`pareto_front` over the records (the call `run` makes at each LLM slot,
-`report` per ledger and `hypervolume_curve` per trial), in microseconds per
-call over CALLS calls. A timing repeats its row's calls until it spans at
-least MIN_SPAN_S, so a row of a few fast calls is timed as finely as a long
-one.
+`pareto_front` over the records (the call `report` makes per ledger and
+`hypervolume_curve` per trial; `run` takes an LLM slot's pool from its table
+with `TrialTable.front`), in microseconds per call over CALLS calls. A timing
+repeats its row's calls until it spans at least MIN_SPAN_S, so a row of a few
+fast calls is timed as finely as a long one.
 
 The pairing. Each checkout is timed in a worker process that imports the
 package from that checkout's src/ alone, and checks that it did. A worker
